@@ -18,12 +18,8 @@ deterministic apart from timing_ms.
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-
-import numpy as np
 
 from .combinat import (
     higher_lie_dim,
@@ -33,6 +29,7 @@ from .combinat import (
     young_character,
 )
 from .decompose import (
+    _DIM_CAP,
     ComplementSearchExhausted,
     DecompositionResult,
     DegreeData,
@@ -50,7 +47,6 @@ from .descent import (
 from .freelie import lie_power, symmetrize_extend, truncate_subspace
 from .linalg import Mat, Subspace, format_subspace, parse_subspace
 
-_DIM_CAP = 20000
 _MAX_R = 30
 
 
@@ -58,7 +54,7 @@ class RunConfig:
     """One parsed invocation."""
 
     __slots__ = ("command", "p", "n", "r", "k", "max_degree", "fmt",
-                 "out", "level", "max_search", "threads", "certificate")
+                 "out", "level", "max_search", "certificate")
 
     def __init__(self, **kw):
         for name in self.__slots__:
@@ -85,22 +81,16 @@ def _check_caps(cfg, need_r=False, need_power=None):
 
 
 def _matrix_payload(m):
-    if m.p == 2:
-        width = max(1, (m.ncols + 3) // 4)
-        rows = ["%0*x" % (width, row) for row in m._d]
-    else:
-        rows = [" ".join(str(int(x)) for x in row) for row in m._d]
-    return {"type": "matrix", "p": m.p, "size": m.ncols, "rows": rows}
+    return {"type": "matrix", "p": m.p, "size": m.ncols,
+            "rows": m.row_texts()}
 
 
-def _matrix_from_payload(obj):
-    p = int(obj["p"])
-    size = int(obj["size"])
-    if p == 2:
-        return Mat._wrap2([int(s, 16) for s in obj["rows"]], size)
-    arr = np.array([[int(t) for t in s.split()] for s in obj["rows"]],
-                   dtype=np.int64)
-    return Mat._wrapp(p, arr)
+def _matrix_from_payload(payloads, key):
+    obj = payloads[key]
+    try:
+        return Mat.from_texts(int(obj["p"]), int(obj["size"]), obj["rows"])
+    except ValueError as exc:
+        raise ValueError("payload %s: %s" % (key, exc)) from None
 
 
 def _subspace_payload(space, n, r):
@@ -253,12 +243,19 @@ def _result_from_payload(payload):
     conf = payload["config"]
     p, n, k = int(conf["p"]), int(conf["n"]), int(conf["k"])
     max_degree = int(conf["max_degree"])
+    if k < 1:
+        raise ValueError("k must be positive")
+    want = list(range(k, max_degree + 1, k))
+    got = sorted(int(row["degree"]) for row in payload["results"])
+    if got != want:
+        raise ValueError("report results cover degrees %s, expected %s"
+                         % (got, want))
     degrees = {}
     for row in payload["results"]:
         q = int(row["degree"])
         basis = _subspace_from_payload(payload["payloads"]["basis/%d" % q],
                                        n, q)
-        proj = _matrix_from_payload(payload["payloads"]["projection/%d" % q])
+        proj = _matrix_from_payload(payload["payloads"], "projection/%d" % q)
         if proj.p != p or proj.ncols != n ** q:
             raise ValueError("projection payload size mismatch at degree "
                              "%d" % q)
@@ -433,23 +430,13 @@ _SELFTEST_FULL = _SELFTEST_QUICK + [
 
 def cmd_selftest(cfg):
     suite = _SELFTEST_QUICK if cfg.level == "quick" else _SELFTEST_FULL
-    threads = cfg.threads or 1
-
-    def run(item):
-        name, fn = item
-        try:
-            return name, bool(fn()), ""
-        except Exception as exc:  # a failed invariant inside a helper
-            return name, False, "%s: %s" % (type(exc).__name__, exc)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run, suite))
-    else:
-        outcomes = [run(item) for item in suite]
     rows = []
     passed = 0
-    for name, ok, note in outcomes:
+    for name, fn in suite:
+        try:
+            ok, note = bool(fn()), ""
+        except Exception as exc:  # a failed invariant inside a helper
+            ok, note = False, "%s: %s" % (type(exc).__name__, exc)
         passed += int(ok)
         row = {"check": name, "status": "ok" if ok else "fail"}
         if note:
@@ -560,14 +547,6 @@ _DISPATCH = {
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    threads = 1
-    env = os.environ.get("LIEPOWERS_THREADS")
-    if env:
-        try:
-            threads = max(1, int(env))
-        except ValueError:
-            print("ignoring malformed LIEPOWERS_THREADS=%r" % env,
-                  file=sys.stderr)
     cfg = RunConfig(command=args.command,
                     p=getattr(args, "p", None),
                     n=getattr(args, "n", None),
@@ -578,7 +557,6 @@ def main(argv=None):
                     out=getattr(args, "out", None),
                     level=getattr(args, "level", None),
                     max_search=getattr(args, "max_search", 64),
-                    threads=threads,
                     certificate=getattr(args, "certificate", None))
     start = time.monotonic()
     try:

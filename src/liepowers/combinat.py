@@ -145,7 +145,9 @@ def witt_dim(n, r):
         if r % d == 0:
             total += mobius(d) * n ** (r // d)
     q, rem = divmod(total, r)
-    assert rem == 0
+    if rem:
+        raise ArithmeticError("necklace count %d for degree %d is not "
+                              "divisible by %d" % (total, r, r))
     return q
 
 

@@ -31,8 +31,6 @@ predict feasibility, so this is always a loudly-reported failure.
 
 from itertools import product as iter_product
 
-import numpy as np
-
 from .combinat import (
     higher_lie_dim,
     p_equivalence_classes,
@@ -63,6 +61,7 @@ from .linalg import (
     _invert,
     affine_projection_family,
     check_prime,
+    field,
     index_to_word,
     is_direct_sum,
     solve_equivariant_projection,
@@ -95,20 +94,12 @@ class ComplementSearchExhausted(RuntimeError):
     """All strategies for an equivariant complement failed."""
 
 
-def _mat_rows(m):
-    return list(m._d)
-
-
 def _rowspace(m, ambient):
-    return Subspace.from_packed(m.p, ambient, _mat_rows(m))
+    return Subspace.from_packed(m.p, ambient, m.packed_rows())
 
 
 def _full_space(p, ambient):
-    if p == 2:
-        rows = [1 << i for i in range(ambient)]
-    else:
-        rows = list(np.eye(ambient, dtype=np.int64))
-    return Subspace.from_packed(p, ambient, rows)
+    return _rowspace(Mat.identity(p, ambient), ambient)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +161,7 @@ def split_tensor_power(n, r, p):
         dims = []
         for w in wsubs:
             img = w.basis_matrix() @ E
-            dims.append(Subspace.from_packed(p, N, _mat_rows(img)).dim)
+            dims.append(Subspace.from_packed(p, N, img.packed_rows()).dim)
         dims.append(0)
         for t, lam in enumerate(parts):
             drop = dims[t] - dims[t + 1]
@@ -295,7 +286,7 @@ def _complement_from(space, proj):
     """Ambient kernel of a projection given in domain coordinates."""
     eye = Mat.identity(space.p, space.dim)
     amb = (eye - proj) @ space.basis_matrix()
-    return Subspace.from_packed(space.p, space.ambient, _mat_rows(amb))
+    return Subspace.from_packed(space.p, space.ambient, amb.packed_rows())
 
 
 class _CanonicalUnavailable(Exception):
@@ -333,6 +324,7 @@ def _canonical_data(q, k, n, p, family, action):
     fails.
     """
     N = n ** q
+    F = field(p)
     m, q1 = _p_part(q, p)
     J = None
     for cls in p_equivalence_classes(q, p):
@@ -436,21 +428,10 @@ def _canonical_data(q, k, n, p, family, action):
                     slots += ell
                 starred = element_action_matrix(
                     b, star_matrix(c_d, step)).apply(f)
-                if p == 2:
-                    amb = 0
-                    x = starred
-                    while x:
-                        low = x & -x
-                        idx = low.bit_length() - 1
-                        x ^= low
-                        amb ^= embed(d, brows, index_to_word(idx, b, c_d))
-                else:
-                    amb = np.zeros(n ** (c_d * d), dtype=np.int64)
-                    arr = np.asarray(starred)
-                    for idx in np.nonzero(arr)[0]:
-                        word = index_to_word(int(idx), b, c_d)
-                        amb = (amb + int(arr[idx])
-                               * np.asarray(embed(d, brows, word))) % p
+                amb = F.zero(n ** (c_d * d))
+                for idx, c in F.terms(starred):
+                    word = index_to_word(idx, b, c_d)
+                    amb = F.add(amb, F.scale(embed(d, brows, word), c))
                 vectors.append((c_d * d, amb))
             per_d.append(vectors)
         if not per_d:
@@ -492,17 +473,9 @@ def _assemble_certificate(p, ambient, basis, star, kernel):
             + list(kernel.packed_rows()))
     if len(rows) != ambient:
         return None
-    if p == 2:
-        stacked = Mat._wrap2(rows, ambient)
-        keep = list(basis.packed_rows()) + [0] * (ambient - basis.dim)
-        kept = Mat._wrap2(keep, ambient)
-    else:
-        stacked = Mat._wrapp(p, np.array(rows, dtype=np.int64))
-        arr = np.zeros((ambient, ambient), dtype=np.int64)
-        if basis.dim:
-            arr[:basis.dim] = np.array(list(basis.packed_rows()),
-                                       dtype=np.int64)
-        kept = Mat._wrapp(p, arr)
+    stacked = Mat.from_packed(p, rows, ambient)
+    keep = basis.packed_rows() + [field(p).zero(ambient)] * (ambient - basis.dim)
+    kept = Mat.from_packed(p, keep, ambient)
     try:
         inv = _invert(stacked)
     except ValueError:
@@ -555,7 +528,7 @@ def _split_off(q, k, n, p, action, lie, lower_sum, elim, family,
             canon = None
         else:
             img = merged.basis_matrix() @ canon["projector"]
-            if Subspace.from_packed(p, N, _mat_rows(img)).dim != merged.dim:
+            if Subspace.from_packed(p, N, img.packed_rows()).dim != merged.dim:
                 canon_reason = ("class projector is not injective on the "
                                 "star-extended Lie power")
                 canon = None
@@ -633,6 +606,98 @@ def _split_off(q, k, n, p, action, lie, lower_sum, elim, family,
         "certified projection%s" % (q, tried, detail))
 
 
+def _settled_part(q, k, n, p, family):
+    """The part of L^q settled by the family below degree q.
+
+    Returns (lower, lower_sum, elim): the Lie piece generated by each
+    lower basis B_ck as [(c, piece)], the sum of those pieces, and the
+    span of the bracket pieces carried up from lower complements.  A
+    dimension that contradicts free generation raises ArithmeticError;
+    a lower degree missing from family raises ValueError.
+    """
+    s = q // k
+    N = n ** q
+
+    def data(d):
+        if d not in family:
+            raise ValueError("degree %d is needed for degree %d but is "
+                             "missing from the family" % (d, q))
+        return family[d]
+
+    lower = []
+    lower_sb = SpanBuilder(p, N)
+    expected_lower = 0
+    for c in _proper_divisors(s):
+        bd = data(c * k).basis
+        if bd.dim == 0:
+            lower.append((c, Subspace.zero(p, N)))
+            continue
+        closure = subalgebra_generated(
+            p, n, {c * k: list(bd.packed_rows())}, q)
+        piece = closure.get(q, Subspace.zero(p, N))
+        want = witt_dim(bd.dim, s // c)
+        if piece.dim != want:
+            raise ArithmeticError(
+                "free generation fails at degree %d: Lie elements of "
+                "length %d over the degree-%d basis span dimension "
+                "%d, expected %d" % (q, s // c, c * k, piece.dim, want))
+        lower.append((c, piece))
+        for row in piece.packed_rows():
+            lower_sb.add(row)
+        expected_lower += want
+    if lower_sb.dim != expected_lower:
+        raise ArithmeticError(
+            "lower Lie pieces overlap at degree %d: joint dimension "
+            "%d, expected %d" % (q, lower_sb.dim, expected_lower))
+    lower_sum = lower_sb.subspace()
+
+    elim_sb = SpanBuilder(p, N)
+    expected_elim = 0
+    for total in range(1, s - 1):
+        i = s - total
+        if i < 2:
+            continue
+        for tau in _ascending_compositions(total):
+            if any(i + sum(tau[:u]) <= tau[u] for u in range(len(tau))):
+                continue
+            wpart = data(i * k).complement
+            if wpart.dim == 0:
+                continue
+            rows = list(wpart.packed_rows())
+            deg = i * k
+            count = wpart.dim
+            for t_part in tau:
+                bpart = data(t_part * k).basis
+                if bpart.dim == 0:
+                    count = 0
+                    break
+                rows = bracket_products(p, n, deg, rows, t_part * k,
+                                        list(bpart.packed_rows()))
+                deg += t_part * k
+                count *= bpart.dim
+            if count == 0:
+                continue
+            piece = Subspace.from_packed(p, N, rows)
+            if piece.dim != count:
+                raise ArithmeticError(
+                    "bracket piece over the degree-%d complement with "
+                    "appended degrees %s has dimension %d, expected %d"
+                    % (i * k, [t * k for t in tau], piece.dim, count))
+            for row in piece.packed_rows():
+                elim_sb.add(row)
+            expected_elim += count
+    if elim_sb.dim != expected_elim:
+        raise ArithmeticError(
+            "bracket pieces overlap at degree %d: joint dimension %d, "
+            "expected %d" % (q, elim_sb.dim, expected_elim))
+    elim = elim_sb.subspace()
+    lie = lie_power(p, n, q)
+    if not lie.contains_space(elim) or not lie.contains_space(lower_sum):
+        raise ArithmeticError(
+            "settled part escapes the Lie power at degree %d" % q)
+    return lower, lower_sum, elim
+
+
 def construct_B_family(n, p, k, max_degree, max_search=_DEFAULT_MAX_SEARCH):
     """Build the family B_k, B_2k, ... splitting Lie powers off tensor
     powers, with a certified equivariant projection at every degree.
@@ -674,77 +739,7 @@ def construct_B_family(n, p, k, max_degree, max_search=_DEFAULT_MAX_SEARCH):
                                     [], proj, 1)
             continue
 
-        lower = []
-        lower_sb = SpanBuilder(p, N)
-        expected_lower = 0
-        for c in _proper_divisors(s):
-            bd = degrees[c * k].basis
-            if bd.dim == 0:
-                lower.append((c, Subspace.zero(p, N)))
-                continue
-            closure = subalgebra_generated(
-                p, n, {c * k: list(bd.packed_rows())}, q)
-            piece = closure.get(q, Subspace.zero(p, N))
-            want = witt_dim(bd.dim, s // c)
-            if piece.dim != want:
-                raise ArithmeticError(
-                    "free generation fails at degree %d: Lie elements of "
-                    "length %d over the degree-%d basis span dimension "
-                    "%d, expected %d" % (q, s // c, c * k, piece.dim, want))
-            lower.append((c, piece))
-            for row in piece.packed_rows():
-                lower_sb.add(row)
-            expected_lower += want
-        if lower_sb.dim != expected_lower:
-            raise ArithmeticError(
-                "lower Lie pieces overlap at degree %d: joint dimension "
-                "%d, expected %d" % (q, lower_sb.dim, expected_lower))
-        lower_sum = lower_sb.subspace()
-
-        elim_sb = SpanBuilder(p, N)
-        expected_elim = 0
-        for total in range(1, s - 1):
-            i = s - total
-            if i < 2:
-                continue
-            for tau in _ascending_compositions(total):
-                if any(i + sum(tau[:u]) <= tau[u] for u in range(len(tau))):
-                    continue
-                wpart = degrees[i * k].complement
-                if wpart.dim == 0:
-                    continue
-                rows = list(wpart.packed_rows())
-                deg = i * k
-                count = wpart.dim
-                for t_part in tau:
-                    bpart = degrees[t_part * k].basis
-                    if bpart.dim == 0:
-                        count = 0
-                        break
-                    rows = bracket_products(p, n, deg, rows, t_part * k,
-                                            list(bpart.packed_rows()))
-                    deg += t_part * k
-                    count *= bpart.dim
-                if count == 0:
-                    continue
-                piece = Subspace.from_packed(p, N, rows)
-                if piece.dim != count:
-                    raise ArithmeticError(
-                        "bracket piece over the degree-%d complement with "
-                        "appended degrees %s has dimension %d, expected %d"
-                        % (i * k, [t * k for t in tau], piece.dim, count))
-                for row in piece.packed_rows():
-                    elim_sb.add(row)
-                expected_elim += count
-        if elim_sb.dim != expected_elim:
-            raise ArithmeticError(
-                "bracket pieces overlap at degree %d: joint dimension %d, "
-                "expected %d" % (q, elim_sb.dim, expected_elim))
-        elim = elim_sb.subspace()
-        if not lie.contains_space(elim) or not lie.contains_space(lower_sum):
-            raise ArithmeticError(
-                "settled part escapes the Lie power at degree %d" % q)
-
+        lower, lower_sum, elim = _settled_part(q, k, n, p, degrees)
         basis, wnew, proj, stage = _split_off(
             q, k, n, p, action, lie, lower_sum, elim, degrees, max_search)
         pieces = [piece for _, piece in lower if piece.dim]
@@ -764,51 +759,15 @@ def canonical_complement(q, k, n, p, family):
     settled part of L^q from the family, solves for an equivariant
     complement, and verifies the canonical certificate.  Raises
     ComplementSearchExhausted when no certified candidate is found
-    within the default search budget.
+    within the default search budget, and ValueError when a degree
+    below q that the settled part needs is missing from family.
     """
     action = induce_on_tensor_power(gl_generators(n, p), q)
     lie = lie_power(p, n, q)
-    N = n ** q
     s = q // k
     if q % k or s < 2:
         raise ValueError("degree must be a multiple of k of weight >= 2")
-    lower_sb = SpanBuilder(p, N)
-    for c in _proper_divisors(s):
-        data = family.get(c * k)
-        if data is None or data.basis.dim == 0:
-            continue
-        closure = subalgebra_generated(
-            p, n, {c * k: list(data.basis.packed_rows())}, q)
-        for row in closure.get(q, Subspace.zero(p, N)).packed_rows():
-            lower_sb.add(row)
-    lower_sum = lower_sb.subspace()
-    elim_sb = SpanBuilder(p, N)
-    for total in range(1, s - 1):
-        i = s - total
-        if i < 2:
-            continue
-        for tau in _ascending_compositions(total):
-            if any(i + sum(tau[:u]) <= tau[u] for u in range(len(tau))):
-                continue
-            wdata = family.get(i * k)
-            if wdata is None or wdata.complement.dim == 0:
-                continue
-            rows = list(wdata.complement.packed_rows())
-            deg = i * k
-            alive = True
-            for t_part in tau:
-                bdata = family.get(t_part * k)
-                if bdata is None or bdata.basis.dim == 0:
-                    alive = False
-                    break
-                rows = bracket_products(p, n, deg, rows, t_part * k,
-                                        list(bdata.basis.packed_rows()))
-                deg += t_part * k
-            if not alive:
-                continue
-            for row in rows:
-                elim_sb.add(row)
-    elim = elim_sb.subspace()
+    _, lower_sum, elim = _settled_part(q, k, n, p, family)
     _, wnew, _, _ = _split_off(q, k, n, p, action, lie, lower_sum, elim,
                                family, _DEFAULT_MAX_SEARCH)
     return wnew

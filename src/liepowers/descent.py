@@ -29,7 +29,7 @@ from .combinat import (
     partitions,
     young_character,
 )
-from .linalg import Mat, check_prime, index_to_word, word_to_index, \
+from .linalg import Mat, check_prime, field, index_to_word, word_to_index, \
     _solve_linear_system
 
 __all__ = [
@@ -84,22 +84,12 @@ def xnu_as_permutation_sum(nu):
 def apply_place_permutation(p, n, r, vec, sigma):
     """Place permutation on a packed tensor: position i of the image word
     holds letter sigma(i) of the source word."""
-    if p == 2:
-        out = 0
-        v = vec
-        while v:
-            low = v & -v
-            i = low.bit_length() - 1
-            v ^= low
-            w = index_to_word(i, n, r)
-            out ^= 1 << word_to_index(tuple(w[s - 1] for s in sigma), n)
-        return out
-    out = np.zeros(n ** r, dtype=np.int64)
-    for i in np.nonzero(np.asarray(vec))[0]:
-        w = index_to_word(int(i), n, r)
-        j = word_to_index(tuple(w[s - 1] for s in sigma), n)
-        out[j] = (out[j] + int(vec[i])) % p
-    return out
+    F = field(p)
+    terms = []
+    for i, c in F.terms(vec):
+        w = index_to_word(i, n, r)
+        terms.append((word_to_index(tuple(w[s - 1] for s in sigma), n), c))
+    return F.from_terms(n ** r, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +277,7 @@ def _first_block_unshuffle(p, n, r, c):
             w[pos] = n ** (r - c - 1 - j)
         target = D @ w
         np.add.at(counts, (rows_idx, target), 1)
-    if p == 2:
-        bits = (counts & 1).astype(np.uint8)
-        rows = []
-        for i in range(N):
-            packed = np.packbits(bits[i], bitorder="little")
-            rows.append(int.from_bytes(packed.tobytes(), "little"))
-        return Mat._wrap2(rows, N)
-    return Mat._wrapp(p, counts % p)
+    return Mat.from_array(p, counts)
 
 
 @lru_cache(maxsize=None)
@@ -317,15 +300,12 @@ def x_action_matrix(p, n, r, comp):
 
 
 def _kron_identity_left(p, m, M):
-    """I_m tensor M; with big-endian word indexing this is a block shift."""
-    if p == 2:
-        rows = []
-        w = M.ncols
-        for a in range(m):
-            shift = a * w
-            rows.extend(row << shift for row in M._d)
-        return Mat._wrap2(rows, m * w)
-    return Mat._wrapp(p, np.kron(np.eye(m, dtype=np.int64), M._d) % p)
+    """I_m tensor M; with big-endian word indexing this is a block shift:
+    row (a, i) is the concatenation of unit row a with row i of M."""
+    F = field(p)
+    rows = [F.concat(F.unit(m, a), row, M.ncols)
+            for a in range(m) for row in M.packed_rows()]
+    return Mat.from_packed(p, rows, m * M.ncols)
 
 
 def element_action_matrix(n, elem):
@@ -399,35 +379,15 @@ def solve_class_indicator(r, p, members):
     parts = partitions(r)
     cols = parts  # unknowns a_lam, one per partition-shaped basis element
     want = {tuple(sorted(m, reverse=True)) for m in members}
-    if p == 2:
-        rows = []
-        rhs = []
-        for lam in parts:
-            bits = 0
-            for j, mu in enumerate(cols):
-                if young_character(mu, lam) % p:
-                    bits |= 1 << j
-            rows.append(bits)
-            rhs.append(1 if lam in want else 0)
-        sol = _solve_linear_system(p, rows, rhs, len(cols))
-        if sol is None:
-            raise ArithmeticError("indicator is not in the image of c")
-        part = sol[0]
-        coeffs = {cols[j]: 1 for j in range(len(cols)) if part >> j & 1}
-    else:
-        rows = []
-        rhs = []
-        for lam in parts:
-            rows.append(np.array([young_character(mu, lam) % p
-                                  for mu in cols], dtype=np.int64))
-            rhs.append(1 if lam in want else 0)
-        sol = _solve_linear_system(p, rows, rhs, len(cols))
-        if sol is None:
-            raise ArithmeticError("indicator is not in the image of c")
-        part = sol[0]
-        coeffs = {cols[j]: int(part[j]) for j in range(len(cols))
-                  if int(part[j])}
-    return DescentElement(r, p, coeffs)
+    F = field(p)
+    rows = [F.from_terms(len(cols), [(j, young_character(mu, lam))
+                                     for j, mu in enumerate(cols)])
+            for lam in parts]
+    rhs = [1 if lam in want else 0 for lam in parts]
+    sol = _solve_linear_system(p, rows, rhs, len(cols))
+    if sol is None:
+        raise ArithmeticError("indicator is not in the image of c")
+    return DescentElement(r, p, {cols[j]: c for j, c in F.terms(sol[0])})
 
 
 def lift_idempotents(r, p):
@@ -504,13 +464,14 @@ def gr_action_check(p, n, r, trials=50, seed=0):
     PBW monomials of lexicographically later type, with the sum over all
     ways of dealing the factors onto blocks with degree sums nu; each
     block keeps its factors in their original order and blocks are
-    concatenated in order.  Raises AssertionError with context on the
+    concatenated in order.  Raises ArithmeticError with context on the
     first mismatch; returns the number of comparisons on success.
     """
     from .freelie import (concat_packed, filtration_subspace, lie_element,
                           lyndon_words)
     from .combinat import next_partition
 
+    F = field(p)
     rng = random.Random(seed)
     basis = {}
     for d in range(1, r + 1):
@@ -518,19 +479,11 @@ def gr_action_check(p, n, r, trials=50, seed=0):
 
     def random_lie(d):
         while True:
-            if p == 2:
-                v = 0
-                for b in basis[d]:
-                    if rng.randrange(2):
-                        v ^= b
-                if v:
-                    return v
-            else:
-                v = np.zeros(n ** d, dtype=np.int64)
-                for b in basis[d]:
-                    v = (v + rng.randrange(p) * np.asarray(b)) % p
-                if v.any():
-                    return v
+            v = F.zero(n ** d)
+            for b in basis[d]:
+                v = F.add(v, F.scale(b, rng.randrange(p)))
+            if not F.is_zero(v):
+                return v
 
     parts_list = partitions(r)
     checked = 0
@@ -545,17 +498,15 @@ def gr_action_check(p, n, r, trials=50, seed=0):
                 w = v if w is None else concat_packed(p, n, deg, w, d, v)
                 deg += d
             lhs = mat.apply(w)
-            rhs = _dealt_sum(p, n, nu, factors)
-            if p == 2:
-                diff = lhs ^ rhs
-            else:
-                diff = (np.asarray(lhs) - rhs) % p
+            diff = F.sub(lhs, _dealt_sum(p, n, nu, factors))
             nxt = next_partition(lam)
             if nxt is None:
-                ok = not diff if p == 2 else not diff.any()
+                ok = F.is_zero(diff)
             else:
                 ok = filtration_subspace(p, n, r, nxt).contains(diff)
-            assert ok, f"graded action mismatch at nu={nu}, type={lam}"
+            if not ok:
+                raise ArithmeticError(
+                    f"graded action mismatch at nu={nu}, type={lam}")
             checked += 1
     return checked
 
@@ -565,6 +516,7 @@ def _dealt_sum(p, n, nu, factors):
     nu, of the concatenated block products."""
     from .freelie import concat_packed
 
+    F = field(p)
     t = len(nu)
     l = len(factors)
     out = None
@@ -581,10 +533,7 @@ def _dealt_sum(p, n, nu, factors):
             for d, v in blk:
                 w = v if w is None else concat_packed(p, n, deg, w, d, v)
                 deg += d
-        if out is None:
-            out = w if p == 2 else np.array(w)
-        else:
-            out = (out ^ w) if p == 2 else (out + w) % p
+        out = w if out is None else F.add(out, w)
 
     def rec(i, remaining):
         if i == l:
@@ -600,7 +549,4 @@ def _dealt_sum(p, n, nu, factors):
                 rec(i + 1, rem)
 
     rec(0, list(nu))
-    if out is None:
-        size = n ** sum(nu)
-        return 0 if p == 2 else np.zeros(size, dtype=np.int64)
-    return out
+    return F.zero(n ** sum(nu)) if out is None else out

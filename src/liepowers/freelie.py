@@ -12,14 +12,13 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
-import numpy as np
-
 from .combinat import higher_lie_dim, partitions, witt_dim
 from .linalg import (
     Mat,
     SpanBuilder,
     Subspace,
     check_prime,
+    field,
     index_to_word,
     word_to_index,
     word_weight,
@@ -141,31 +140,12 @@ class Tensor:
 
 
 def pack_tensor(p, n, r, coeffs):
-    if p == 2:
-        v = 0
-        for w, c in coeffs.items():
-            if c % 2:
-                v ^= 1 << word_to_index(w, n)
-        return v
-    v = np.zeros(n ** r, dtype=np.int64)
-    for w, c in coeffs.items():
-        v[word_to_index(w, n)] = c % p
-    return v
+    return field(p).from_terms(
+        n ** r, [(word_to_index(w, n), c) for w, c in coeffs.items()])
 
 
 def unpack_tensor(p, n, r, vec):
-    out = {}
-    if p == 2:
-        v = vec
-        while v:
-            low = v & -v
-            i = low.bit_length() - 1
-            out[index_to_word(i, n, r)] = 1
-            v ^= low
-        return out
-    for i in np.nonzero(np.asarray(vec))[0]:
-        out[index_to_word(int(i), n, r)] = int(vec[i]) % p
-    return out
+    return {index_to_word(i, n, r): c for i, c in field(p).terms(vec)}
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +230,10 @@ def lie_power(p, n, r):
     subspace of T^r(V_n)."""
     s = Subspace.from_packed(p, n ** r, list(_lie_power_packed(p, n, r)))
     # triangularity of bracketed Lyndon words keeps them independent mod p
-    assert s.dim == witt_dim(n, r)
+    if s.dim != witt_dim(n, r):
+        raise ArithmeticError(
+            "bracketed Lyndon words of degree %d span dimension %d, "
+            "expected %d" % (r, s.dim, witt_dim(n, r)))
     return s
 
 
@@ -336,28 +319,19 @@ def weight_component(space, n, r, weight):
     usual case is a cheap row filter; a genuine intersection covers the
     rest.
     """
+    F = field(space.p)
     cols = set(weight_columns(n, r, tuple(weight)))
     keep, mixed = [], False
     for row, piv in zip(space.packed_rows(), space.pivots):
-        if space.p == 2:
-            support = set()
-            v = row
-            while v:
-                low = v & -v
-                support.add(low.bit_length() - 1)
-                v ^= low
-        else:
-            support = set(int(i) for i in np.nonzero(row)[0])
-        if support <= cols:
+        if all(i in cols for i, _ in F.terms(row)):
             keep.append(row)
         elif piv in cols:
             mixed = True
             break
     if not mixed:
         return Subspace.from_packed(space.p, space.ambient, keep)
-    block = Subspace.from_vectors(
-        space.p, space.ambient,
-        [[1 if j == c else 0 for j in range(space.ambient)] for c in cols])
+    block = Subspace.from_packed(
+        space.p, space.ambient, [F.unit(space.ambient, c) for c in cols])
     return space.intersect(block)
 
 
@@ -366,23 +340,13 @@ def truncate_vector(p, n_from, n_to, r, vec):
     into T^r(V_{n_to})."""
     if n_to > n_from:
         raise ValueError("truncation cannot grow the alphabet")
-    if p == 2:
-        out = 0
-        v = vec
-        while v:
-            low = v & -v
-            i = low.bit_length() - 1
-            v ^= low
-            w = index_to_word(i, n_from, r)
-            if all(a <= n_to for a in w):
-                out ^= 1 << word_to_index(w, n_to)
-        return out
-    out = np.zeros(n_to ** r, dtype=np.int64)
-    for i in np.nonzero(np.asarray(vec))[0]:
-        w = index_to_word(int(i), n_from, r)
+    F = field(p)
+    terms = []
+    for i, c in F.terms(vec):
+        w = index_to_word(i, n_from, r)
         if all(a <= n_to for a in w):
-            out[word_to_index(w, n_to)] = int(vec[i]) % p
-    return out
+            terms.append((word_to_index(w, n_to), c))
+    return F.from_terms(n_to ** r, terms)
 
 
 def truncate_subspace(space, n_from, n_to, r):
@@ -401,20 +365,10 @@ def extend_vector(p, n_from, n_to, r, vec):
         raise ValueError("extension cannot shrink the alphabet")
     if n_to == n_from:
         return vec
-    if p == 2:
-        out = 0
-        v = vec
-        while v:
-            low = v & -v
-            i = low.bit_length() - 1
-            v ^= low
-            out ^= 1 << word_to_index(index_to_word(i, n_from, r), n_to)
-        return out
-    out = np.zeros(n_to ** r, dtype=np.int64)
-    for i in np.nonzero(np.asarray(vec))[0]:
-        out[word_to_index(index_to_word(int(i), n_from, r), n_to)] = \
-            int(vec[i]) % p
-    return out
+    F = field(p)
+    return F.from_terms(n_to ** r, [
+        (word_to_index(index_to_word(i, n_from, r), n_to), c)
+        for i, c in F.terms(vec)])
 
 
 def letter_permutation_map(n, r, images):
@@ -428,19 +382,8 @@ def letter_permutation_map(n, r, images):
 
 
 def apply_letter_permutation(p, n, r, vec, imap):
-    if p == 2:
-        out = 0
-        v = vec
-        while v:
-            low = v & -v
-            i = low.bit_length() - 1
-            v ^= low
-            out ^= 1 << imap[i]
-        return out
-    out = np.zeros(n ** r, dtype=np.int64)
-    for i in np.nonzero(np.asarray(vec))[0]:
-        out[imap[int(i)]] = int(vec[i]) % p
-    return out
+    F = field(p)
+    return F.from_terms(n ** r, [(imap[i], c) for i, c in F.terms(vec)])
 
 
 def symmetrize_extend(space, n_from, n_to, r):
@@ -484,25 +427,13 @@ def symmetrize_extend(space, n_from, n_to, r):
 def concat_packed(p, n, r1, v1, r2, v2):
     """Concatenation product on packed vectors: index(uv) = index(u)*n^r2
     + index(v)."""
-    if p == 2:
-        out = 0
-        shift_unit = n ** r2
-        v = v1
-        while v:
-            low = v & -v
-            i = low.bit_length() - 1
-            v ^= low
-            out ^= v2 << (i * shift_unit)
-        return out
-    return np.outer(np.asarray(v1), np.asarray(v2)).ravel() % p
+    return field(p).concat(v1, v2, n ** r2)
 
 
 def bracket_packed(p, n, r1, v1, r2, v2):
     a = concat_packed(p, n, r1, v1, r2, v2)
     b = concat_packed(p, n, r2, v2, r1, v1)
-    if p == 2:
-        return a ^ b
-    return (a - b) % p
+    return field(p).sub(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -532,9 +463,7 @@ def dynkin_matrix(p, n, r):
                 nxt[k2] = nxt.get(k2, 0) - c
             cur = {k: v % p for k, v in nxt.items() if v % p}
         rows.append(pack_tensor(p, n, r, cur))
-    if p == 2:
-        return Mat._wrap2(rows, N)
-    return Mat._wrapp(p, np.array(rows, dtype=np.int64))
+    return Mat.from_packed(p, rows, N)
 
 
 # ---------------------------------------------------------------------------

@@ -5,24 +5,30 @@ is compared through one currency: subspaces of F_p^N in canonical reduced
 row echelon form.  Two subspaces are equal iff their canonical bases are
 identical, so no tolerance ever enters.
 
-Two storage backends, chosen by the modulus:
+How a row of F_p^N is stored is decided in one place, the field backend
+returned by ``field(p)``, and every other module works on rows through it:
 
 * ``p == 2``: a row is a Python int, bit ``j`` = column ``j``.  Big-int XOR
-  makes 4096-dimensional eliminations cheap.
-* odd ``p``: rows are numpy ``int64`` arrays reduced mod p.
+  makes 4096-dimensional eliminations cheap, and wide products and
+  echelons switch to numpy uint64 word kernels.
+* odd ``p``: a row is a numpy ``int64`` array reduced mod p.
 
-A third, Fraction-based path (``p == 0``) exists for small characteristic-0
-oracle checks only.
+A backend turns rows into and out of dense integer arrays and
+(index, coefficient) terms, adds, scales and concatenates them, runs the
+echelon, reduction and product kernels, and writes a row as payload text.
+``Mat``, ``Subspace``, ``SpanBuilder`` and the equivariant solver each
+have one body written against it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import string
+from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "GFScalar",
+    "field",
     "Mat",
     "Subspace",
     "GroupAction",
@@ -56,73 +62,8 @@ def check_prime(p):
     return p
 
 
-class GFScalar:
-    """An element of GF(p), value kept reduced.  Convenience type for small
-    examples; bulk code works on raw ints for speed."""
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value, p):
-        check_prime(p)
-        self.value = value % p
-        self.p = p
-
-    def _coerce(self, other):
-        if isinstance(other, GFScalar):
-            if other.p != self.p:
-                raise ValueError("mixed moduli")
-            return other.value
-        return other % self.p
-
-    def __add__(self, other):
-        return GFScalar(self.value + self._coerce(other), self.p)
-
-    def __sub__(self, other):
-        return GFScalar(self.value - self._coerce(other), self.p)
-
-    def __mul__(self, other):
-        return GFScalar(self.value * self._coerce(other), self.p)
-
-    def inverse(self):
-        if self.value == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return GFScalar(pow(self.value, self.p - 2, self.p), self.p)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o == 0:
-            raise ZeroDivisionError
-        return GFScalar(self.value * pow(o, self.p - 2, self.p), self.p)
-
-    def __neg__(self):
-        return GFScalar(-self.value, self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, GFScalar):
-            return self.p == other.p and self.value == other.value
-        return self.value == other % self.p
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __repr__(self):
-        return f"GFScalar({self.value}, p={self.p})"
-
-
 # ---------------------------------------------------------------------------
 # packed-row kernels, p == 2
-
-
-def _pack2(vec):
-    x = 0
-    for j, a in enumerate(vec):
-        if a & 1:
-            x |= 1 << j
-    return x
-
-
-def _unpack2(x, n):
-    return [(x >> j) & 1 for j in range(n)]
 
 
 def _ech2(vecs):
@@ -335,47 +276,272 @@ def _redp(v, rows, pivots, p):
 
 
 # ---------------------------------------------------------------------------
-# Fraction kernel (char 0, oracle scale only)
+# field backends: the only code that knows how a row is stored
+#
+# A "row" is one packed vector; a "block" is the storage of a stack of
+# rows (a list of rows for GF(2), a 2-d array for odd p).  Iterating a
+# block yields its rows, and every method taking rows also takes a block.
 
 
-def _echq(rows):
-    rows = [list(map(Fraction, r)) for r in rows]
-    nc = len(rows[0]) if rows else 0
-    out = []
-    pivots = []
-    for v in rows:
-        for r, c in zip(out, pivots):
-            if v[c]:
-                f = v[c]
-                v = [a - f * b for a, b in zip(v, r)]
-        lead = next((j for j, a in enumerate(v) if a), None)
-        if lead is None:
-            continue
-        inv = 1 / v[lead]
-        v = [a * inv for a in v]
-        out.append(v)
-        pivots.append(lead)
-    order = sorted(range(len(out)), key=lambda i: pivots[i])
-    out = [out[i] for i in order]
-    pivots = [pivots[i] for i in order]
-    for i in range(len(out) - 1, -1, -1):
-        for j in range(i):
-            f = out[j][pivots[i]]
+class _GF2:
+    """Rows over GF(2) as Python ints, bit j = column j."""
+
+    def zero(self, n):
+        return 0
+
+    def unit(self, n, i):
+        return 1 << i
+
+    def coerce(self, vec):
+        """A packed row from a packed row or a plain 0/1 sequence."""
+        return vec if isinstance(vec, int) else self.from_array([vec])[0]
+
+    def stack(self, rows, n):
+        return list(rows)
+
+    def from_array(self, arr):
+        bits = np.asarray(arr).astype(np.uint8) & 1  # the cast keeps parity
+        packed = np.packbits(bits, axis=1, bitorder="little")
+        return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+    def to_array(self, rows, n):
+        nb = max(1, (n + 7) // 8)
+        raw = np.frombuffer(b"".join(r.to_bytes(nb, "little") for r in rows),
+                            dtype=np.uint8).reshape(len(rows), nb)
+        return np.unpackbits(raw, axis=1, count=n,
+                             bitorder="little").astype(np.int64)
+
+    def terms(self, row):
+        while row:
+            low = row & -row
+            yield low.bit_length() - 1, 1
+            row ^= low
+
+    def from_terms(self, n, pairs):
+        """Sum of coefficient * unit row over (index, coefficient) pairs."""
+        out = 0
+        for i, c in pairs:
+            if c & 1:
+                out ^= 1 << i
+        return out
+
+    def is_zero(self, row):
+        return not row
+
+    def key(self, row):
+        return row
+
+    def add(self, a, b):
+        return a ^ b
+
+    sub = add
+
+    def scale(self, a, c):
+        return a if c & 1 else 0
+
+    def concat(self, v1, v2, n2):
+        """Outer product: column i * n2 + j holds v1[i] * v2[j]."""
+        out = 0
+        while v1:
+            low = v1 & -v1
+            out ^= v2 << ((low.bit_length() - 1) * n2)
+            v1 ^= low
+        return out
+
+    def join(self, a, b, n1):
+        """Row a (n1 columns) followed by row b."""
+        return a | (b << n1)
+
+    def split(self, row, n1):
+        """Inverse of join: the first n1 columns and the rest."""
+        return row & ((1 << n1) - 1), row >> n1
+
+    def echelon(self, rows, n):
+        """Canonical RREF of the rows: (nonzero rows, pivot columns)."""
+        return _ech2(rows)
+
+    def reduce(self, rows, pivots, vecs):
+        """Each vector reduced by canonical echelon rows."""
+        piv = dict(zip(pivots, rows))
+        mask = 0
+        for c in pivots:
+            mask |= 1 << c
+        return [_red2(v, piv, mask) for v in vecs]
+
+    def coords(self, rows, pivots, x):
+        """Coefficients of x over canonical echelon rows, or None."""
+        out = 0
+        for i, (c, r) in enumerate(zip(pivots, rows)):
+            if (x >> c) & 1:
+                x ^= r
+                out |= 1 << i
+        return [(out >> i) & 1 for i in range(len(pivots))] if x == 0 \
+            else None
+
+    def sift(self, piv, x):
+        """Reduce x by a pivot-column -> row dict until its leading column
+        is new.  Returns (row to insert, its pivot), or (0, None) when x
+        lies in the span."""
+        while x:
+            c = (x & -x).bit_length() - 1
+            r = piv.get(c)
+            if r is None:
+                return x, c
+            x ^= r
+        return 0, None
+
+    def matmul(self, a, b):
+        return _mul2(a, b)
+
+    def vecmat(self, x, block):
+        out = 0
+        i = 0
+        while x:
+            if x & 1:
+                out ^= block[i]
+            x >>= 1
+            i += 1
+        return out
+
+    def row_text(self, row, n):
+        return "%0*x" % (max(1, (n + 3) // 4), row)
+
+    def parse_row(self, text, n):
+        width = max(1, (n + 3) // 4)
+        if len(text) != width or not set(text) <= set(string.hexdigits):
+            raise ValueError("not %d hex digits" % width)
+        row = int(text, 16)
+        if row.bit_length() > n:
+            raise ValueError("set bit beyond column %d" % (n - 1))
+        return row
+
+
+class _GFp:
+    """Rows over GF(p), p odd, as int64 numpy arrays reduced mod p."""
+
+    def __init__(self, p):
+        self.p = p
+
+    def zero(self, n):
+        return np.zeros(n, dtype=np.int64)
+
+    def unit(self, n, i):
+        out = np.zeros(n, dtype=np.int64)
+        out[i] = 1
+        return out
+
+    def stack(self, rows, n):
+        return np.array(rows, dtype=np.int64).reshape(len(rows), n)
+
+    def from_array(self, arr):
+        return np.asarray(arr, dtype=np.int64) % self.p
+
+    coerce = from_array
+    to_array = stack
+
+    def terms(self, row):
+        for i in np.nonzero(row)[0]:
+            yield int(i), int(row[i])
+
+    def from_terms(self, n, pairs):
+        out = np.zeros(n, dtype=np.int64)
+        for i, c in pairs:
+            out[i] += c
+        return out % self.p
+
+    def is_zero(self, row):
+        return not row.any()
+
+    def key(self, row):
+        return row.tobytes()
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
+
+    def scale(self, a, c):
+        return (a * (c % self.p)) % self.p
+
+    def concat(self, v1, v2, n2):
+        return np.outer(v1, v2).ravel() % self.p
+
+    def join(self, a, b, n1):
+        return np.concatenate((a, b))
+
+    def split(self, row, n1):
+        return row[:n1], row[n1:]
+
+    def echelon(self, rows, n):
+        a, piv = _echp(self.stack(rows, n), self.p)
+        rows = a[: len(piv)].copy()
+        rows.flags.writeable = False  # packed_rows hands out views
+        return rows, piv
+
+    def reduce(self, rows, pivots, vecs):
+        return [_redp(v, rows, pivots, self.p) for v in vecs]
+
+    def coords(self, rows, pivots, v):
+        out = []
+        for i, c in enumerate(pivots):
+            f = int(v[c])
+            out.append(f)
             if f:
-                out[j] = [a - f * b for a, b in zip(out[j], out[i])]
-    return out, pivots
+                v = (v - f * rows[i]) % self.p
+        return out if not v.any() else None
+
+    def sift(self, piv, v):
+        for c, r in piv.items():
+            f = int(v[c])
+            if f:
+                v = (v - f * r) % self.p
+        nz = np.nonzero(v)[0]
+        if nz.size == 0:
+            return v, None
+        c = int(nz[0])
+        return (v * pow(int(v[c]), self.p - 2, self.p)) % self.p, c
+
+    def matmul(self, a, b):
+        return (a @ b) % self.p
+
+    def vecmat(self, v, block):
+        return (v @ block) % self.p
+
+    def row_text(self, row, n):
+        return " ".join(str(int(x)) for x in row)
+
+    def parse_row(self, text, n):
+        vals = [int(t) for t in text.split()]
+        if len(vals) != n:
+            raise ValueError("%d entries, expected %d" % (len(vals), n))
+        if not all(0 <= v < self.p for v in vals):
+            raise ValueError("entry outside 0..%d" % (self.p - 1))
+        return np.array(vals, dtype=np.int64)
+
+
+@lru_cache(maxsize=None)
+def field(p):
+    """The row backend of GF(p), shared by every caller.
+
+    A packed row is whatever its methods take and return; no other code
+    needs to know its type.  Raises ValueError unless p is prime.
+    """
+    if p == 0:
+        raise ValueError("linear algebra needs a prime modulus, got 0")
+    check_prime(p)
+    return _GF2() if p == 2 else _GFp(p)
 
 
 class Mat:
-    """Dense matrix over GF(p) (or Q when p == 0).
-
-    Entries are conceptually a row-major grid; storage is packed per
-    backend.  Row vectors act on the right: ``v -> v @ M``.
+    """Dense matrix over GF(p), stored as a block of packed rows of the
+    field backend.  Row vectors act on the right: ``v -> v @ M``.
     """
 
-    __slots__ = ("p", "nrows", "ncols", "_d")
+    __slots__ = ("p", "nrows", "ncols", "_f", "_d")
 
     def __init__(self, p, nrows, ncols, payload):
+        self._f = field(p)
         self.p = p
         self.nrows = nrows
         self.ncols = ncols
@@ -384,150 +550,122 @@ class Mat:
     # -- construction
 
     @classmethod
+    def from_packed(cls, p, rows, ncols):
+        """From packed rows (see ``field``) of width ncols."""
+        block = field(p).stack(rows, ncols)
+        return cls(p, len(block), ncols, block)
+
+    @classmethod
+    def from_array(cls, p, arr):
+        """From a 2-d integer array; entries are reduced mod p."""
+        arr = np.asarray(arr)
+        return cls(p, arr.shape[0], arr.shape[1], field(p).from_array(arr))
+
+    @classmethod
     def from_rows(cls, p, rows, ncols=None):
-        check_prime(p)
         rows = [list(r) for r in rows]
         if ncols is None:
             ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
-        if p == 2:
-            payload = [_pack2(r) for r in rows]
-        elif p == 0:
-            payload = [[Fraction(a) for a in r] for r in rows]
-        else:
-            payload = np.array(rows, dtype=np.int64).reshape(len(rows), ncols) % p
-        return cls(p, len(rows), ncols, payload)
+        return cls.from_array(
+            p, np.array(rows, dtype=np.int64).reshape(len(rows), ncols))
+
+    @classmethod
+    def from_texts(cls, p, size, texts):
+        """Inverse of ``row_texts`` for a size x size matrix.
+
+        Raises ValueError unless there are size rows, each of size
+        entries in 0..p-1.
+        """
+        F = field(p)
+        if not isinstance(texts, list) or len(texts) != size:
+            raise ValueError("expected a list of %d rows" % size)
+        rows = []
+        for i, text in enumerate(texts):
+            try:
+                if not isinstance(text, str):
+                    raise ValueError("not a string")
+                rows.append(F.parse_row(text, size))
+            except ValueError as exc:
+                raise ValueError("row %d: %s" % (i, exc)) from None
+        return cls.from_packed(p, rows, size)
 
     @classmethod
     def zeros(cls, p, nrows, ncols):
-        check_prime(p)
-        if p == 2:
-            return cls(p, nrows, ncols, [0] * nrows)
-        if p == 0:
-            return cls(p, nrows, ncols, [[Fraction(0)] * ncols for _ in range(nrows)])
-        return cls(p, nrows, ncols, np.zeros((nrows, ncols), dtype=np.int64))
+        return cls.from_packed(p, [field(p).zero(ncols)] * nrows, ncols)
 
     @classmethod
     def identity(cls, p, n):
-        m = cls.zeros(p, n, n)
-        if p == 2:
-            m._d = [1 << i for i in range(n)]
-        elif p == 0:
-            for i in range(n):
-                m._d[i][i] = Fraction(1)
-        else:
-            m._d = np.eye(n, dtype=np.int64)
-        return m
-
-    @classmethod
-    def _wrap2(cls, rows, ncols):
-        return cls(2, len(rows), ncols, list(rows))
-
-    @classmethod
-    def _wrapp(cls, p, arr):
-        arr = np.asarray(arr, dtype=np.int64)
-        return cls(p, arr.shape[0], arr.shape[1], arr)
+        F = field(p)
+        return cls.from_packed(p, [F.unit(n, i) for i in range(n)], n)
 
     # -- access
 
     def __getitem__(self, ij):
         i, j = ij
-        if self.p == 2:
-            return (self._d[i] >> j) & 1
-        if self.p == 0:
-            return self._d[i][j]
-        return int(self._d[i, j])
+        return self.row(i)[j]
 
     def row(self, i):
-        if self.p == 2:
-            return _unpack2(self._d[i], self.ncols)
-        if self.p == 0:
-            return list(self._d[i])
-        return [int(a) for a in self._d[i]]
+        return self._f.to_array([self._d[i]], self.ncols)[0].tolist()
 
     def to_lists(self):
-        return [self.row(i) for i in range(self.nrows)]
+        return self.to_array().tolist()
+
+    def to_array(self):
+        """Entries as a 2-d int64 array."""
+        return self._f.to_array(self._d, self.ncols)
+
+    def packed_rows(self):
+        return list(self._d)
+
+    def row_texts(self):
+        """One payload text line per row."""
+        return [self._f.row_text(r, self.ncols) for r in self._d]
 
     # -- arithmetic
 
     def __matmul__(self, other):
         if self.p != other.p or self.ncols != other.nrows:
             raise ValueError("shape/modulus mismatch")
-        if self.p == 2:
-            return Mat._wrap2(_mul2(self._d, other._d), other.ncols)
-        if self.p == 0:
-            rows = []
-            for r in self._d:
-                acc = [Fraction(0)] * other.ncols
-                for j, a in enumerate(r):
-                    if a:
-                        for k, b in enumerate(other._d[j]):
-                            acc[k] += a * b
-                rows.append(acc)
-            return Mat(0, self.nrows, other.ncols, rows)
-        return Mat._wrapp(self.p, (self._d @ other._d) % self.p)
+        return Mat(self.p, self.nrows, other.ncols,
+                   self._f.matmul(self._d, other._d))
 
-    def __add__(self, other):
+    def _rowwise(self, op, other):
         if self.p != other.p or (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape/modulus mismatch")
-        if self.p == 2:
-            return Mat._wrap2([a ^ b for a, b in zip(self._d, other._d)], self.ncols)
-        if self.p == 0:
-            return Mat(0, self.nrows, self.ncols,
-                       [[a + b for a, b in zip(r, s)] for r, s in zip(self._d, other._d)])
-        return Mat._wrapp(self.p, (self._d + other._d) % self.p)
+        return Mat.from_packed(self.p, [op(a, b) for a, b in zip(self._d, other._d)],
+                               self.ncols)
+
+    def __add__(self, other):
+        return self._rowwise(self._f.add, other)
 
     def __sub__(self, other):
-        if self.p == 2:
-            return self + other
-        if self.p == 0:
-            return Mat(0, self.nrows, self.ncols,
-                       [[a - b for a, b in zip(r, s)] for r, s in zip(self._d, other._d)])
-        return Mat._wrapp(self.p, (self._d - other._d) % self.p)
+        return self._rowwise(self._f.sub, other)
 
     def scale(self, c):
-        if self.p == 2:
-            return self if c % 2 else Mat.zeros(2, self.nrows, self.ncols)
-        if self.p == 0:
-            return Mat(0, self.nrows, self.ncols, [[c * a for a in r] for r in self._d])
-        return Mat._wrapp(self.p, (self._d * (c % self.p)) % self.p)
+        return Mat.from_packed(self.p, [self._f.scale(a, c) for a in self._d],
+                               self.ncols)
 
     def apply(self, vec):
-        """Row vector times matrix, plain-list boundary."""
-        if self.p == 2:
-            x = vec if isinstance(vec, int) else _pack2(vec)
-            out = 0
-            i = 0
-            while x:
-                if x & 1:
-                    out ^= self._d[i]
-                x >>= 1
-                i += 1
-            return _unpack2(out, self.ncols) if not isinstance(vec, int) else out
-        if self.p == 0:
-            acc = [Fraction(0)] * self.ncols
-            for a, r in zip(vec, self._d):
-                if a:
-                    for k, b in enumerate(r):
-                        acc[k] += a * b
-            return acc
-        v = np.asarray(vec, dtype=np.int64)
-        return (v @ self._d) % self.p
+        """Row vector times matrix: a packed row for a packed row, a plain
+        list for a plain list."""
+        F = self._f
+        out = F.vecmat(F.coerce(vec), self._d)
+        if isinstance(vec, list):
+            return F.to_array([out], self.ncols)[0].tolist()
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
         if self.p != other.p or (self.nrows, self.ncols) != (other.nrows, other.ncols):
             return False
-        if self.p == 2 or self.p == 0:
-            return self._d == other._d
-        return bool(np.array_equal(self._d, other._d))
+        key = self._f.key
+        return list(map(key, self._d)) == list(map(key, other._d))
 
     def __hash__(self):
-        if self.p == 2:
-            return hash((self.p, self.ncols, tuple(self._d)))
-        return hash((self.p, self.ncols, tuple(tuple(r) for r in self.to_lists())))
+        return hash((self.p, self.ncols, tuple(map(self._f.key, self._d))))
 
     def __repr__(self):
         return f"Mat({self.p}, {self.nrows}x{self.ncols})"
@@ -540,18 +678,10 @@ def rref(mat):
     cleared elsewhere, pivot columns strictly increase, zero rows sink to
     the bottom.
     """
-    if mat.p == 2:
-        rows, pivots = _ech2(mat._d)
-        rows = rows + [0] * (mat.nrows - len(rows))
-        return Mat._wrap2(rows, mat.ncols), len(pivots)
-    if mat.p == 0:
-        rows, pivots = _echq(mat._d)
-        rows = rows + [[Fraction(0)] * mat.ncols for _ in range(mat.nrows - len(rows))]
-        return Mat(0, mat.nrows, mat.ncols, rows), len(pivots)
-    a, pivots = _echp(mat._d.copy(), mat.p)
-    out = np.zeros((mat.nrows, mat.ncols), dtype=np.int64)
-    out[: len(pivots)] = a[: len(pivots)]
-    return Mat._wrapp(mat.p, out), len(pivots)
+    F = mat._f
+    rows, pivots = F.echelon(mat._d, mat.ncols)
+    rows = list(rows) + [F.zero(mat.ncols)] * (mat.nrows - len(pivots))
+    return Mat.from_packed(mat.p, rows, mat.ncols), len(pivots)
 
 
 class Subspace:
@@ -561,11 +691,12 @@ class Subspace:
     canonical form makes that a complete test.
     """
 
-    __slots__ = ("p", "ambient", "_rows", "_pivots")
+    __slots__ = ("p", "ambient", "_f", "_rows", "_pivots")
 
     def __init__(self, p, ambient, rows, pivots, _internal=False):
         if not _internal:
             raise TypeError("use Subspace.from_vectors / from_packed")
+        self._f = field(p)
         self.p = p
         self.ambient = ambient
         self._rows = rows
@@ -573,32 +704,13 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, p, ambient, vectors):
-        check_prime(p)
-        if p == 2:
-            rows, piv = _ech2(_pack2(v) if not isinstance(v, int) else v
-                              for v in vectors)
-        else:
-            vl = list(vectors)
-            if not vl:
-                rows, piv = np.zeros((0, ambient), dtype=np.int64), []
-            else:
-                a = np.array([np.asarray(v, dtype=np.int64) for v in vl])
-                a, piv = _echp(a, p)
-                rows = a[: len(piv)].copy()
-        return cls(p, ambient, rows, list(piv), _internal=True)
+        F = field(p)
+        return cls.from_packed(p, ambient, [F.coerce(v) for v in vectors])
 
     @classmethod
     def from_packed(cls, p, ambient, packed_rows):
-        """Packed rows: ints for p = 2, numpy rows otherwise."""
-        if p == 2:
-            rows, piv = _ech2(packed_rows)
-        else:
-            pl = list(packed_rows)
-            if not pl:
-                rows, piv = np.zeros((0, ambient), dtype=np.int64), []
-            else:
-                a, piv = _echp(np.array(pl, dtype=np.int64), p)
-                rows = a[: len(piv)].copy()
+        """Span of packed rows (see ``field``)."""
+        rows, piv = field(p).echelon(packed_rows, ambient)
         return cls(p, ambient, rows, list(piv), _internal=True)
 
     @classmethod
@@ -615,92 +727,45 @@ class Subspace:
 
     def basis_rows(self):
         """Canonical basis as plain coefficient lists."""
-        if self.p == 2:
-            return [_unpack2(r, self.ambient) for r in self._rows]
-        return [[int(a) for a in r] for r in self._rows]
+        return self._f.to_array(self._rows, self.ambient).tolist()
 
     def packed_rows(self):
-        if self.p == 2:
-            return list(self._rows)
-        return [r.copy() for r in self._rows]
+        return list(self._rows)
 
     def basis_matrix(self):
-        if self.p == 2:
-            return Mat._wrap2(list(self._rows), self.ambient)
-        if self.dim == 0:
-            return Mat.zeros(self.p, 0, self.ambient)
-        return Mat._wrapp(self.p, np.array(self._rows, dtype=np.int64))
+        return Mat.from_packed(self.p, self._rows, self.ambient)
 
     def contains(self, vec):
-        if self.p == 2:
-            x = vec if isinstance(vec, int) else _pack2(vec)
-            piv = dict(zip(self._pivots, self._rows))
-            mask = 0
-            for c in self._pivots:
-                mask |= 1 << c
-            return _red2(x, piv, mask) == 0
-        v = np.asarray(vec, dtype=np.int64)
-        return not _redp(v, self._rows, self._pivots, self.p).any()
+        F = self._f
+        return F.is_zero(F.reduce(self._rows, self._pivots, [F.coerce(vec)])[0])
 
     def contains_space(self, other):
-        if self.p == 2:
-            piv = dict(zip(self._pivots, self._rows))
-            mask = 0
-            for c in self._pivots:
-                mask |= 1 << c
-            return all(_red2(r, piv, mask) == 0 for r in other._rows)
-        return all(not _redp(r, self._rows, self._pivots, self.p).any()
-                   for r in other._rows)
+        F = self._f
+        return all(map(F.is_zero, F.reduce(self._rows, self._pivots, other._rows)))
 
     def coords(self, vec):
         """Coordinates of vec in the canonical basis, or None if outside."""
-        if self.p == 2:
-            x = vec if isinstance(vec, int) else _pack2(vec)
-            piv = dict(zip(self._pivots, self._rows))
-            out = 0
-            for i, c in enumerate(self._pivots):
-                if (x >> c) & 1:
-                    x ^= piv[c]
-                    out |= 1 << i
-            return [(out >> i) & 1 for i in range(self.dim)] if x == 0 else None
-        v = np.asarray(vec, dtype=np.int64) % self.p
-        out = []
-        for i, c in enumerate(self._pivots):
-            f = int(v[c])
-            out.append(f)
-            if f:
-                v = (v - f * self._rows[i]) % self.p
-        return out if not v.any() else None
+        return self._f.coords(self._rows, self._pivots, self._f.coerce(vec))
 
     def sum(self, other):
         self._check_compat(other)
-        if self.p == 2:
-            return Subspace.from_packed(2, self.ambient, list(self._rows) + list(other._rows))
-        rows = list(self._rows) + list(other._rows)
-        return Subspace.from_packed(self.p, self.ambient, rows)
+        return Subspace.from_packed(self.p, self.ambient,
+                                    list(self._rows) + list(other._rows))
 
     def intersect(self, other):
         """Zassenhaus: echelonize [A|A ; B|0]; zero-left rows carry the
         intersection on the right."""
         self._check_compat(other)
-        N = self.ambient
-        if self.p == 2:
-            aug = [r | (r << N) for r in self._rows] + list(other._rows)
-            rows, _ = _ech2(aug)
-            lowmask = (1 << N) - 1
-            inter = [r >> N for r in rows if r & lowmask == 0]
-            return Subspace.from_packed(2, N, inter)
-        na, nb = len(self._rows), len(other._rows)
-        aug = np.zeros((na + nb, 2 * N), dtype=np.int64)
-        if na:
-            aug[:na, :N] = self._rows
-            aug[:na, N:] = self._rows
-        if nb:
-            aug[na:, :N] = other._rows
-        a, piv = _echp(aug, self.p)
-        a = a[: len(piv)]
-        zero_left = ~a[:, :N].any(axis=1)
-        return Subspace.from_packed(self.p, N, a[zero_left, N:])
+        F, N = self._f, self.ambient
+        aug = [F.join(r, r, N) for r in self._rows] + \
+            [F.join(r, F.zero(N), N) for r in other._rows]
+        rows, _ = F.echelon(aug, 2 * N)
+        inter = []
+        for r in rows:
+            left, right = F.split(r, N)
+            if F.is_zero(left):
+                inter.append(right)
+        return Subspace.from_packed(self.p, N, inter)
 
     def _check_compat(self, other):
         if self.p != other.p or self.ambient != other.ambient:
@@ -711,14 +776,11 @@ class Subspace:
             return NotImplemented
         if (self.p, self.ambient, self._pivots) != (other.p, other.ambient, other._pivots):
             return False
-        if self.p == 2:
-            return self._rows == other._rows
-        return all(np.array_equal(a, b) for a, b in zip(self._rows, other._rows))
+        key = self._f.key
+        return list(map(key, self._rows)) == list(map(key, other._rows))
 
     def __hash__(self):
-        if self.p == 2:
-            return hash((self.p, self.ambient, tuple(self._rows)))
-        return hash((self.p, self.ambient, tuple(tuple(int(x) for x in r) for r in self._rows)))
+        return hash((self.p, self.ambient, tuple(map(self._f.key, self._rows))))
 
     def __repr__(self):
         return f"Subspace(p={self.p}, ambient={self.ambient}, dim={self.dim})"
@@ -728,7 +790,7 @@ class SpanBuilder:
     """Incremental span with cheap membership, for closure loops."""
 
     def __init__(self, p, ambient):
-        check_prime(p)
+        self._f = field(p)
         self.p = p
         self.ambient = ambient
         self._piv = {}
@@ -739,44 +801,14 @@ class SpanBuilder:
 
     def add(self, vec):
         """Insert a vector; True if the span grew."""
-        if self.p == 2:
-            x = vec if isinstance(vec, int) else _pack2(vec)
-            while x:
-                c = (x & -x).bit_length() - 1
-                if c in self._piv:
-                    x ^= self._piv[c]
-                else:
-                    self._piv[c] = x
-                    return True
+        row, c = self._f.sift(self._piv, self._f.coerce(vec))
+        if c is None:
             return False
-        v = np.asarray(vec, dtype=np.int64) % self.p
-        for c, r in self._piv.items():
-            f = int(v[c])
-            if f:
-                v = (v - f * r) % self.p
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            return False
-        c = int(nz[0])
-        inv = pow(int(v[c]), self.p - 2, self.p)
-        self._piv[c] = (v * inv) % self.p
+        self._piv[c] = row
         return True
 
     def contains(self, vec):
-        if self.p == 2:
-            x = vec if isinstance(vec, int) else _pack2(vec)
-            while x:
-                c = (x & -x).bit_length() - 1
-                if c not in self._piv:
-                    return False
-                x ^= self._piv[c]
-            return True
-        v = np.asarray(vec, dtype=np.int64) % self.p
-        for c, r in self._piv.items():
-            f = int(v[c])
-            if f:
-                v = (v - f * r) % self.p
-        return not v.any()
+        return self._f.sift(self._piv, self._f.coerce(vec))[1] is None
 
     def subspace(self):
         return Subspace.from_packed(self.p, self.ambient, list(self._piv.values()))
@@ -790,7 +822,7 @@ def is_direct_sum(parts, whole):
     acc = SpanBuilder(whole.p, whole.ambient)
     for s in parts:
         total += s.dim
-        for r in (s._rows if s.p == 2 else s.packed_rows()):
+        for r in s.packed_rows():
             acc.add(r)
     return total == whole.dim and acc.dim == whole.dim and acc.subspace() == whole
 
@@ -847,51 +879,23 @@ def _solve_linear_system(p, rows, rhs, nunk):
     right-hand sides.  Returns (particular, kernel_basis) with packed
     vectors, or None if inconsistent.
     """
-    if p == 2:
-        aug = [(r | (b << nunk)) for r, b in zip(rows, rhs)]
-        ech, piv = _ech2(aug)
-        for r, c in zip(ech, piv):
-            if c == nunk:
-                return None
-        part = 0
-        pivset = set(piv)
-        for r, c in zip(ech, piv):
-            if (r >> nunk) & 1:
-                part |= 1 << c
-        kern = []
-        for j in range(nunk):
-            if j in pivset:
-                continue
-            v = 1 << j
-            for r, c in zip(ech, piv):
-                if (r >> j) & 1:
-                    v |= 1 << c
-            kern.append(v)
-        return part, kern
-    nr = len(rows)
-    aug = np.zeros((nr, nunk + 1), dtype=np.int64)
-    for i, (r, b) in enumerate(zip(rows, rhs)):
-        aug[i, :nunk] = r
-        aug[i, nunk] = b
-    a, piv = _echp(aug, p)
-    a = a[: len(piv)]
+    F = field(p)
+    aug = [F.join(r, F.from_terms(1, [(0, b)]), nunk) for r, b in zip(rows, rhs)]
+    ech, piv = F.echelon(aug, nunk + 1)
     if nunk in piv:
         return None
-    part = np.zeros(nunk, dtype=np.int64)
-    for r, c in zip(a, piv):
-        part[c] = r[nunk]
+    # the particular solution reads the last column; there is one kernel
+    # vector per free column j: e_j minus column j of the echelon
     pivset = set(piv)
-    kern = []
-    for j in range(nunk):
-        if j in pivset:
-            continue
-        v = np.zeros(nunk, dtype=np.int64)
-        v[j] = 1
-        for r, c in zip(a, piv):
-            if r[j]:
-                v[c] = (-int(r[j])) % p
-        kern.append(v)
-    return part, kern
+    part = []
+    free = {j: [(j, 1)] for j in range(nunk) if j not in pivset}
+    for r, c in zip(ech, piv):
+        for j, f in F.terms(r):
+            if j == nunk:
+                part.append((c, f))
+            elif j in free:
+                free[j].append((c, -f))
+    return F.from_terms(nunk, part), [F.from_terms(nunk, t) for t in free.values()]
 
 
 def _projection_problem(action, image, domain, labels=None):
@@ -902,6 +906,7 @@ def _projection_problem(action, image, domain, labels=None):
     dict of the adapted-coordinate data.
     """
     p = domain.p
+    F = field(p)
     d = domain.dim
     if not domain.contains_space(image):
         raise ValueError("image must lie inside the domain")
@@ -922,28 +927,24 @@ def _projection_problem(action, image, domain, labels=None):
     free_cols = [j for j in range(d) if j not in pivset]
 
     # adapted basis: image rows first, then unit vectors on free columns
-    tr = im.basis_rows() + [[1 if k == j else 0 for k in range(d)] for j in free_cols]
-    T = Mat.from_rows(p, tr, d)
+    T = Mat.from_packed(p, im.packed_rows() + [F.unit(d, j) for j in free_cols], d)
     Tinv = _invert(T)
 
     blocks = []
     for g in gmats:
-        gad = T @ g @ Tinv
-        a = [[gad[i, j] for j in range(m)] for i in range(m)]
-        b_zero = all(gad[i, j] == 0 for i in range(m) for j in range(m, d))
-        if not b_zero:
+        gad = (T @ g @ Tinv).to_array()
+        if gad[:m, m:].any():
             return None  # cannot happen if image invariant; belt and braces
-        c = [[gad[i, j] for j in range(m)] for i in range(m, d)]
-        dd = [[gad[i, j] for j in range(m, d)] for i in range(m, d)]
-        blocks.append((a, c, dd))
+        blocks.append((gad[:m, :m].tolist(), gad[m:, :m].tolist(),
+                       gad[m:, m:].tolist()))
 
     lab_free = lab_im = None
     if labels is not None:
         lab = list(labels)
         lab_free = [lab[j] for j in free_cols]
         lab_im = []
-        for r in im.basis_rows():
-            ls = {lab[j] for j, a in enumerate(r) if a}
+        for r in im.packed_rows():
+            ls = {lab[j] for j, _ in F.terms(r)}
             lab_im.append(ls.pop() if len(ls) == 1 else None)
         if any(l is None for l in lab_im):
             lab_free = lab_im = None
@@ -955,26 +956,19 @@ def _projection_problem(action, image, domain, labels=None):
 
 
 def _invert(mat):
-    p, n = mat.p, mat.nrows
-    if p == 2:
-        aug = [mat._d[i] | (1 << (n + i)) for i in range(n)]
-        ech, piv = _ech2(aug)
-        if piv != list(range(n)):
-            raise ValueError("matrix not invertible")
-        return Mat._wrap2([r >> n for r in ech], n)
-    a = np.zeros((n, 2 * n), dtype=np.int64)
-    a[:, :n] = mat._d
-    a[:, n:] = np.eye(n, dtype=np.int64)
-    a, piv = _echp(a, p)
+    F, n = mat._f, mat.nrows
+    aug = [F.join(r, F.unit(n, i), n) for i, r in enumerate(mat._d)]
+    ech, piv = F.echelon(aug, 2 * n)
     if piv != list(range(n)):
         raise ValueError("matrix not invertible")
-    return Mat._wrapp(p, a[:n, n:])
+    return Mat.from_packed(mat.p, [F.split(r, n)[1] for r in ech], n)
 
 
 def _assemble_projection_system(prob, allowed=None):
     """Equations X*A - D*X = C per generator, mapped onto the flattened
     unknown X[(u, v)] with v an image coordinate, u a complement one."""
     p, d, m = prob["p"], prob["d"], prob["m"]
+    F = field(p)
     k = d - m
     if allowed is None:
         unk_index = {(u, v): u * m + v for u in range(k) for v in range(m)}
@@ -999,30 +993,19 @@ def _assemble_projection_system(prob, allowed=None):
                     if f:
                         coeff[(u, j)] = (coeff.get((u, j), 0) - f) % p
                 # unknowns outside the ansatz are pinned to zero: drop them
-                if p == 2:
-                    rv = 0
-                    for key, f in coeff.items():
-                        if f and key in unk_index:
-                            rv |= 1 << unk_index[key]
-                else:
-                    rv = np.zeros(nunk, dtype=np.int64)
-                    for key, f in coeff.items():
-                        if f and key in unk_index:
-                            rv[unk_index[key]] = f
-                rows.append(rv)
+                rows.append(F.from_terms(nunk, [
+                    (unk_index[key], f) for key, f in coeff.items()
+                    if f and key in unk_index]))
                 rhs.append(c[i][j] % p)
     # many generator equations repeat; dedupe before elimination
     seen = set()
     drows, drhs = [], []
     for rv, b in zip(rows, rhs):
-        key = (rv, b) if p == 2 else (rv.tobytes(), b)
+        key = (F.key(rv), b)
         if key in seen:
             continue
         seen.add(key)
-        if p == 2:
-            if rv == 0 and b == 0:
-                continue
-        elif not rv.any() and b == 0:
+        if b == 0 and F.is_zero(rv):
             continue
         drows.append(rv)
         drhs.append(b)
@@ -1031,13 +1014,13 @@ def _assemble_projection_system(prob, allowed=None):
 
 def _projection_from_x(prob, xvals, unk_index):
     p, d, m = prob["p"], prob["d"], prob["m"]
-    k = d - m
-    rows = [[1 if j == i else 0 for j in range(d)] for i in range(m)]
-    xrows = [[0] * d for _ in range(k)]
+    F = field(p)
+    pad = np.zeros((d, d), dtype=np.int64)
+    pad[:m, :m] = np.eye(m, dtype=np.int64)
+    x = F.to_array([xvals], len(unk_index))[0]
     for (u, v), idx in unk_index.items():
-        xrows[u][v] = (xvals >> idx) & 1 if p == 2 else int(xvals[idx])
-    pad = Mat.from_rows(p, rows + xrows, d)
-    return prob["Tinv"] @ pad @ prob["T"]
+        pad[m + u, v] = x[idx]
+    return prob["Tinv"] @ Mat.from_array(p, pad) @ prob["T"]
 
 
 def solve_equivariant_projection(action, image, domain, labels=None):
@@ -1094,12 +1077,8 @@ def affine_projection_family(action, image, domain, labels=None, max_kernel=None
     if max_kernel is not None:
         kern = kern[:max_kernel]
     base = _projection_from_x(prob, part, unk_index)
-    dirs = []
-    for v in kern:
-        zero = 0 if prob["p"] == 2 else np.zeros(nunk, dtype=np.int64)
-        m1 = _projection_from_x(prob, v, unk_index)
-        m0 = _projection_from_x(prob, zero, unk_index)
-        dirs.append(m1 - m0)
+    m0 = _projection_from_x(prob, field(prob["p"]).zero(nunk), unk_index)
+    dirs = [_projection_from_x(prob, v, unk_index) - m0 for v in kern]
     return base, dirs
 
 
@@ -1173,8 +1152,8 @@ def format_subspace(space, n, r, comment=None):
         for ln in comment.splitlines():
             lines.append(f"# {ln}")
     lines.append(f"{space.p} {n} {r}")
-    for row in space.basis_rows():
-        pairs = [(index_to_word(j, n, r), c) for j, c in enumerate(row) if c]
+    for row in space.packed_rows():
+        pairs = [(index_to_word(j, n, r), c) for j, c in space._f.terms(row)]
         lines.append(format_terms(pairs, n, r))
     return "\n".join(lines) + "\n"
 
@@ -1189,11 +1168,8 @@ def parse_subspace(text):
     if len(head) != 3:
         raise ValueError(f"bad header {lines[0]!r}, want 'p n r'")
     p, n, r = (int(t) for t in head)
-    check_prime(p)
-    vecs = []
-    for ln in lines[1:]:
-        v = [0] * (n ** r)
-        for word, c in parse_terms(ln, n, r):
-            v[word_to_index(word, n)] = (v[word_to_index(word, n)] + c) % p
-        vecs.append(v)
-    return Subspace.from_vectors(p, n ** r, vecs), n, r
+    F = field(p)
+    vecs = [F.from_terms(n ** r, [(word_to_index(word, n), c)
+                                  for word, c in parse_terms(ln, n, r)])
+            for ln in lines[1:]]
+    return Subspace.from_packed(p, n ** r, vecs), n, r

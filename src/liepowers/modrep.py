@@ -22,6 +22,7 @@ from .linalg import (
     SpanBuilder,
     Subspace,
     check_prime,
+    field,
     rref,
 )
 
@@ -71,20 +72,6 @@ def group_order_formula(n, p):
     return out
 
 
-def _mul_rows2(arows, brows):
-    out = []
-    for a in arows:
-        acc = 0
-        i = 0
-        while a:
-            if a & 1:
-                acc ^= brows[i]
-            a >>= 1
-            i += 1
-        out.append(acc)
-    return tuple(out)
-
-
 def _mul_rowsp(a, b, p, n):
     return tuple(
         tuple(sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n))
@@ -100,22 +87,15 @@ def generated_group_order(gens, limit=_CLOSURE_LIMIT):
     """
     p = gens[0].p
     n = gens[0].nrows
-    if p == 2:
-        gkeys = [tuple(g._d) for g in gens]
-        ident = tuple(1 << i for i in range(n))
-        mul = _mul_rows2
-    else:
-        gkeys = [tuple(tuple(int(x) for x in row) for row in g.to_lists())
-                 for g in gens]
-        ident = tuple(tuple(1 if i == j else 0 for j in range(n))
-                      for i in range(n))
-        mul = lambda a, b: _mul_rowsp(a, b, p, n)
+    gkeys = [tuple(map(tuple, g.to_lists())) for g in gens]
+    ident = tuple(tuple(1 if i == j else 0 for j in range(n))
+                  for i in range(n))
     seen = {ident}
     stack = [ident]
     while stack:
         m = stack.pop()
         for g in gkeys:
-            prod = mul(m, g)
+            prod = _mul_rowsp(m, g, p, n)
             if prod not in seen:
                 if len(seen) >= limit:
                     raise ArithmeticError(
@@ -174,17 +154,6 @@ def gl_generators(n, p):
 # induced action on T^r(V)
 
 
-def _int_to_bits(x, width):
-    nb = max(1, (width + 7) // 8)
-    raw = np.frombuffer(x.to_bytes(nb, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:width]
-
-
-def _bits_to_int(bits):
-    raw = np.packbits(bits.astype(np.uint8), bitorder="little")
-    return int.from_bytes(raw.tobytes(), "little")
-
-
 class TensorAction:
     """Letter-substitution action of GL(n) generators on T^r(V).
 
@@ -194,7 +163,8 @@ class TensorAction:
     lazily by ``induced_matrix`` / ``dense_action``.
     """
 
-    __slots__ = ("p", "n", "r", "dim", "generators", "_arrs", "_mats", "_dense")
+    __slots__ = ("p", "n", "r", "dim", "generators", "_f", "_arrs", "_mats",
+                 "_dense")
 
     def __init__(self, gens, r):
         if not gens:
@@ -214,49 +184,36 @@ class TensorAction:
         self.r = r
         self.dim = n ** r
         self.generators = list(gens)
-        self._arrs = [np.array(g.to_lists(), dtype=np.int64) for g in gens]
+        self._f = field(p)
+        self._arrs = [g.to_array() for g in gens]
         self._mats = [None] * len(gens)
         self._dense = None
 
     def apply(self, gi, vec):
-        """Image of a packed degree-r tensor under generator gi."""
-        g = self._arrs[gi]
-        if self.p == 2:
-            as_int = isinstance(vec, int)
-            if as_int:
-                arr = _int_to_bits(vec, self.dim).astype(np.int64)
-            else:
-                arr = np.asarray(list(vec), dtype=np.int64)
-        else:
-            arr = np.asarray(vec, dtype=np.int64) % self.p
-        arr = arr.reshape((self.n,) * self.r)
+        """Image of a degree-r tensor under generator gi: a packed row for
+        a packed row, a plain list for a plain list."""
+        F, g = self._f, self._arrs[gi]
+        arr = F.to_array([F.coerce(vec)], self.dim).reshape((self.n,) * self.r)
         for axis in range(self.r):
             arr = np.moveaxis(
                 np.tensordot(arr, g, axes=([axis], [0])), -1, axis) % self.p
-        flat = arr.reshape(-1)
-        if self.p == 2:
-            x = _bits_to_int(flat)
-            return x if as_int else [int(b) for b in flat]
-        return flat
+        flat = arr.reshape(1, -1)
+        return flat[0].tolist() if isinstance(vec, list) else F.from_array(flat)[0]
 
     def induced_matrix(self, gi):
-        """Dense n^r x n^r matrix of generator gi (cached)."""
+        """Dense n^r x n^r matrix of generator gi (cached).
+
+        Row (j, i) of g tensor K is the concatenation of row j of g with
+        row i of K, so the r-th tensor power is built one factor at a time.
+        """
         if self._mats[gi] is None:
-            g = self._arrs[gi]
-            if self.p == 2:
-                k = np.ones((1, 1), dtype=np.uint8)
-                g8 = g.astype(np.uint8)
-                for _ in range(self.r):
-                    k = np.kron(k, g8)
-                packed = np.packbits(k, axis=1, bitorder="little")
-                rows = [int.from_bytes(row.tobytes(), "little")
-                        for row in packed]
-                self._mats[gi] = Mat._wrap2(rows, self.dim)
-            else:
-                k = np.ones((1, 1), dtype=np.int64)
-                for _ in range(self.r):
-                    k = np.kron(k, g) % self.p
-                self._mats[gi] = Mat._wrapp(self.p, k)
+            F = self._f
+            grows = self.generators[gi].packed_rows()
+            rows, width = [F.unit(1, 0)], 1
+            for _ in range(self.r):
+                rows = [F.concat(b, a, width) for b in grows for a in rows]
+                width *= self.n
+            self._mats[gi] = Mat.from_packed(self.p, rows, self.dim)
         return self._mats[gi]
 
     def dense_action(self):

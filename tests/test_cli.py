@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -92,6 +93,62 @@ def test_certify_tampered_exit_1(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.fixture(scope="module")
+def odd_report(tmp_path_factory):
+    out_file = tmp_path_factory.mktemp("report") / "cert.json"
+    assert main(["decompose", "--p", "3", "--n", "2", "--k", "2",
+                 "--max-degree", "4", "--format", "json",
+                 "--out", str(out_file)]) == 0
+    return json.loads(out_file.read_text())
+
+
+def _drop_top_degree(payload):
+    payload["results"] = [r for r in payload["results"] if r["degree"] != 4]
+
+
+def _shift_by_p(payload):
+    rows = payload["payloads"]["projection/4"]["rows"]
+    rows[:] = [" ".join(str(int(t) + 3) for t in row.split()) for row in rows]
+
+
+def _drop_last_row(payload):
+    payload["payloads"]["projection/4"]["rows"].pop()
+
+
+def _short_row(payload):
+    rows = payload["payloads"]["projection/4"]["rows"]
+    rows[0] = rows[0].rsplit(" ", 1)[0]
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (_drop_top_degree, "expected [2, 4]"),
+    (_shift_by_p, "payload projection/4: row 0: entry outside 0..2"),
+    (_drop_last_row, "payload projection/4: expected a list of 16 rows"),
+    (_short_row, "payload projection/4: row 0: 15 entries, expected 16"),
+])
+def test_certify_rejects_malformed_report(odd_report, tmp_path, capsys,
+                                          mutate, message):
+    payload = copy.deepcopy(odd_report)
+    mutate(payload)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["certify", str(bad)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_certify_rejects_wide_hex_row(tmp_path, capsys):
+    out_file = tmp_path / "cert.json"
+    assert main(["decompose", "--p", "2", "--n", "2", "--k", "3",
+                 "--max-degree", "3", "--format", "json",
+                 "--out", str(out_file)]) == 0
+    payload = json.loads(out_file.read_text())
+    payload["payloads"]["projection/3"]["rows"][0] = "100"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["certify", str(bad)]) == 2
+    assert "payload projection/3: row 0" in capsys.readouterr().err
+
+
 def test_certify_missing_file_exit_2(capsys):
     assert main(["certify", "/no/such/file.json"]) == 2
 
@@ -126,11 +183,3 @@ def test_selftest_quick(capsys):
     assert code == 0
     assert "fail" not in out
 
-
-def test_selftest_threads_env(capsys, monkeypatch):
-    monkeypatch.setenv("LIEPOWERS_THREADS", "2")
-    code, out = run(capsys, "selftest", "--level", "quick",
-                    "--format", "json")
-    assert code == 0
-    data = json.loads(out)
-    assert data["totals"]["passed"] == data["totals"]["checks"]

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from liepowers.combinat import higher_lie_dim, p_equivalence_classes
@@ -122,9 +121,9 @@ def test_stages_recorded():
 def test_tampered_projection_detected():
     res = construct_B_family(2, 3, 2, 4)
     data = res.degrees[4]
-    arr = np.array(data.projection._d)
+    arr = data.projection.to_array()
     arr[0, 0] = (arr[0, 0] + 1) % 3
-    data.projection = Mat._wrapp(3, arr)
+    data.projection = Mat.from_array(3, arr)
     rep = certify_decomposition(res)
     assert not rep["ok"]
 
@@ -135,6 +134,11 @@ def test_canonical_complement_public():
     assert w.dim == 8
     lie = lie_power(2, 2, 6)
     assert lie.contains_space(w)
+
+
+def test_canonical_complement_needs_lower_degrees():
+    with pytest.raises(ValueError, match="degree 3"):
+        canonical_complement(6, 3, 2, 2, {})
 
 
 def test_truncation_companion():

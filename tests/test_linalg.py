@@ -1,17 +1,20 @@
+import ast
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import liepowers
 from liepowers.linalg import (
-    GFScalar,
     GroupAction,
     Mat,
     SpanBuilder,
     Subspace,
     affine_projection_family,
     check_prime,
+    field,
     format_subspace,
     index_to_word,
     is_direct_sum,
@@ -29,18 +32,6 @@ def test_check_prime():
     for bad in (1, 4, 6, 9, -3):
         with pytest.raises(ValueError):
             check_prime(bad)
-
-
-def test_scalar_arithmetic():
-    a = GFScalar(2, 5)
-    b = GFScalar(4, 5)
-    assert (a + b).value == 1
-    assert (a * b).value == 3
-    assert (a - b).value == 3
-    assert a.inverse().value == 3
-    assert (b / a).value == 2
-    with pytest.raises(ZeroDivisionError):
-        GFScalar(0, 5).inverse()
 
 
 def test_rref_keeps_shape_and_rank():
@@ -85,6 +76,41 @@ def test_matmul_matches_numpy_reference():
         assert (ma @ mb).to_lists() == want.tolist()
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("m,k,n", [(13, 17, 9), (300, 600, 40)])
+def test_field_backend_parity(p, m, k, n):
+    # the second shape is past the 512-column switch to the GF(2) word
+    # kernels; every backend must agree with plain numpy mod p
+    rng = np.random.default_rng(p * 1000 + k)
+    F = field(p)
+    a = rng.integers(0, p, size=(m, k))
+    b = rng.integers(0, p, size=(k, n))
+    rows = F.from_array(a)
+    assert np.array_equal(F.to_array(rows, k), a)
+    assert np.array_equal(F.to_array(F.from_array(a - 5 * p), k), a)
+    for row, dense in zip(rows, a):
+        want = [(int(i), int(dense[i])) for i in np.nonzero(dense)[0]]
+        assert list(F.terms(row)) == want
+        assert F.key(F.from_terms(k, want)) == F.key(row)
+    got = Mat.from_array(p, a) @ Mat.from_array(p, b)
+    assert np.array_equal(got.to_array(), (a @ b) % p)
+
+
+def test_row_storage_stays_inside_linalg():
+    # only linalg may know how rows and matrices are stored
+    private = {"_d", "_wrap2", "_wrapp", "_pack2", "_unpack2"}
+    found = []
+    for path in sorted(Path(liepowers.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node, "attr", None) or getattr(node, "id", None) \
+                or getattr(node, "name", None)
+            if name in private:
+                found.append("%s:%d %s" % (path.name, node.lineno, name))
+    assert not found
+
+
 def test_mat_apply_row_vector():
     m = Mat.from_rows(3, [[1, 1], [0, 2]])
     assert list(m.apply([1, 1])) == [1, 0]
@@ -92,11 +118,17 @@ def test_mat_apply_row_vector():
     assert m2.apply([1, 0]) == [0, 1]
 
 
-def test_rational_mode_small():
-    m = Mat.from_rows(0, [[1, 2], [3, 4]])
-    r, rank = rref(m)
-    assert rank == 2
-    assert r.to_lists() == [[1, 0], [0, 1]]
+def test_modulus_zero_rejected():
+    # characteristic 0 has no row backend; only check_prime accepts it
+    assert check_prime(0) == 0
+    with pytest.raises(ValueError):
+        field(0)
+    with pytest.raises(ValueError):
+        Mat.from_rows(0, [[1, 2], [3, 4]])
+    with pytest.raises(ValueError):
+        Mat.zeros(0, 2, 2)
+    with pytest.raises(ValueError):
+        Subspace.from_vectors(0, 2, [[1, 0]])
 
 
 def test_subspace_membership_enumerated_gf2():
@@ -161,10 +193,16 @@ def test_intersection_properties(p, rows1, rows2):
     a = Subspace.from_vectors(p, 5, [[x % p for x in r] for r in rows1])
     b = Subspace.from_vectors(p, 5, [[x % p for x in r] for r in rows2])
     i = a.intersect(b)
+    s = a.sum(b)
     assert i == b.intersect(a)
+    assert s == b.sum(a)
     assert a.contains_space(i) and b.contains_space(i)
+    assert s.contains_space(a) and s.contains_space(b)
     # dim formula
-    assert a.sum(b).dim == a.dim + b.dim - i.dim
+    assert s.dim + i.dim == a.dim + b.dim
+    assert is_direct_sum([a, b], s) == (i.dim == 0)
+    assert is_direct_sum([i, s], s) == (i.dim == 0)
+    assert s.intersect(a) == a and i.sum(a) == a
 
 
 @settings(max_examples=40, deadline=None)

@@ -170,6 +170,5 @@ def test_class_idempotent_images_invariant(p, n, r):
     fam = lift_idempotents(r, p)
     for cls, e in fam.items():
         em = element_action_matrix(n, e)
-        rows = em._d if p == 2 else list(em._d)
-        image = Subspace.from_packed(p, n ** r, rows)
+        image = Subspace.from_packed(p, n ** r, em.packed_rows())
         assert is_invariant(image, act)
