@@ -275,6 +275,36 @@ def _redp(v, rows, pivots, p):
     return v
 
 
+_EXACT = 1 << 53  # float64 holds every integer below this exactly
+_TILE = 256
+
+
+def _matmulp(a, b, p):
+    """Exact (a @ b) mod p of int64 arrays reduced mod p, through float64 BLAS.
+
+    The delayed reduction of FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM
+    TOMS 35(3), 2008): the inner dimension is cut into chunks of c terms,
+    c * (p - 1)^2 + p - 1 < 2^53, so a chunk's product plus the reduced
+    running sum is an integer float64 holds exactly, in any summation
+    order.  ``field`` keeps (p - 1)^2 < 2^53, so c >= 1.  Tiles of _TILE
+    rows of a and columns of b bound the float64 copies.
+    """
+    m, k = a.shape
+    n = b.shape[1]
+    step = (_EXACT - p) // (p - 1) ** 2
+    out = np.empty((m, n), dtype=np.int64)
+    for j in range(0, n, _TILE):
+        bt = b[:, j:j + _TILE].astype(np.float64)
+        for i in range(0, m, _TILE):
+            at = a[i:i + _TILE].astype(np.float64)
+            acc = np.zeros((at.shape[0], bt.shape[1]))
+            for c in range(0, k, step):
+                acc += at[:, c:c + step] @ bt[c:c + step]
+                np.fmod(acc, p, out=acc)
+            out[i:i + _TILE, j:j + _TILE] = acc
+    return out
+
+
 # ---------------------------------------------------------------------------
 # field backends: the only code that knows how a row is stored
 #
@@ -417,7 +447,8 @@ class _GF2:
 
 
 class _GFp:
-    """Rows over GF(p), p odd, as int64 numpy arrays reduced mod p."""
+    """Rows over GF(p), p odd, as int64 numpy arrays reduced mod p.  Needs
+    (p - 1)^2 < 2^53 for the exact FFLAS-FFPACK products of ``_matmulp``."""
 
     def __init__(self, p):
         self.p = p
@@ -503,21 +534,25 @@ class _GFp:
         return (v * pow(int(v[c]), self.p - 2, self.p)) % self.p, c
 
     def matmul(self, a, b):
-        return (a @ b) % self.p
+        return _matmulp(a, b, self.p)
 
     def vecmat(self, v, block):
-        return (v @ block) % self.p
+        return _matmulp(v[None, :], block, self.p)[0]
 
     def row_text(self, row, n):
-        return " ".join(str(int(x)) for x in row)
+        return " ".join(map(str, row.tolist()))
 
     def parse_row(self, text, n):
-        vals = [int(t) for t in text.split()]
-        if len(vals) != n:
-            raise ValueError("%d entries, expected %d" % (len(vals), n))
-        if not all(0 <= v < self.p for v in vals):
+        toks = text.split()
+        try:
+            row = np.array(toks, dtype=np.int64)
+        except OverflowError:  # an integer token too wide for int64
+            row = None
+        if len(toks) != n:
+            raise ValueError("%d entries, expected %d" % (len(toks), n))
+        if row is None or ((row < 0) | (row >= self.p)).any():
             raise ValueError("entry outside 0..%d" % (self.p - 1))
-        return np.array(vals, dtype=np.int64)
+        return row
 
 
 @lru_cache(maxsize=None)
@@ -525,11 +560,13 @@ def field(p):
     """The row backend of GF(p), shared by every caller.
 
     A packed row is whatever its methods take and return; no other code
-    needs to know its type.  Raises ValueError unless p is prime.
+    needs to know its type.  Raises ValueError unless p is a prime with
+    (p - 1)^2 < 2^53, the bound of the exact odd-p products.
     """
     if p == 0:
         raise ValueError("linear algebra needs a prime modulus, got 0")
-    check_prime(p)
+    if (check_prime(p) - 1) ** 2 >= _EXACT:
+        raise ValueError("modulus %d too large: need (p - 1)^2 < 2^53" % p)
     return _GF2() if p == 2 else _GFp(p)
 
 

@@ -2,8 +2,9 @@
 
 GL(n, F_p) enters through a short generating list: the cyclic letter
 permutation, one elementary transvection, and (for p > 2) a primitive
-scalar in the first coordinate.  Generation is verified once per (n, p)
-by closure enumeration whenever the group order stays below 10^7.
+scalar in the first coordinate.  Generation is verified once per (n, p),
+whenever the group order stays below 10^7, by a breadth-first closure
+that multiplies a whole level by every generator in one numpy product.
 
 The induced action on T^r(V) substitutes each letter of a word by the
 image row of the generator.  Vectors are transformed by r per-position
@@ -72,36 +73,30 @@ def group_order_formula(n, p):
     return out
 
 
-def _mul_rowsp(a, b, p, n):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n))
-        for i in range(n)
-    )
-
-
 def generated_group_order(gens, limit=_CLOSURE_LIMIT):
     """Size of the group generated by the given invertible matrices.
 
-    Plain breadth-first closure with matrices packed as row tuples.
-    Raises ArithmeticError if the closure exceeds ``limit`` elements.
+    Breadth-first closure one level at a time: the new elements of a level
+    are stacked as an (m, n, n) array and multiplied by every generator at
+    once, and each matrix is keyed by its n^2 entries read as base-p
+    digits.  Raises ArithmeticError if the closure exceeds ``limit``
+    elements.
     """
-    p = gens[0].p
-    n = gens[0].nrows
-    gkeys = [tuple(map(tuple, g.to_lists())) for g in gens]
-    ident = tuple(tuple(1 if i == j else 0 for j in range(n))
-                  for i in range(n))
-    seen = {ident}
-    stack = [ident]
-    while stack:
-        m = stack.pop()
-        for g in gkeys:
-            prod = _mul_rowsp(m, g, p, n)
-            if prod not in seen:
-                if len(seen) >= limit:
-                    raise ArithmeticError(
-                        "generated group exceeds %d elements" % limit)
-                seen.add(prod)
-                stack.append(prod)
+    p, n = gens[0].p, gens[0].nrows
+    garrs = np.stack([g.to_array() for g in gens])
+    wide = p ** (n * n) > np.iinfo(np.int64).max  # then key by Python ints
+    digits = np.array([p ** i for i in range(n * n)], object if wide else np.int64)
+    frontier = np.eye(n, dtype=np.int64)[None]
+    seen = set((frontier.reshape(1, -1) @ digits).tolist())
+    while len(frontier):
+        prods = (frontier[:, None] @ garrs % p).reshape(-1, n, n)
+        keys = prods.reshape(len(prods), -1) @ digits
+        level = dict(zip(keys.tolist(), range(len(prods))))
+        fresh = [i for key, i in level.items() if key not in seen]
+        seen.update(level)
+        if len(seen) > limit:
+            raise ArithmeticError("generated group exceeds %d elements" % limit)
+        frontier = prods[fresh]
     return len(seen)
 
 

@@ -158,6 +158,13 @@ def test_decompose_p_divides_k_exit_2(capsys):
                  "--max-degree", "4"]) == 2
 
 
+def test_decompose_modulus_past_exact_bound_exit_2(capsys):
+    # the first prime with (p - 1)^2 >= 2^53
+    assert main(["decompose", "--p", "94906297", "--n", "2", "--k", "1",
+                 "--max-degree", "2"]) == 2
+    assert "2^53" in capsys.readouterr().err
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["dims", "--p", "2"])

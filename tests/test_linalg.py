@@ -96,6 +96,91 @@ def test_field_backend_parity(p, m, k, n):
     assert np.array_equal(got.to_array(), (a @ b) % p)
 
 
+# the largest prime with (p - 1)^2 < 2^53, and the next prime after it
+_P_CAP = 94906249
+_P_OVER = 94906297
+
+
+def _exact_product(a, b, p):
+    """Python-int reference for (a @ b) mod p."""
+    return (a.astype(object) @ b.astype(object)) % p
+
+
+def test_field_rejects_primes_past_the_exact_bound():
+    assert (_P_CAP - 1) ** 2 < 2 ** 53 <= (_P_OVER - 1) ** 2
+    for p in (_P_OVER, 2147483659):
+        with pytest.raises(ValueError, match="2\\^53"):
+            field(p)
+        with pytest.raises(ValueError):
+            Mat.from_rows(p, [[1]])
+    p = _P_CAP
+    a = Mat.from_rows(p, [[p - 1, p - 1], [0, 1]])
+    b = Mat.from_rows(p, [[p - 1, 0], [p - 1, 1]])
+    assert (a @ b).to_lists() == [[2, p - 1], [p - 1, 1]]
+
+
+def test_exact_product_729_mod3():
+    rng = np.random.default_rng(3)
+    a = rng.integers(0, 3, size=(729, 729))
+    b = rng.integers(0, 3, size=(729, 729))
+    got = (Mat.from_array(3, a) @ Mat.from_array(3, b)).to_array()
+    # int64 is exact here (729 * 4 terms), so it checks the whole result;
+    # rows at the tile edges are also checked against Python ints
+    assert np.array_equal(got, (a @ b) % 3)
+    rows = [0, 255, 256, 511, 512, 728]
+    assert np.array_equal(got[rows], _exact_product(a[rows], b, 3))
+
+
+@pytest.mark.parametrize("p", [30012019, _P_CAP])
+@pytest.mark.parametrize("m,k,n", [(300, 37, 260), (3, 40, 257), (257, 5, 1)])
+def test_exact_product_near_the_bound(p, m, k, n):
+    # the inner dimension splits into chunks of 9 terms (p = 30012019) or
+    # of 1 term (the cap); shapes straddle the 256 tiles; entries near
+    # p - 1 make every partial sum large
+    rng = np.random.default_rng(m + k + n)
+    a = rng.integers(0, p, size=(m, k))
+    b = rng.integers(0, p, size=(k, n))
+    a[::2] = p - 1 - rng.integers(0, 3, size=a[::2].shape)
+    b[:, ::3] = p - 1
+    got = (Mat.from_array(p, a) @ Mat.from_array(p, b)).to_array()
+    assert np.array_equal(got, _exact_product(a, b, p))
+
+
+def test_exact_vecmat_long_inner_dimension():
+    # past 1024 terms of (p - 1)^2 an int64 dot product wraps
+    p = _P_CAP
+    rng = np.random.default_rng(1)
+    v = np.full(1100, p - 1)
+    block = rng.integers(p - 4, p, size=(1100, 3))
+    want = _exact_product(v[None, :], block, p)[0].tolist()
+    assert Mat.from_array(p, block).apply(v.tolist()) == want
+
+
+@pytest.mark.parametrize("p", [3, _P_CAP])
+@pytest.mark.parametrize("m,k,n", [(0, 4, 3), (4, 0, 3), (0, 0, 0), (3, 4, 0)])
+def test_exact_product_empty_shapes(p, m, k, n):
+    a = Mat.from_array(p, np.ones((m, k), dtype=np.int64))
+    b = Mat.from_array(p, np.ones((k, n), dtype=np.int64))
+    got = (a @ b).to_array()
+    assert got.shape == (m, n) and not got.any()
+
+
+def test_odd_p_row_text_roundtrip_and_checks():
+    p = 7
+    m = Mat.from_rows(p, [[0, 6, 3], [1, 2, 5], [6, 6, 0]])
+    texts = m.row_texts()
+    assert texts == ["0 6 3", "1 2 5", "6 6 0"]
+    assert Mat.from_texts(p, 3, texts) == m
+    for bad, msg in [(["0 6 3", "1 2", "6 6 0"], "row 1: 2 entries, expected 3"),
+                     (["0 6 7", "1 2 5", "6 6 0"], "row 0: entry outside 0..6"),
+                     (["0 6 3", "1 2 5", "-1 6 0"], "row 2: entry outside 0..6"),
+                     (["0 6 3", "1 2 99999999999999999999", "6 6 0"],
+                      "row 1: entry outside 0..6"),
+                     (["0 6 3", "1 x 5", "6 6 0"], "row 1: invalid literal")]:
+        with pytest.raises(ValueError, match=msg):
+            Mat.from_texts(p, 3, bad)
+
+
 def test_row_storage_stays_inside_linalg():
     # only linalg may know how rows and matrices are stored
     private = {"_d", "_wrap2", "_wrapp", "_pack2", "_unpack2"}

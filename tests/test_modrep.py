@@ -35,10 +35,30 @@ def test_gl2_f2_generator_matrices():
     (2, 3, 48),
     (3, 2, 168),
     (3, 3, 11232),
+    (4, 2, 20160),
+    (2, 7, 2016),
 ])
 def test_generated_group_orders(n, p, order):
     assert group_order_formula(n, p) == order
     assert generated_group_order(gl_generators(n, p)) == order
+
+
+@pytest.mark.parametrize("n,p", [(3, 3), (4, 2), (2, 7), (8, 3)])
+def test_generated_subgroup_orders(n, p):
+    # (8, 3): 3^64 overflows int64, so the closure keys by Python ints
+    cycle, trans = gl_generators(n, p)[:2]
+    assert generated_group_order([cycle]) == n
+    assert generated_group_order([trans]) == p
+    assert generated_group_order([cycle, cycle]) == n
+
+
+def test_generated_group_order_limit():
+    gens = gl_generators(3, 3)
+    assert generated_group_order(gens, limit=11232) == 11232
+    with pytest.raises(ArithmeticError, match="exceeds 11231"):
+        generated_group_order(gens, limit=11231)
+    with pytest.raises(ArithmeticError):
+        generated_group_order(gens[:1], limit=2)
 
 
 def test_gl1_is_cyclic():
