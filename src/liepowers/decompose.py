@@ -27,6 +27,15 @@ then attempted in three stages:
 
 Exhaustion of stage 3 raises ComplementSearchExhausted; the theorems
 predict feasibility, so this is always a loudly-reported failure.
+
+A certificate P (N x N) for a basis B (r x N, canonical, pivot columns
+pi) is checked through C = P[:, pi] without any N x N x N product:
+
+(i) C B = P holds exactly when every row of P lies in span B;
+(ii) given (i), B C = I_r holds exactly when P is idempotent with image
+     span B;
+(iii) given (i) and (ii), P g = g P holds exactly when B g = M B with
+     M = (B g)[:, pi] (span B is g-invariant) and C M = g C.
 """
 
 from itertools import product as iter_product
@@ -473,26 +482,40 @@ def _assemble_certificate(p, ambient, basis, star, kernel):
             + list(kernel.packed_rows()))
     if len(rows) != ambient:
         return None
-    stacked = Mat.from_packed(p, rows, ambient)
-    keep = basis.packed_rows() + [field(p).zero(ambient)] * (ambient - basis.dim)
-    kept = Mat.from_packed(p, keep, ambient)
     try:
-        inv = _invert(stacked)
+        inv = _invert(Mat.from_packed(p, rows, ambient))
     except ValueError:
         return None
-    return inv @ kept
+    # the projection keeps the first b coordinates over the stacked rows:
+    # inv . diag(I_b, 0) . stacked = (first b columns of inv) . B
+    return inv.columns(range(basis.dim)) @ basis.basis_matrix()
 
 
 def _projection_flaw(proj, basis, action):
     """None when proj certifies basis as an equivariant direct summand
-    of the tensor power; otherwise a short description of the failure."""
-    if proj @ proj != proj:
-        return "projection is not idempotent"
-    if _rowspace(proj, proj.ncols) != basis:
-        return "projection image differs from the stored basis"
+    of the tensor power; otherwise a short description of the failure.
+
+    With B the canonical basis (r x N, pivot columns pi) and C = P[:, pi],
+    the certificate is: (i) C B = P, i.e. every row of P lies in span B;
+    (ii) B C = I_r, i.e. P is idempotent with image exactly span B; and
+    (iii) per generator g, B g = M B with M = (B g)[:, pi], i.e. span B
+    is g-invariant, and C M = g C, i.e. P g = g P.  Given (i) and (ii),
+    (iii) is equivalent to P g = g P, since B has independent rows.
+    Every product has r as one of its dimensions.
+    """
+    B = basis.basis_matrix()
+    C = proj.columns(basis.pivots)
+    if C @ B != proj:
+        return "projection rows lie outside the stored basis"
+    if B @ C != Mat.identity(proj.p, basis.dim):
+        return "projection does not fix the stored basis"
     for gi in range(len(action.generators)):
         g = action.induced_matrix(gi)
-        if proj @ g != g @ proj:
+        Bg = B @ g
+        M = Bg.columns(basis.pivots)
+        if M @ B != Bg:
+            return "stored basis is not invariant under generator %d" % gi
+        if C @ M != g @ C:
             return "projection fails to commute with generator %d" % gi
     return None
 

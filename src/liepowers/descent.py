@@ -440,15 +440,15 @@ def _verify_family(fam):
 def lift_matrix_idempotent(mat, p, max_rounds=12):
     """Newton lifting at the level of an action matrix.
 
-    Mod 2 the step reduces to squaring and mod 3 to cubing, but the
-    generic formula is used as stated.
+    Each round maps e to 3e^2 - 2e^3.  Mod 2 that is e^2, so the cube,
+    which vanishes there, is not computed.
     """
     e = mat
     for _ in range(max_rounds):
         s = e @ e
         if s == e:
             return e
-        e = s.scale(3) - ((s @ e).scale(2))
+        e = s.scale(3) - (s @ e).scale(2) if 2 % p else s
     raise ArithmeticError("matrix idempotent lifting did not converge")
 
 

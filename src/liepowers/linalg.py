@@ -183,8 +183,11 @@ def _words_to_rows(words):
 
 def _mul2_words(A, B):
     """Row-convention product: out row i = XOR of the B rows selected by
-    the set bits of A row i.  Eight B-rows at a time are expanded into a
-    256-entry XOR table and gathered by the byte view of A."""
+    the set bits of A row i, which must lie below B's row count.  Eight
+    B-rows at a time are expanded into a 256-entry XOR table and gathered
+    by the byte view of A (the Four-Russians kernel of Albrecht, Bard and
+    Hart, ACM TOMS 37(1), 2010); the table is built by doubling, entries
+    h..2h-1 = entries 0..h-1 XOR the row of bit h."""
     n_b, nw_b = B.shape
     out = np.zeros((A.shape[0], nw_b), dtype=np.uint64)
     Ab = np.ascontiguousarray(A).view(np.uint8)
@@ -192,17 +195,12 @@ def _mul2_words(A, B):
     lut = np.zeros((256, nw_b), dtype=np.uint64)
     for bp in range(nbytes):
         base = 8 * bp
-        hi = min(8, n_b - base)
         col = Ab[:, bp]
         if not col.any():
             continue
-        for m in range(1, 256):
-            low = m & -m
-            bit = low.bit_length() - 1
-            if bit < hi:
-                lut[m] = lut[m ^ low] ^ B[base + bit]
-            else:
-                lut[m] = lut[m ^ low]
+        for bit in range(min(8, n_b - base)):
+            h = 1 << bit
+            np.bitwise_xor(lut[:h], B[base + bit], out=lut[h:2 * h])
         out ^= lut[col]
     return out
 
@@ -334,12 +332,21 @@ class _GF2:
         packed = np.packbits(bits, axis=1, bitorder="little")
         return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
-    def to_array(self, rows, n):
+    def _bytes(self, rows, n):
+        """The rows as a uint8 array; column j is bit j % 8 of byte j // 8."""
         nb = max(1, (n + 7) // 8)
-        raw = np.frombuffer(b"".join(r.to_bytes(nb, "little") for r in rows),
-                            dtype=np.uint8).reshape(len(rows), nb)
-        return np.unpackbits(raw, axis=1, count=n,
+        return np.frombuffer(b"".join(r.to_bytes(nb, "little") for r in rows),
+                             dtype=np.uint8).reshape(len(rows), nb)
+
+    def to_array(self, rows, n):
+        return np.unpackbits(self._bytes(rows, n), axis=1, count=n,
                              bitorder="little").astype(np.int64)
+
+    def take(self, rows, n, cols):
+        """The given columns of the rows, in order, as new rows."""
+        cols = np.array(cols, dtype=np.intp)
+        picked = self._bytes(rows, n)[:, cols // 8]
+        return self.from_array(picked >> (cols % 8).astype(np.uint8))
 
     def terms(self, row):
         while row:
@@ -498,6 +505,9 @@ class _GFp:
     def concat(self, v1, v2, n2):
         return np.outer(v1, v2).ravel() % self.p
 
+    def take(self, rows, n, cols):
+        return self.stack(rows, n)[:, cols]
+
     def join(self, a, b, n1):
         return np.concatenate((a, b))
 
@@ -655,6 +665,12 @@ class Mat:
 
     def packed_rows(self):
         return list(self._d)
+
+    def columns(self, cols):
+        """The submatrix of the given columns, in the given order."""
+        cols = list(cols)
+        return Mat(self.p, self.nrows, len(cols),
+                   self._f.take(self._d, self.ncols, cols))
 
     def row_texts(self):
         """One payload text line per row."""

@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 
 from liepowers.combinat import higher_lie_dim, p_equivalence_classes
 from liepowers.decompose import (
     ComplementSearchExhausted,
+    _projection_flaw,
     canonical_complement,
     certify_decomposition,
     construct_B_family,
@@ -10,7 +12,8 @@ from liepowers.decompose import (
     split_tensor_power,
 )
 from liepowers.freelie import lie_power
-from liepowers.linalg import Mat
+from liepowers.linalg import Mat, Subspace
+from liepowers.modrep import gl_generators, induce_on_tensor_power
 
 
 def test_split_one_class_p2_r2():
@@ -148,3 +151,113 @@ def test_truncation_companion():
     names = [name for q in rep["degrees"] for name, _ in rep["degrees"][q]]
     assert any("truncation" in name for name in names)
     assert rep["ok"]
+
+
+def _dense_flaw(proj, basis, action):
+    """The certificate by its definition, with N x N products: proj is
+    idempotent, its row space is the basis, and it commutes with every
+    generator."""
+    if proj @ proj != proj:
+        return "not idempotent"
+    if Subspace.from_packed(proj.p, proj.ncols, proj.packed_rows()) != basis:
+        return "image differs"
+    for gi in range(len(action.generators)):
+        g = action.induced_matrix(gi)
+        if proj @ g != g @ proj:
+            return "not commuting"
+    return None
+
+
+def _candidate_projections(proj, basis, action, rng):
+    """The stored certificate, perturbations of it, and projections onto
+    random subspaces: (projection, basis) pairs with mixed verdicts."""
+    p, N, r = proj.p, proj.ncols, basis.dim
+    P = proj.to_array()
+    B = basis.basis_matrix().to_array()
+    C = P[:, basis.pivots]
+    g = action.induced_matrix(0).to_array()
+    out = [(P, basis), (np.zeros_like(P), basis), ((P @ g) % p, basis),
+           ((2 * P) % p, basis)]
+    for _ in range(6):
+        flip = P.copy()
+        i, j = rng.integers(0, N, size=2)
+        flip[i, j] = (flip[i, j] + rng.integers(1, p)) % p
+        out.append((flip, basis))
+        u, v = rng.integers(0, p, size=(2, N))
+        out.append(((P + np.outer(u, v)) % p, basis))
+        # idempotent onto span B, moved along the kernel of B
+        z = (np.eye(N, dtype=np.int64) - P) @ rng.integers(0, p, size=(N, r))
+        out.append((((C + z) % p) @ B % p, basis))
+        # rows in span B, but B C' != I
+        x = rng.integers(0, p, size=(r, r))
+        out.append(((C @ x % p) @ B % p, basis))
+        # a projection onto a random subspace of the same dimension
+        rand = Subspace.from_vectors(p, N, rng.integers(0, p, size=(r, N)))
+        if rand.dim:
+            rb = rand.basis_matrix().to_array()
+            out.append((np.eye(N, dtype=np.int64)[:, rand.pivots] @ rb % p,
+                        rand))
+    return [(Mat.from_array(p, a), b) for a, b in out]
+
+
+@pytest.mark.parametrize("n,p,k,top", [(2, 2, 3, 6), (2, 3, 2, 4)])
+def test_projection_flaw_agrees_with_dense_definition(n, p, k, top):
+    res = construct_B_family(n, p, k, top)
+    rng = np.random.default_rng(17 * p + top)
+    verdicts = []
+    for q, data in sorted(res.degrees.items()):
+        action = induce_on_tensor_power(gl_generators(n, p), q)
+        for proj, basis in _candidate_projections(data.projection, data.basis,
+                                                  action, rng):
+            new = _projection_flaw(proj, basis, action)
+            want = _dense_flaw(proj, basis, action)
+            assert (new is None) == (want is None), (q, new, want)
+            verdicts.append(new is None)
+    assert any(verdicts) and not all(verdicts)
+
+
+def _flaw_case(vecs, proj_rows):
+    # T^2(V) for n = 2 over GF(2): words 11, 12, 21, 22 are indices 0..3
+    action = induce_on_tensor_power(gl_generators(2, 2), 2)
+    basis = Subspace.from_vectors(2, 4, vecs)
+    proj = Mat.from_rows(2, proj_rows)
+    return proj, basis, action
+
+
+@pytest.mark.parametrize("vecs,proj_rows,message", [
+    # the identity has rows outside span{11}
+    ([[1, 0, 0, 0]], np.eye(4, dtype=int).tolist(),
+     "rows lie outside the stored basis"),
+    # the zero map does not fix the Lie power L^2 = span{12 + 21}
+    ([[0, 1, 1, 0]], [[0] * 4] * 4, "does not fix the stored basis"),
+    # span{11} is a summand of T^2, but the letter swap moves it to 22
+    ([[1, 0, 0, 0]], [[1, 0, 0, 0]] + [[0] * 4] * 3,
+     "not invariant under generator 0"),
+    # L^2 is invariant but not a direct summand of T^2 in characteristic 2
+    ([[0, 1, 1, 0]], [[0] * 4, [0, 1, 1, 0], [0] * 4, [0] * 4],
+     "fails to commute with generator"),
+])
+def test_projection_flaw_messages(vecs, proj_rows, message):
+    proj, basis, action = _flaw_case(vecs, proj_rows)
+    assert message in _projection_flaw(proj, basis, action)
+    assert _dense_flaw(proj, basis, action) is not None
+
+
+def test_projection_flaw_makes_no_full_size_products(monkeypatch):
+    res = construct_B_family(2, 2, 3, 9)
+    data = res.degrees[9]
+    N = 2 ** 9
+    action = induce_on_tensor_power(gl_generators(2, 2), 9)
+    for gi in range(len(action.generators)):
+        action.induced_matrix(gi)  # built by concatenation, not products
+    shapes = []
+    matmul = Mat.__matmul__
+
+    def counted(a, b):
+        shapes.append((a.nrows, a.ncols, b.ncols))
+        return matmul(a, b)
+
+    monkeypatch.setattr(Mat, "__matmul__", counted)
+    assert _projection_flaw(data.projection, data.basis, action) is None
+    assert shapes and (N, N, N) not in shapes
+    assert all(data.basis.dim in shape for shape in shapes)

@@ -12,6 +12,10 @@ from liepowers.linalg import (
     Mat,
     SpanBuilder,
     Subspace,
+    _mul2_tables,
+    _mul2_words,
+    _rows_to_words,
+    _words_to_rows,
     affine_projection_family,
     check_prime,
     field,
@@ -94,6 +98,37 @@ def test_field_backend_parity(p, m, k, n):
         assert F.key(F.from_terms(k, want)) == F.key(row)
     got = Mat.from_array(p, a) @ Mat.from_array(p, b)
     assert np.array_equal(got.to_array(), (a @ b) % p)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("width", [13, 600])
+def test_mat_columns(p, width):
+    # widths on both sides of the 512-column switch of the GF(2) kernels
+    rng = np.random.default_rng(width + p)
+    a = rng.integers(0, p, size=(9, width))
+    m = Mat.from_array(p, a)
+    for cols in ([], [0], [width - 1, 3, 3, 0], list(range(1, width, 7))):
+        got = m.columns(cols)
+        assert (got.p, got.nrows, got.ncols) == (p, 9, len(cols))
+        assert got == Mat.from_array(p, a[:, cols].reshape(9, len(cols)))
+    assert Mat.zeros(p, 0, width).columns([2, 1]).nrows == 0
+
+
+@pytest.mark.parametrize("nb,bw", [(13, 70), (603, 130)])
+def test_mul2_words_matches_tables(nb, bw):
+    # B's row count is not a multiple of 8, so the last table is short;
+    # A's even byte columns are zero and its odd ones, the last included,
+    # are random
+    rng = np.random.default_rng(nb)
+    F = field(2)
+    a = rng.integers(0, 2, size=(40, nb))
+    a[:, (np.arange(nb) // 8) % 2 == 0] = 0
+    arows = F.from_array(a) + [0]
+    brows = F.from_array(rng.integers(0, 2, size=(nb, bw)))
+    got = _mul2_words(_rows_to_words(arows, nb), _rows_to_words(brows, bw))
+    assert _words_to_rows(got) == _mul2_tables(arows, brows)
+    assert _words_to_rows(got) == F.from_array(
+        np.vstack([a, np.zeros((1, nb), dtype=int)]) @ F.to_array(brows, bw))
 
 
 # the largest prime with (p - 1)^2 < 2^53, and the next prime after it

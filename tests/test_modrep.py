@@ -13,6 +13,8 @@ from liepowers.freelie import filtration_subspace, lie_power
 from liepowers.linalg import Mat, Subspace, word_to_index
 from liepowers.modrep import (
     TensorAction,
+    _generates_gl,
+    _raw_generators,
     generated_group_order,
     gl_generators,
     group_order_formula,
@@ -30,17 +32,42 @@ def test_gl2_f2_generator_matrices():
     assert gens[1].to_lists() == [[1, 1], [0, 1]]
 
 
-@pytest.mark.parametrize("n,p,order", [
+_GL_ORDERS = [
     (2, 2, 6),
     (2, 3, 48),
     (3, 2, 168),
     (3, 3, 11232),
     (4, 2, 20160),
     (2, 7, 2016),
-])
+]
+
+
+@pytest.mark.parametrize("n,p,order", _GL_ORDERS)
 def test_generated_group_orders(n, p, order):
     assert group_order_formula(n, p) == order
     assert generated_group_order(gl_generators(n, p)) == order
+
+
+@pytest.mark.parametrize("n,p,order", _GL_ORDERS + [(1, 2, 1), (1, 5, 4)])
+def test_generation_certificate_against_closure(n, p, order):
+    # the closure is the oracle: the certificate accepts the generating
+    # list, and rejects it without the transvection, a proper subgroup
+    gens = _raw_generators(n, p)
+    assert _generates_gl(gens, n, p)
+    assert generated_group_order(gens) == order
+    if n > 1:
+        rest = gens[:1] + gens[2:]
+        assert not _generates_gl(rest, n, p)
+        assert generated_group_order(rest) < order
+
+
+@pytest.mark.parametrize("n,p", [(5, 2), (6, 5), (8, 3)])
+def test_generation_certificate_past_the_closure(n, p):
+    # |GL(5, 2)| is about 10^7 and the others are far larger
+    assert len(gl_generators(n, p)) == (2 if p == 2 else 3)
+    cycle, trans = _raw_generators(n, p)[:2]
+    assert not _generates_gl([cycle, cycle] + _raw_generators(n, p)[2:], n, p)
+    assert not _generates_gl([trans, trans] + _raw_generators(n, p)[2:], n, p)
 
 
 @pytest.mark.parametrize("n,p", [(3, 3), (4, 2), (2, 7), (8, 3)])
