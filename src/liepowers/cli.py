@@ -20,6 +20,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 
 from .combinat import (
     higher_lie_dim,
@@ -239,36 +240,57 @@ def cmd_decompose(cfg):
                      "lie_dim", "stage"), 0 if report["ok"] else 1
 
 
+@contextmanager
+def _reading(part):
+    """Report a part of an input report that has the wrong JSON type as a
+    ValueError naming the part, so certify exits 2 rather than 1."""
+    try:
+        yield
+    except (TypeError, AttributeError) as exc:
+        raise ValueError("malformed %s: %s" % (part, exc)) from None
+
+
 def _result_from_payload(payload):
-    conf = payload["config"]
-    p, n, k = int(conf["p"]), int(conf["n"]), int(conf["k"])
-    max_degree = int(conf["max_degree"])
+    with _reading("config"):
+        conf = payload["config"]
+        p, n, k = int(conf["p"]), int(conf["n"]), int(conf["k"])
+        max_degree = int(conf["max_degree"])
     if k < 1:
         raise ValueError("k must be positive")
+    with _reading("results"):
+        rows = list(payload["results"])
+    entries = []
+    for i, row in enumerate(rows):
+        with _reading("results entry %d" % i):
+            entries.append((int(row["degree"]), int(row["stage"])))
     want = list(range(k, max_degree + 1, k))
-    got = sorted(int(row["degree"]) for row in payload["results"])
+    got = sorted(q for q, _ in entries)
     if got != want:
         raise ValueError("report results cover degrees %s, expected %s"
                          % (got, want))
     degrees = {}
-    for row in payload["results"]:
-        q = int(row["degree"])
-        basis = _subspace_from_payload(payload["payloads"]["basis/%d" % q],
-                                       n, q)
-        proj = _matrix_from_payload(payload["payloads"], "projection/%d" % q)
+    for q, stage in entries:
+        key = "basis/%d" % q
+        with _reading("payload " + key):
+            basis = _subspace_from_payload(payload["payloads"][key], n, q)
+        key = "projection/%d" % q
+        with _reading("payload " + key):
+            proj = _matrix_from_payload(payload["payloads"], key)
         if proj.p != p or proj.ncols != n ** q:
             raise ValueError("projection payload size mismatch at degree "
                              "%d" % q)
         zero = Subspace.zero(p, n ** q)
         degrees[q] = DegreeData(q, q // k, basis, zero, zero, [], proj,
-                                int(row["stage"]))
+                                stage)
     return DecompositionResult(p, n, k, max_degree, degrees)
 
 
 def cmd_certify(cfg):
     with open(cfg.certificate, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("config", {}).get("command") != "decompose":
+    with _reading("report"):
+        command = payload.get("config", {}).get("command")
+    if command != "decompose":
         raise ValueError("certificate file is not a decompose report")
     result = _result_from_payload(payload)
     report = certify_decomposition(result)

@@ -47,9 +47,9 @@ from .combinat import (
     witt_dim,
 )
 from .descent import (
+    class_projector,
     element_action_matrix,
     lift_idempotents,
-    lift_matrix_idempotent,
     solve_class_indicator,
 )
 from .freelie import (
@@ -345,7 +345,7 @@ def _canonical_data(q, k, n, p, family, action):
 
     e0 = solve_class_indicator(q, p, members)
     try:
-        E = lift_matrix_idempotent(element_action_matrix(n, e0), p)
+        E = class_projector(n, e0)
     except ArithmeticError as exc:
         raise _CanonicalUnavailable("projector lifting failed: %s" % exc)
     image = _rowspace(E, N)

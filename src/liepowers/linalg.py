@@ -348,6 +348,15 @@ class _GF2:
         picked = self._bytes(rows, n)[:, cols // 8]
         return self.from_array(picked >> (cols % 8).astype(np.uint8))
 
+    def spread(self, rows, n, cols, width):
+        """Inverse of take: column j of the rows becomes column cols[j] of
+        width-column rows whose other columns are zero."""
+        bits = np.unpackbits(self._bytes(rows, n), axis=1, count=n,
+                             bitorder="little")
+        out = np.zeros((len(bits), width), dtype=np.uint8)
+        out[:, cols] = bits
+        return self.from_array(out)
+
     def terms(self, row):
         while row:
             low = row & -row
@@ -507,6 +516,11 @@ class _GFp:
 
     def take(self, rows, n, cols):
         return self.stack(rows, n)[:, cols]
+
+    def spread(self, rows, n, cols, width):
+        out = np.zeros((len(rows), width), dtype=np.int64)
+        out[:, cols] = self.stack(rows, n)
+        return out
 
     def join(self, a, b, n1):
         return np.concatenate((a, b))
@@ -671,6 +685,13 @@ class Mat:
         cols = list(cols)
         return Mat(self.p, self.nrows, len(cols),
                    self._f.take(self._d, self.ncols, cols))
+
+    def spread(self, cols, ncols):
+        """The ncols-column matrix whose column cols[j] is column j of this
+        one; every other column is zero.  Inverse of ``columns``."""
+        cols = np.asarray(cols, dtype=np.intp)
+        return Mat(self.p, self.nrows, ncols,
+                   self._f.spread(self._d, self.ncols, cols, ncols))
 
     def row_texts(self):
         """One payload text line per row."""

@@ -104,20 +104,48 @@ def odd_report(tmp_path_factory):
 
 def _drop_top_degree(payload):
     payload["results"] = [r for r in payload["results"] if r["degree"] != 4]
+    return payload
 
 
 def _shift_by_p(payload):
     rows = payload["payloads"]["projection/4"]["rows"]
     rows[:] = [" ".join(str(int(t) + 3) for t in row.split()) for row in rows]
+    return payload
 
 
 def _drop_last_row(payload):
     payload["payloads"]["projection/4"]["rows"].pop()
+    return payload
 
 
 def _short_row(payload):
     rows = payload["payloads"]["projection/4"]["rows"]
     rows[0] = rows[0].rsplit(" ", 1)[0]
+    return payload
+
+
+def _top_level_list(payload):
+    return []
+
+
+def _config_is_a_string(payload):
+    payload["config"] = "decompose"
+    return payload
+
+
+def _result_is_a_number(payload):
+    payload["results"][0] = 3
+    return payload
+
+
+def _degree_is_null(payload):
+    payload["results"][0]["degree"] = None
+    return payload
+
+
+def _basis_is_a_string(payload):
+    payload["payloads"]["basis/4"] = "x"
+    return payload
 
 
 @pytest.mark.parametrize("mutate,message", [
@@ -125,11 +153,15 @@ def _short_row(payload):
     (_shift_by_p, "payload projection/4: row 0: entry outside 0..2"),
     (_drop_last_row, "payload projection/4: expected a list of 16 rows"),
     (_short_row, "payload projection/4: row 0: 15 entries, expected 16"),
+    (_top_level_list, "malformed report"),
+    (_config_is_a_string, "malformed report"),
+    (_result_is_a_number, "malformed results entry 0"),
+    (_degree_is_null, "malformed results entry 0"),
+    (_basis_is_a_string, "malformed payload basis/4"),
 ])
 def test_certify_rejects_malformed_report(odd_report, tmp_path, capsys,
                                           mutate, message):
-    payload = copy.deepcopy(odd_report)
-    mutate(payload)
+    payload = mutate(copy.deepcopy(odd_report))
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload))
     assert main(["certify", str(bad)]) == 2

@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from itertools import product as iter_product
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from liepowers.descent import (
     DescentElement,
     act_on_tensor,
     apply_place_permutation,
+    class_projector,
     element_action_matrix,
     gr_action_check,
     lift_idempotents,
@@ -33,7 +35,7 @@ from liepowers.freelie import (
     lie_power,
     pbw_monomial_vector,
 )
-from liepowers.linalg import word_to_index
+from liepowers.linalg import Mat, word_to_index
 
 
 def test_xnu_permutations_small():
@@ -122,28 +124,27 @@ def test_c_map_values_and_multiplicativity():
 
 
 def test_action_matrix_matches_permutation_expansion():
-    for p in (2, 3):
-        for r in (2, 3, 4):
-            n = 2
-            N = n ** r
-            for nu in compositions(r):
-                mat = x_action_matrix(p, n, r, nu)
-                perms = xnu_as_permutation_sum(nu)
-                for i in range(N):
-                    if p == 2:
-                        v = 1 << i
-                        want = 0
-                        for sigma in perms:
-                            want ^= apply_place_permutation(p, n, r, v, sigma)
-                        assert mat.apply(v) == want, (p, r, nu, i)
-                    else:
-                        v = np.zeros(N, dtype=np.int64)
-                        v[i] = 1
-                        want = np.zeros(N, dtype=np.int64)
-                        for sigma in perms:
-                            want = (want + apply_place_permutation(
-                                p, n, r, v, sigma)) % p
-                        assert np.array_equal(mat.apply(v), want), (p, r, nu, i)
+    for p, n, r in iter_product((2, 3), (2, 3), (2, 3, 4)):
+        N = n ** r
+        for nu in compositions(r):
+            mat = x_action_matrix(p, n, r, nu)
+            perms = xnu_as_permutation_sum(nu)
+            for i in range(N):
+                if p == 2:
+                    v = 1 << i
+                    want = 0
+                    for sigma in perms:
+                        want ^= apply_place_permutation(p, n, r, v, sigma)
+                    assert mat.apply(v) == want, (p, n, r, nu, i)
+                else:
+                    v = np.zeros(N, dtype=np.int64)
+                    v[i] = 1
+                    want = np.zeros(N, dtype=np.int64)
+                    for sigma in perms:
+                        want = (want + apply_place_permutation(
+                            p, n, r, v, sigma)) % p
+                    assert np.array_equal(mat.apply(v), want), (
+                        p, n, r, nu, i)
 
 
 def test_action_is_module_action():
@@ -207,15 +208,45 @@ def test_idempotent_indicator_action_on_filtration():
 def test_matrix_lift_agrees_with_algebra_lift():
     # the idempotent part of y is a polynomial in y, so lifting the
     # action matrix of y lands exactly on the action matrix of the lifted
-    # element
+    # element, and so does lifting it one weight space at a time
     from liepowers.descent import _lift_in_algebra
-    p, n, r = 2, 2, 4
-    classes = p_equivalence_classes(r, p)
-    y = solve_class_indicator(r, p, classes[0].members)
-    e = _lift_in_algebra(y)
-    got = lift_matrix_idempotent(element_action_matrix(n, y), p)
-    want = element_action_matrix(n, e)
-    assert got == want
+    for n, p, r in ((2, 2, 4), (3, 3, 4)):
+        classes = p_equivalence_classes(r, p)
+        y = solve_class_indicator(r, p, classes[0].members)
+        e = _lift_in_algebra(y)
+        got = lift_matrix_idempotent(element_action_matrix(n, y), p)
+        want = element_action_matrix(n, e)
+        assert got == want, (n, p, r)
+        assert class_projector(n, y) == want, (n, p, r)
+
+
+def test_lift_idempotents_is_cached():
+    from liepowers.descent import _verify_family
+    fam = lift_idempotents(5, 3)
+    assert lift_idempotents(5, 3) is fam
+    _verify_family(fam)
+
+
+def test_descent_operators_make_no_full_size_products(monkeypatch):
+    # every descent operator is block diagonal over the weight spaces, so
+    # no product is larger than the largest one, C(10, 5) = 252 for n = 2
+    from liepowers import descent
+    for cached in (descent._weight_blocks, descent._unshuffle_blocks,
+                   descent._x_blocks):
+        cached.cache_clear()
+    shapes = []
+    matmul = Mat.__matmul__
+
+    def counted(a, b):
+        shapes.append((a.nrows, a.ncols, b.ncols))
+        return matmul(a, b)
+
+    monkeypatch.setattr(Mat, "__matmul__", counted)
+    cls = next(c for c in p_equivalence_classes(10, 2) if (10,) in c)
+    y = solve_class_indicator(10, 2, sorted(cls.members))
+    E = class_projector(2, y)
+    assert E.nrows == E.ncols == 2 ** 10
+    assert shapes and max(max(shape) for shape in shapes) <= 252
 
 
 def test_dealt_sum_convention():

@@ -111,7 +111,13 @@ def test_mat_columns(p, width):
         got = m.columns(cols)
         assert (got.p, got.nrows, got.ncols) == (p, 9, len(cols))
         assert got == Mat.from_array(p, a[:, cols].reshape(9, len(cols)))
+    # spread is the inverse: distinct columns back in place, zeros between
+    for cols in ([], [0], [width - 1, 3, 0], list(range(1, width, 7))):
+        kept = np.zeros_like(a)
+        kept[:, cols] = a[:, cols]
+        assert m.columns(cols).spread(cols, width) == Mat.from_array(p, kept)
     assert Mat.zeros(p, 0, width).columns([2, 1]).nrows == 0
+    assert Mat.zeros(p, 0, 2).spread([2, 1], width).nrows == 0
 
 
 @pytest.mark.parametrize("nb,bw", [(13, 70), (603, 130)])
