@@ -89,7 +89,7 @@ def _matrix_payload(m):
 def _matrix_from_payload(payloads, key):
     obj = payloads[key]
     try:
-        return Mat.from_texts(int(obj["p"]), int(obj["size"]), obj["rows"])
+        return Mat.from_texts(*_ints(obj, "p", "size"), obj["rows"])
     except ValueError as exc:
         raise ValueError("payload %s: %s" % (key, exc)) from None
 
@@ -250,11 +250,22 @@ def _reading(part):
         raise ValueError("malformed %s: %s" % (part, exc)) from None
 
 
+def _ints(obj, *keys):
+    """The values of obj at keys, each of which must be a JSON integer;
+    anything else (a float, a bool, a string) raises TypeError."""
+    out = []
+    for key in keys:
+        value = obj[key]
+        if type(value) is not int:
+            raise TypeError("%s is %r, not an integer" % (key, value))
+        out.append(value)
+    return out
+
+
 def _result_from_payload(payload):
     with _reading("config"):
-        conf = payload["config"]
-        p, n, k = int(conf["p"]), int(conf["n"]), int(conf["k"])
-        max_degree = int(conf["max_degree"])
+        p, n, k, max_degree = _ints(payload["config"], "p", "n", "k",
+                                    "max_degree")
     if k < 1:
         raise ValueError("k must be positive")
     with _reading("results"):
@@ -262,12 +273,17 @@ def _result_from_payload(payload):
     entries = []
     for i, row in enumerate(rows):
         with _reading("results entry %d" % i):
-            entries.append((int(row["degree"]), int(row["stage"])))
-    want = list(range(k, max_degree + 1, k))
+            entries.append(tuple(_ints(row, "degree", "stage")))
+    # a range is lazy, so its length costs nothing however large the
+    # claimed max_degree; only equal counts are listed
+    want = range(k, max_degree + 1, k)
+    if len(entries) != len(want):
+        raise ValueError("report result count %d, expected %d"
+                         % (len(entries), len(want)))
     got = sorted(q for q, _ in entries)
-    if got != want:
+    if got != list(want):
         raise ValueError("report results cover degrees %s, expected %s"
-                         % (got, want))
+                         % (got, list(want)))
     degrees = {}
     for q, stage in entries:
         key = "basis/%d" % q

@@ -48,7 +48,6 @@ __all__ = [
     "element_action_matrix",
     "class_projector",
     "act_on_tensor",
-    "act_on_tensors",
     "lift_idempotents",
     "lift_matrix_idempotent",
     "IdempotentFamily",
@@ -400,11 +399,6 @@ def class_projector(n, elem):
 def act_on_tensor(elem, n, vec):
     """Apply a descent element to one packed tensor."""
     return element_action_matrix(n, elem).apply(vec)
-
-
-def act_on_tensors(elem, n, vecs):
-    mat = element_action_matrix(n, elem)
-    return [mat.apply(v) for v in vecs]
 
 
 # ---------------------------------------------------------------------------

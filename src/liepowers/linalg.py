@@ -10,7 +10,9 @@ returned by ``field(p)``, and every other module works on rows through it:
 
 * ``p == 2``: a row is a Python int, bit ``j`` = column ``j``.  Big-int XOR
   makes 4096-dimensional eliminations cheap, and wide products and
-  echelons switch to numpy uint64 word kernels.
+  echelons switch to numpy uint64 word kernels.  An echelon takes the
+  word kernel only when its rows are dense (one set bit per 64 columns
+  or more), since sparse rows eliminate faster as big ints.
 * odd ``p``: a row is a numpy ``int64`` array reduced mod p.
 
 A backend turns rows into and out of dense integer arrays and
@@ -67,21 +69,31 @@ def check_prime(p):
 
 
 def _ech2(vecs):
-    """Canonical RREF of int-packed rows.  Returns (rows, pivot columns)."""
+    """Canonical RREF of int-packed rows.  Returns (rows, pivot columns).
+
+    Inputs of at least 512 rows and 512 columns go to the word kernel only
+    when dense (64 * set bits >= rows * width): it scans every row at each
+    column, while a big-int XOR costs time only where rows have bits.
+    Both paths return the canonical RREF.
+    """
     if not isinstance(vecs, (list, tuple)):
         vecs = list(vecs)
     if len(vecs) >= 512:
-        width = 0
-        for v in vecs:
-            b = v.bit_length()
-            if b > width:
-                width = b
-        if width >= 512:
+        width = max(v.bit_length() for v in vecs)
+        if width >= 512 and \
+                64 * sum(v.bit_count() for v in vecs) >= len(vecs) * width:
             rows, pivots = _rref2_words(_rows_to_words(vecs, width), width)
             return _words_to_rows(rows), pivots
+    return _rref2_ints(vecs)
+
+
+def _rref2_ints(vecs):
+    """Gauss-Jordan on big-int rows; returns (canonical rows, pivots).
+    Rows enter by descending lowest set bit, which about halves the XORs
+    on the sparse systems of the solve and the certificate inverse."""
     piv = {}
     mask = 0
-    for v in vecs:
+    for v in sorted(vecs, key=lambda v: -(v & -v).bit_length()):
         while True:
             inter = v & mask
             if not inter:
@@ -239,8 +251,9 @@ def _rref2_words(W, ncols):
 
 
 def _echp(a, p):
-    """Canonical RREF in place; returns (matrix, pivot columns)."""
-    a = np.asarray(a, dtype=np.int64) % p
+    """Canonical RREF, in place on an int64 array; returns (matrix, pivots)."""
+    a = np.asarray(a, dtype=np.int64)
+    np.remainder(a, p, out=a)
     nr, nc = a.shape
     pivots = []
     r = 0
@@ -257,8 +270,11 @@ def _echp(a, p):
         a[r] = (a[r] * inv) % p
         rows = np.nonzero(a[:, c])[0]
         rows = rows[rows != r]
-        if rows.size:
-            a[rows] = (a[rows] - np.outer(a[rows, c], a[r])) % p
+        if rows.size:  # row r is zero left of c, so only columns c.. change
+            sub = a[rows, c:]
+            sub -= np.outer(sub[:, 0], a[r, c:])
+            sub %= p
+            a[rows, c:] = sub
         pivots.append(c)
         r += 1
     return a, pivots
@@ -414,16 +430,6 @@ class _GF2:
             mask |= 1 << c
         return [_red2(v, piv, mask) for v in vecs]
 
-    def coords(self, rows, pivots, x):
-        """Coefficients of x over canonical echelon rows, or None."""
-        out = 0
-        for i, (c, r) in enumerate(zip(pivots, rows)):
-            if (x >> c) & 1:
-                x ^= r
-                out |= 1 << i
-        return [(out >> i) & 1 for i in range(len(pivots))] if x == 0 \
-            else None
-
     def sift(self, piv, x):
         """Reduce x by a pivot-column -> row dict until its leading column
         is new.  Returns (row to insert, its pivot), or (0, None) when x
@@ -530,21 +536,12 @@ class _GFp:
 
     def echelon(self, rows, n):
         a, piv = _echp(self.stack(rows, n), self.p)
-        rows = a[: len(piv)].copy()
+        rows = a if len(piv) == len(a) else a[: len(piv)].copy()
         rows.flags.writeable = False  # packed_rows hands out views
         return rows, piv
 
     def reduce(self, rows, pivots, vecs):
         return [_redp(v, rows, pivots, self.p) for v in vecs]
-
-    def coords(self, rows, pivots, v):
-        out = []
-        for i, c in enumerate(pivots):
-            f = int(v[c])
-            out.append(f)
-            if f:
-                v = (v - f * rows[i]) % self.p
-        return out if not v.any() else None
 
     def sift(self, piv, v):
         for c, r in piv.items():
@@ -818,8 +815,15 @@ class Subspace:
         return all(map(F.is_zero, F.reduce(self._rows, self._pivots, other._rows)))
 
     def coords(self, vec):
-        """Coordinates of vec in the canonical basis, or None if outside."""
-        return self._f.coords(self._rows, self._pivots, self._f.coerce(vec))
+        """Coordinates of vec in the canonical basis, or None if outside:
+        vec's entries at the pivots, as each basis row is 1 at its own
+        pivot and 0 at the others."""
+        F = self._f
+        x = F.coerce(vec)
+        co = F.take([x], self.ambient, self._pivots)[0]
+        if F.key(F.vecmat(co, self._rows)) != F.key(x):
+            return None
+        return F.to_array([co], self.dim)[0].tolist()
 
     def sum(self, other):
         self._check_compat(other)
@@ -922,9 +926,28 @@ class GroupAction:
     def apply(self, i, vec):
         return self.generators[i].apply(vec)
 
+    def induced_matrix(self, i):
+        """The dim x dim matrix of generator i; the equivariant solver
+        reads every action through this method."""
+        return self.generators[i]
+
 
 # ---------------------------------------------------------------------------
 # equivariant projections
+
+
+# entries of one dense block of equations or solutions: 2 MB as int64
+_CHUNK = 1 << 18
+
+
+def _restrict(space, g):
+    """Matrix of g on the canonical basis B of space, or None when space
+    is not g-invariant: M = (B g)[:, pivots] (see ``Subspace.coords``),
+    and B g lies in the span exactly when M B = B g."""
+    B = space.basis_matrix()
+    img = B @ g
+    co = img.columns(space.pivots)
+    return co if co @ B == img else None
 
 
 def _action_on_domain(action, domain):
@@ -933,16 +956,11 @@ def _action_on_domain(action, domain):
     Raises ValueError if the domain is not invariant.
     """
     mats = []
-    rows = domain.packed_rows()
     for gi in range(len(action.generators)):
-        out = []
-        for r in rows:
-            img = action.apply(gi, r)
-            co = domain.coords(img)
-            if co is None:
-                raise ValueError("domain is not invariant under the action")
-            out.append(co)
-        mats.append(Mat.from_rows(domain.p, out, domain.dim))
+        co = _restrict(domain, action.induced_matrix(gi))
+        if co is None:
+            raise ValueError("domain is not invariant under the action")
+        mats.append(co)
     return mats
 
 
@@ -958,18 +976,21 @@ def _solve_linear_system(p, rows, rhs, nunk):
     ech, piv = F.echelon(aug, nunk + 1)
     if nunk in piv:
         return None
-    # the particular solution reads the last column; there is one kernel
-    # vector per free column j: e_j minus column j of the echelon
-    pivset = set(piv)
-    part = []
-    free = {j: [(j, 1)] for j in range(nunk) if j not in pivset}
-    for r, c in zip(ech, piv):
-        for j, f in F.terms(r):
-            if j == nunk:
-                part.append((c, f))
-            elif j in free:
-                free[j].append((c, -f))
-    return F.from_terms(nunk, part), [F.from_terms(nunk, t) for t in free.values()]
+    # with the free unknowns at zero, x[piv] is the last column; there is
+    # one kernel vector per free column j: e_j minus column j of the echelon.
+    # Row t < len(free) of out is kernel vector t, its last row is x.
+    free = np.setdiff1d(np.arange(nunk), piv)
+    read = np.append(free, nunk)
+    out = np.zeros((len(read), nunk), dtype=np.min_scalar_type(-p))
+    out[np.arange(len(free)), free] = 1
+    piv = np.array(piv, dtype=np.intp)
+    step = max(1, _CHUNK // len(read))
+    for s in range(0, len(piv), step):
+        cols = F.to_array(F.take(ech[s:s + step], nunk + 1, read), len(read))
+        cols[:, :-1] *= -1
+        out[:, piv[s:s + step]] = cols.T
+    *kernel, part = F.from_array(out)
+    return part, kernel
 
 
 def _projection_problem(action, image, domain, labels=None):
@@ -987,18 +1008,12 @@ def _projection_problem(action, image, domain, labels=None):
     gmats = _action_on_domain(action, domain)  # raises if domain not invariant
 
     # image in domain coordinates
-    im_rows = []
-    for r in image.packed_rows():
-        co = domain.coords(r)
-        im_rows.append(co)
-    im = Subspace.from_vectors(p, d, im_rows)
+    im = Subspace.from_packed(
+        p, d, image.basis_matrix().columns(domain.pivots).packed_rows())
     m = im.dim
-    for g in gmats:
-        for r in im.packed_rows():
-            if not im.contains(g.apply(r)):
-                return None  # image not invariant: infeasible
-    pivset = set(im.pivots)
-    free_cols = [j for j in range(d) if j not in pivset]
+    if any(_restrict(im, g) is None for g in gmats):
+        return None  # image not invariant: infeasible
+    free_cols = np.setdiff1d(np.arange(d), im.pivots).tolist()
 
     # adapted basis: image rows first, then unit vectors on free columns
     T = Mat.from_packed(p, im.packed_rows() + [F.unit(d, j) for j in free_cols], d)
@@ -1009,91 +1024,88 @@ def _projection_problem(action, image, domain, labels=None):
         gad = (T @ g @ Tinv).to_array()
         if gad[:m, m:].any():
             return None  # cannot happen if image invariant; belt and braces
-        blocks.append((gad[:m, :m].tolist(), gad[m:, :m].tolist(),
-                       gad[m:, m:].tolist()))
+        blocks.append((gad[:m, :m], gad[m:, :m], gad[m:, m:]))
 
-    lab_free = lab_im = None
+    # the graded ansatz keeps X[u, v] when free column u and image row v
+    # carry the same label; it exists only if each image row has one label
+    graded = None
     if labels is not None:
-        lab = list(labels)
-        lab_free = [lab[j] for j in free_cols]
-        lab_im = []
-        for r in im.packed_rows():
-            ls = {lab[j] for j, _ in F.terms(r)}
-            lab_im.append(ls.pop() if len(ls) == 1 else None)
-        if any(l is None for l in lab_im):
-            lab_free = lab_im = None
+        ids = {}
+        lab = np.array([ids.setdefault(x, len(ids)) for x in labels], np.intp)
+        nz = im.basis_matrix().to_array() != 0
+        lo = np.where(nz, lab, len(ids)).min(axis=1, initial=len(ids))
+        hi = np.where(nz, lab, -1).max(axis=1, initial=-1)
+        if (lo == hi).all():
+            graded = lab[free_cols][:, None] == lo
 
-    return {
-        "p": p, "d": d, "m": m, "T": T, "Tinv": Tinv,
-        "blocks": blocks, "lab_free": lab_free, "lab_im": lab_im,
-    }
+    return {"p": p, "d": d, "m": m, "T": T, "Tinv": Tinv,
+            "blocks": blocks, "graded": graded}
 
 
 def _invert(mat):
     F, n = mat._f, mat.nrows
-    aug = [F.join(r, F.unit(n, i), n) for i, r in enumerate(mat._d)]
-    ech, piv = F.echelon(aug, 2 * n)
+    # the [mat | I] rows are not named, so they are freed with the echelon
+    ech, piv = F.echelon(
+        [F.join(r, F.unit(n, i), n) for i, r in enumerate(mat._d)], 2 * n)
     if piv != list(range(n)):
         raise ValueError("matrix not invertible")
     return Mat.from_packed(mat.p, [F.split(r, n)[1] for r in ech], n)
 
 
-def _assemble_projection_system(prob, allowed=None):
-    """Equations X*A - D*X = C per generator, mapped onto the flattened
-    unknown X[(u, v)] with v an image coordinate, u a complement one."""
+def _assemble_projection_system(prob, graded=None):
+    """Equations X*A - D*X = C per generator over the unknowns X[u, v],
+    v an image coordinate, u a complement one; equation (i, j) has
+    coefficient A[v, j] at X[i, v] and -D[i, u] at X[u, j].
+
+    ``graded`` masks the unknowns kept (k x m); the others are pinned to
+    zero.  Returns (index, nunk, rows, rhs): index[u, v] numbers X[u, v]
+    (-1 when pinned); rows/rhs are the distinct nonzero equations in
+    first-occurrence order, built in dense blocks of about _CHUNK entries.
+    """
     p, d, m = prob["p"], prob["d"], prob["m"]
     F = field(p)
     k = d - m
-    if allowed is None:
-        unk_index = {(u, v): u * m + v for u in range(k) for v in range(m)}
-    else:
-        unk_index = {}
-        for u in range(k):
-            for v in range(m):
-                if allowed(u, v):
-                    unk_index[(u, v)] = len(unk_index)
-    nunk = len(unk_index)
-    rows, rhs = [], []
-    for (a, c, dd) in prob["blocks"]:
-        for i in range(k):
-            for j in range(m):
-                coeff = {}
-                for v in range(m):
-                    f = a[v][j]
-                    if f:
-                        coeff[(i, v)] = (coeff.get((i, v), 0) + f) % p
-                for u in range(k):
-                    f = dd[i][u]
-                    if f:
-                        coeff[(u, j)] = (coeff.get((u, j), 0) - f) % p
-                # unknowns outside the ansatz are pinned to zero: drop them
-                rows.append(F.from_terms(nunk, [
-                    (unk_index[key], f) for key, f in coeff.items()
-                    if f and key in unk_index]))
-                rhs.append(c[i][j] % p)
-    # many generator equations repeat; dedupe before elimination
+    keep = np.ones((k, m), dtype=bool) if graded is None else graded
+    nunk = int(np.count_nonzero(keep))
+    index = np.full((k, m), -1, dtype=np.intp)
+    index[keep] = np.arange(nunk)
+    col = np.where(keep, index, nunk)  # pinned unknowns land in column nunk
+    step = max(1, _CHUNK // max(nunk + 1, m, k))
+    dtype = np.min_scalar_type(-p)  # holds every coefficient in (-p, p)
     seen = set()
-    drows, drhs = [], []
-    for rv, b in zip(rows, rhs):
-        key = (F.key(rv), b)
-        if key in seen:
-            continue
-        seen.add(key)
-        if b == 0 and F.is_zero(rv):
-            continue
-        drows.append(rv)
-        drhs.append(b)
-    return unk_index, nunk, drows, drhs
+    rows, rhs = [], []
+    for a, c, dd in prob["blocks"]:
+        at, dd = a.T.astype(dtype), dd.astype(dtype)
+        for e0 in range(0, k * m, step):
+            i, j = np.divmod(np.arange(e0, min(e0 + step, k * m)), m)
+            block = np.zeros((len(i), nunk + 1), dtype=dtype)
+            # scatter only the nonzero coefficients of each equation
+            r, v = np.nonzero(at[j])
+            block[r, col[i[r], v]] = at[j[r], v]
+            r, u = np.nonzero(dd[i])
+            block[r, col[u, j[r]]] -= dd[i[r], u]
+            packed = F.from_array(block[:, :nunk])
+            fresh = []
+            for t, (row, b) in enumerate(zip(packed, (c[i, j] % p).tolist())):
+                key = (F.key(row), b)
+                if key in seen:
+                    continue
+                seen.add(key)
+                if b or not F.is_zero(row):
+                    fresh.append(t)
+                    rhs.append(b)
+            # a copy of the kept rows, so the block is not held by views
+            rows.extend(F.stack([packed[t] for t in fresh], nunk))
+    return index, nunk, rows, rhs
 
 
-def _projection_from_x(prob, xvals, unk_index):
+def _projection_from_x(prob, xvals, index):
     p, d, m = prob["p"], prob["d"], prob["m"]
-    F = field(p)
+    keep = index >= 0
+    x = field(p).to_array([xvals], int(np.count_nonzero(keep)))[0]
     pad = np.zeros((d, d), dtype=np.int64)
     pad[:m, :m] = np.eye(m, dtype=np.int64)
-    x = F.to_array([xvals], len(unk_index))[0]
-    for (u, v), idx in unk_index.items():
-        pad[m + u, v] = x[idx]
+    pad[m:, :m][keep] = x[index[keep]]
     return prob["Tinv"] @ Mat.from_array(p, pad) @ prob["T"]
 
 
@@ -1113,20 +1125,12 @@ def solve_equivariant_projection(action, image, domain, labels=None):
     prob = _projection_problem(action, image, domain, labels=labels)
     if prob is None:
         return None
-    attempts = []
-    if prob["lab_free"] is not None:
-        lf, li = prob["lab_free"], prob["lab_im"]
-        attempts.append(lambda u, v: lf[u] == li[v])
-    attempts.append(None)
-    for allowed in attempts:
-        sys_ = _assemble_projection_system(prob, allowed)
-        if sys_ is None:
-            continue
-        unk_index, nunk, rows, rhs = sys_
+    attempts = [None] if prob["graded"] is None else [prob["graded"], None]
+    for graded in attempts:
+        index, nunk, rows, rhs = _assemble_projection_system(prob, graded)
         sol = _solve_linear_system(prob["p"], rows, rhs, nunk)
         if sol is not None:
-            part, _ = sol
-            return _projection_from_x(prob, part, unk_index)
+            return _projection_from_x(prob, sol[0], index)
     return None
 
 
@@ -1140,19 +1144,16 @@ def affine_projection_family(action, image, domain, labels=None, max_kernel=None
     prob = _projection_problem(action, image, domain, labels=labels)
     if prob is None:
         return None
-    sys_ = _assemble_projection_system(prob, None)
-    if sys_ is None:
-        return None
-    unk_index, nunk, rows, rhs = sys_
+    index, nunk, rows, rhs = _assemble_projection_system(prob, None)
     sol = _solve_linear_system(prob["p"], rows, rhs, nunk)
     if sol is None:
         return None
     part, kern = sol
     if max_kernel is not None:
         kern = kern[:max_kernel]
-    base = _projection_from_x(prob, part, unk_index)
-    m0 = _projection_from_x(prob, field(prob["p"]).zero(nunk), unk_index)
-    dirs = [_projection_from_x(prob, v, unk_index) - m0 for v in kern]
+    base = _projection_from_x(prob, part, index)
+    m0 = _projection_from_x(prob, field(prob["p"]).zero(nunk), index)
+    dirs = [_projection_from_x(prob, v, index) - m0 for v in kern]
     return base, dirs
 
 

@@ -9,10 +9,10 @@ by deriving every elementary transvection from the list (see
 closure; it is the independent check the tests compare against.
 
 The induced action on T^r(V) substitutes each letter of a word by the
-image row of the generator.  Vectors are transformed by r per-position
-mixing steps (tensor contractions), so the n^r x n^r matrix of an
-induced generator is only materialised on request; the equivariant
-solver consumes a TensorAction directly through its apply method.
+image row of the generator.  ``apply`` transforms one vector by r
+per-position mixing steps (tensor contractions); the n^r x n^r matrix of
+an induced generator is built once on request and cached, and the
+equivariant solver and the certificate check read the action through it.
 """
 
 from functools import lru_cache
@@ -20,7 +20,6 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import (
-    GroupAction,
     Mat,
     SpanBuilder,
     Subspace,
@@ -186,14 +185,13 @@ def gl_generators(n, p):
 class TensorAction:
     """Letter-substitution action of GL(n) generators on T^r(V).
 
-    Duck-types the GroupAction protocol the equivariant solver uses
-    (``apply`` plus the length of ``generators``); ``generators`` holds
-    the small n x n matrices, with the n^r x n^r induced matrices built
-    lazily by ``induced_matrix`` / ``dense_action``.
+    Duck-types the GroupAction protocol (``apply``, ``induced_matrix``
+    and the length of ``generators``); ``generators`` holds the small
+    n x n matrices, with the n^r x n^r induced matrices built lazily by
+    ``induced_matrix``.
     """
 
-    __slots__ = ("p", "n", "r", "dim", "generators", "_f", "_arrs", "_mats",
-                 "_dense")
+    __slots__ = ("p", "n", "r", "dim", "generators", "_f", "_arrs", "_mats")
 
     def __init__(self, gens, r):
         if not gens:
@@ -216,7 +214,6 @@ class TensorAction:
         self._f = field(p)
         self._arrs = [g.to_array() for g in gens]
         self._mats = [None] * len(gens)
-        self._dense = None
 
     def apply(self, gi, vec):
         """Image of a degree-r tensor under generator gi: a packed row for
@@ -244,14 +241,6 @@ class TensorAction:
                 width *= self.n
             self._mats[gi] = Mat.from_packed(self.p, rows, self.dim)
         return self._mats[gi]
-
-    def dense_action(self):
-        """The same action as a plain GroupAction with explicit matrices."""
-        if self._dense is None:
-            self._dense = GroupAction(
-                self.p, self.dim,
-                [self.induced_matrix(i) for i in range(len(self.generators))])
-        return self._dense
 
     def __repr__(self):
         return "TensorAction(p=%d, n=%d, r=%d, %d generators)" % (

@@ -148,8 +148,38 @@ def _basis_is_a_string(payload):
     return payload
 
 
+def _p_is_a_float(payload):
+    payload["config"]["p"] = 2.5  # int() would read p = 2
+    return payload
+
+
+def _k_is_true(payload):
+    payload["config"]["k"] = True  # a bool is an int subclass
+    return payload
+
+
+def _stage_is_a_float(payload):
+    payload["results"][0]["stage"] = 1.0
+    return payload
+
+
+def _huge_max_degree(payload):
+    payload["config"]["max_degree"] = 10 ** 9  # no list of 5e8 degrees
+    return payload
+
+
+def _wrong_degree(payload):
+    payload["results"][1]["degree"] = 6
+    return payload
+
+
 @pytest.mark.parametrize("mutate,message", [
-    (_drop_top_degree, "expected [2, 4]"),
+    (_drop_top_degree, "result count 1, expected 2"),
+    (_p_is_a_float, "malformed config: p is 2.5, not an integer"),
+    (_k_is_true, "malformed config: k is True, not an integer"),
+    (_stage_is_a_float, "malformed results entry 0: stage is 1.0"),
+    (_huge_max_degree, "result count 2, expected 500000000"),
+    (_wrong_degree, "cover degrees [2, 6], expected [2, 4]"),
     (_shift_by_p, "payload projection/4: row 0: entry outside 0..2"),
     (_drop_last_row, "payload projection/4: expected a list of 16 rows"),
     (_short_row, "payload projection/4: row 0: 15 entries, expected 16"),

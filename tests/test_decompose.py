@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import liepowers.decompose as decompose_module
 from liepowers.combinat import higher_lie_dim, p_equivalence_classes
 from liepowers.decompose import (
     ComplementSearchExhausted,
@@ -13,7 +14,7 @@ from liepowers.decompose import (
 )
 from liepowers.freelie import lie_power
 from liepowers.linalg import Mat, Subspace
-from liepowers.modrep import gl_generators, induce_on_tensor_power
+from liepowers.modrep import TensorAction, gl_generators, induce_on_tensor_power
 
 
 def test_split_one_class_p2_r2():
@@ -261,3 +262,30 @@ def test_projection_flaw_makes_no_full_size_products(monkeypatch):
     assert _projection_flaw(data.projection, data.basis, action) is None
     assert shapes and (N, N, N) not in shapes
     assert all(data.basis.dim in shape for shape in shapes)
+
+
+def test_solve_reads_generators_as_matrices(monkeypatch):
+    # the solve multiplies each stacked basis by an induced matrix once,
+    # with no one-vector TensorAction.apply call
+    solve = decompose_module.solve_equivariant_projection
+    apply = TensorAction.apply
+    solved, calls = [], []
+
+    def traced_solve(action, image, domain, labels=None):
+        solved.append(action.r)
+        try:
+            return solve(action, image, domain, labels=labels)
+        finally:
+            solved.append(None)
+
+    def counted_apply(self, gi, vec):
+        if solved and solved[-1] is not None:
+            calls.append(self.r)
+        return apply(self, gi, vec)
+
+    monkeypatch.setattr(decompose_module, "solve_equivariant_projection",
+                        traced_solve)
+    monkeypatch.setattr(TensorAction, "apply", counted_apply)
+    construct_B_family(2, 2, 3, 9)
+    assert 9 in solved
+    assert calls == []

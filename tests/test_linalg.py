@@ -7,14 +7,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import liepowers
+from liepowers import linalg
 from liepowers.linalg import (
     GroupAction,
     Mat,
     SpanBuilder,
     Subspace,
+    _assemble_projection_system,
+    _ech2,
+    _invert,
     _mul2_tables,
     _mul2_words,
+    _projection_problem,
     _rows_to_words,
+    _rref2_ints,
+    _rref2_words,
+    _solve_linear_system,
     _words_to_rows,
     affine_projection_family,
     check_prime,
@@ -503,3 +511,192 @@ def test_parse_rejects_bad_words():
         parse_subspace("2 2 3\n1 12\n")  # word too short
     with pytest.raises(ValueError):
         parse_subspace("2 2 3\n1 132\n")  # letter outside alphabet
+
+
+# ---------------------------------------------------------------------------
+# the vectorised projection system against the dict loops it replaced
+
+
+def _reference_system(prob, allowed):
+    """The projection system as dict loops build it, one equation and one
+    coefficient at a time: (unknown index, distinct nonzero rows, rhs)."""
+    p, d, m = prob["p"], prob["d"], prob["m"]
+    F, k = field(p), d - m
+    unk = {}
+    for u in range(k):
+        for v in range(m):
+            if allowed is None or allowed(u, v):
+                unk[(u, v)] = len(unk)
+    seen, rows, rhs = set(), [], []
+    for a, c, dd in prob["blocks"]:
+        for i in range(k):
+            for j in range(m):
+                coeff = {}
+                for v in range(m):
+                    coeff[(i, v)] = (coeff.get((i, v), 0) + int(a[v][j])) % p
+                for u in range(k):
+                    coeff[(u, j)] = (coeff.get((u, j), 0) - int(dd[i][u])) % p
+                row = F.from_terms(len(unk), [(unk[key], f) for key, f
+                                              in coeff.items() if key in unk])
+                b = int(c[i][j]) % p
+                if (F.key(row), b) not in seen:
+                    seen.add((F.key(row), b))
+                    if b or not F.is_zero(row):
+                        rows.append(row)
+                        rhs.append(b)
+    return unk, rows, rhs
+
+
+def _reference_solve(p, rows, rhs, nunk):
+    """Particular solution and kernel read off the echelon term by term."""
+    F = field(p)
+    aug = [F.join(r, F.from_terms(1, [(0, b)]), nunk)
+           for r, b in zip(rows, rhs)]
+    ech, piv = F.echelon(aug, nunk + 1)
+    if nunk in piv:
+        return None
+    part = []
+    free = {j: [(j, 1)] for j in range(nunk) if j not in piv}
+    for r, c in zip(ech, piv):
+        for j, f in F.terms(r):
+            if j == nunk:
+                part.append((c, f))
+            elif j in free:
+                free[j].append((c, -f))
+    return (F.from_terms(nunk, part),
+            [F.from_terms(nunk, t) for t in free.values()])
+
+
+def _reference_ansatz(prob, labels):
+    """The graded ansatz from per-row label sets, or None."""
+    F, m = field(prob["p"]), prob["m"]
+    rows = prob["T"].packed_rows()
+    lab_free = [labels[next(F.terms(r))[0]] for r in rows[m:]]
+    lab_im = []
+    for r in rows[:m]:
+        ls = {labels[j] for j, _ in F.terms(r)}
+        lab_im.append(ls.pop() if len(ls) == 1 else None)
+    if None in lab_im:
+        return None
+    return lambda u, v: lab_free[u] == lab_im[v]
+
+
+def _random_invertible(rng, p, n):
+    while True:
+        a = rng.integers(0, p, size=(n, n))
+        if rref(Mat.from_array(p, a))[1] == n:
+            return a
+
+
+def _random_projection_case(rng, p, d, m, split):
+    """An action on F_p^d with an invariant m-dimensional image, and a
+    0/1 label per coordinate.  The image rows mostly sit inside one label,
+    so a graded ansatz often exists.  With ``split`` the action permutes
+    bases of the image and of a random invariant complement, so that
+    equivariant projections exist and usually form a family."""
+    labels = rng.integers(0, 2, size=d).tolist()
+    while True:
+        rows = rng.integers(0, p, size=(m, d))
+        if rng.random() < 0.75:
+            for row in rows:
+                row[np.array(labels) != rng.integers(0, 2)] = 0
+        image = Subspace.from_vectors(p, d, rows)
+        if image.dim == m:
+            break
+    while True:
+        rest = (rng.integers(0, p, size=(d - m, d)) if split else
+                np.eye(d, dtype=np.int64)[[j for j in range(d)
+                                           if j not in image.pivots]])
+        P = Mat.from_array(p, np.vstack([image.basis_matrix().to_array(),
+                                         rest]).reshape(d, d))
+        if rref(P)[1] == d:
+            break
+    gens = []
+    for _ in range(rng.integers(1, 3)):
+        # block lower triangular over the rows of P: the image is fixed
+        g = np.zeros((d, d), dtype=np.int64)
+        if split:
+            g[:m, :m] = np.eye(m, dtype=np.int64)[rng.permutation(m)]
+            g[m:, m:] = np.eye(d - m, dtype=np.int64)[rng.permutation(d - m)]
+        else:
+            g[:m, :m] = _random_invertible(rng, p, m)
+            g[m:, m:] = _random_invertible(rng, p, d - m)
+            g[m:, :m] = rng.integers(0, p, size=(d - m, m))
+        gens.append(_invert(P) @ Mat.from_array(p, g) @ P)
+    domain = Subspace.from_vectors(p, d, np.eye(d, dtype=np.int64))
+    return GroupAction(p, d, gens), image, domain, labels
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_projection_system_matches_dict_loop_reference(p):
+    rng = np.random.default_rng(100 + p)
+    F = field(p)
+    graded = families = 0
+    for t in range(48):
+        d = 1 + t % 6
+        m = (0, d, int(rng.integers(0, d + 1)))[t % 3]  # k = 0 and m = 0 too
+        action, image, domain, labels = _random_projection_case(
+            rng, p, d, m, split=t % 4 != 3)
+        for lab in (None, labels):
+            prob = _projection_problem(action, image, domain, labels=lab)
+            allowed = None if lab is None else _reference_ansatz(prob, lab)
+            assert (allowed is None) == (prob["graded"] is None)
+            attempts = [(None, None)]
+            if allowed is not None:
+                attempts.append((prob["graded"], allowed))
+                graded += 1
+            for mask, ref in attempts:
+                index, nunk, rows, rhs = _assemble_projection_system(prob,
+                                                                     mask)
+                unk, ref_rows, ref_rhs = _reference_system(prob, ref)
+                assert nunk == len(unk)
+                assert {(int(u), int(v)): int(index[u, v])
+                        for u, v in zip(*np.nonzero(index >= 0))} == unk
+                assert [(F.key(r), b) for r, b in zip(rows, rhs)] == \
+                    [(F.key(r), b) for r, b in zip(ref_rows, ref_rhs)]
+                got = _solve_linear_system(p, rows, rhs, nunk)
+                want = _reference_solve(p, ref_rows, ref_rhs, nunk)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert F.key(got[0]) == F.key(want[0])
+                    assert list(map(F.key, got[1])) == \
+                        list(map(F.key, want[1]))
+                    families += bool(rows) and bool(got[1])
+    assert graded >= 10 and families >= 5
+
+
+def test_projection_system_chunks_agree(monkeypatch):
+    rng = np.random.default_rng(7)
+    action, image, domain, labels = _random_projection_case(rng, 3, 5, 2,
+                                                            split=False)
+    prob = _projection_problem(action, image, domain)
+    whole = _assemble_projection_system(prob)
+    monkeypatch.setattr(linalg, "_CHUNK", 1)  # one equation per block
+    parts = _assemble_projection_system(prob)
+    assert np.array_equal(whole[0], parts[0])
+    assert [r.tobytes() for r in whole[2]] == [r.tobytes() for r in parts[2]]
+    assert whole[3] == parts[3]
+
+
+def _sparse_rows(rng, nrows, width, bits):
+    arr = np.zeros((nrows, width), dtype=np.int64)
+    for row in arr:
+        row[rng.choice(width, size=bits, replace=False)] = 1
+    return field(2).from_array(arr)
+
+
+@pytest.mark.parametrize("nrows,width,dense", [
+    (600, 700, False), (400, 700, False), (700, 520, False),
+    (520, 520, True), (300, 300, True), (600, 600, True),
+])
+def test_ech2_paths_agree(nrows, width, dense):
+    rng = np.random.default_rng(nrows * width)
+    if dense:
+        rows = field(2).from_array(rng.integers(0, 2, size=(nrows, width)))
+    else:
+        rows = _sparse_rows(rng, nrows, width, 3)
+    rows += [rows[0] ^ rows[1], 0, rows[2]]  # rank-deficient
+    words, wpiv = _rref2_words(_rows_to_words(rows, width), width)
+    want = (_words_to_rows(words), wpiv)
+    assert _rref2_ints(rows) == want
+    assert _ech2(rows) == want
