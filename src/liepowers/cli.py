@@ -5,8 +5,11 @@ filtration (class-summand split of a tensor power), decompose (build and
 certify a B-family, optionally writing a certificate file), certify
 (re-verify a certificate file), selftest (quick or full check suites).
 
-Exit codes: 0 everything verified, 1 a mathematical invariant failed,
-2 usage or cap error, 3 complement-search exhaustion during decompose.
+Exit codes:
+  0  everything verified;
+  1  a certificate or mathematical invariant failed, including a degree
+     at which decompose finds no certified complement;
+  2  usage error, malformed input file, or dimension cap.
 
 JSON reports share one shape: {config, results, certificates, totals,
 timing_ms}.  Certificates reference payload entries holding subspaces
@@ -30,8 +33,8 @@ from .combinat import (
     young_character,
 )
 from .decompose import (
-    _DIM_CAP,
-    ComplementSearchExhausted,
+    _check_dense_dim,
+    _check_family_args,
     DecompositionResult,
     DegreeData,
     certify_decomposition,
@@ -55,7 +58,7 @@ class RunConfig:
     """One parsed invocation."""
 
     __slots__ = ("command", "p", "n", "r", "k", "max_degree", "fmt",
-                 "out", "level", "max_search", "certificate")
+                 "out", "level", "certificate")
 
     def __init__(self, **kw):
         for name in self.__slots__:
@@ -71,10 +74,8 @@ def _check_caps(cfg, need_r=False, need_power=None):
         raise ValueError("p must be a prime >= 2")
     if need_r and not 1 <= cfg.r <= _MAX_R:
         raise ValueError("r out of range 1..%d" % _MAX_R)
-    if need_power is not None and cfg.n ** need_power > _DIM_CAP:
-        raise ValueError(
-            "n^%d = %d exceeds the dense-dimension cap %d"
-            % (need_power, cfg.n ** need_power, _DIM_CAP))
+    if need_power is not None:
+        _check_dense_dim(cfg.n, need_power)
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +192,10 @@ def cmd_decompose(cfg):
     max_degree = cfg.max_degree
     if k is None or max_degree is None:
         raise ValueError("decompose requires --k and --max-degree")
-    result = construct_B_family(n, p, k, max_degree,
-                                max_search=cfg.max_search)
+    result = construct_B_family(n, p, k, max_degree)
     report = certify_decomposition(result)
+    # "stage" (always 1) and "max_search" (always 64) are fixed fields of
+    # this report format, kept so existing reports stay byte-identical
     rows = []
     certs = []
     payloads = {}
@@ -208,7 +210,7 @@ def cmd_decompose(cfg):
                      "lower_dims": [[c * k, piece.dim]
                                     for c, piece in data.lower],
                      "lie_dim": witt_dim(n, q),
-                     "stage": data.stage})
+                     "stage": 1})
         payloads["basis/%d" % q] = _subspace_payload(data.basis, n, q)
         payloads["projection/%d" % q] = _matrix_payload(data.projection)
         for name, ok in report["degrees"][q]:
@@ -217,12 +219,12 @@ def cmd_decompose(cfg):
             if name.startswith("projection certificate"):
                 certs.append({"kind": "projection", "degree_or_class": q,
                               "status": "ok" if ok else "fail",
-                              "stage": data.stage,
+                              "stage": 1,
                               "data_ref": "projection/%d" % q})
             elif name.startswith("basis"):
                 certs.append({"kind": "basis", "degree_or_class": q,
                               "status": "ok" if ok else "fail",
-                              "stage": data.stage,
+                              "stage": 1,
                               "data_ref": "basis/%d" % q})
             else:
                 certs.append({"kind": "splitting", "degree_or_class": q,
@@ -230,7 +232,7 @@ def cmd_decompose(cfg):
                               "stage": None, "data_ref": None})
     payload = {
         "config": {"command": "decompose", "p": p, "n": n, "k": k,
-                   "max_degree": max_degree, "max_search": cfg.max_search},
+                   "max_degree": max_degree, "max_search": 64},
         "results": rows,
         "certificates": certs,
         "payloads": payloads,
@@ -266,7 +268,7 @@ def _result_from_payload(payload):
     with _reading("config"):
         p, n, k, max_degree = _ints(payload["config"], "p", "n", "k",
                                     "max_degree")
-    if k < 1:
+    if k < 1:  # the degree range below needs a positive step
         raise ValueError("k must be positive")
     with _reading("results"):
         rows = list(payload["results"])
@@ -284,8 +286,12 @@ def _result_from_payload(payload):
     if got != list(want):
         raise ValueError("report results cover degrees %s, expected %s"
                          % (got, list(want)))
+    # the configuration must be one decompose accepts before any payload
+    # is parsed; after the count check, so a huge max_degree is named by
+    # its count rather than by the dimension cap
+    _check_family_args(n, p, k, max_degree)
     degrees = {}
-    for q, stage in entries:
+    for q, _ in entries:
         key = "basis/%d" % q
         with _reading("payload " + key):
             basis = _subspace_from_payload(payload["payloads"][key], n, q)
@@ -296,8 +302,7 @@ def _result_from_payload(payload):
             raise ValueError("projection payload size mismatch at degree "
                              "%d" % q)
         zero = Subspace.zero(p, n ** q)
-        degrees[q] = DegreeData(q, q // k, basis, zero, zero, [], proj,
-                                stage)
+        degrees[q] = DegreeData(q, q // k, basis, zero, zero, [], proj)
     return DecompositionResult(p, n, k, max_degree, degrees)
 
 
@@ -557,8 +562,6 @@ def build_parser():
     sp = sub.add_parser("decompose", help="construct and certify a "
                                           "B-family")
     add_common(sp, n=True, k=True)
-    sp.add_argument("--max-search", type=int, default=64,
-                    help="stage-3 complement candidate budget")
     sp = sub.add_parser("certify", help="re-verify a decompose report")
     sp.add_argument("certificate", help="path to a decompose JSON report")
     sp.add_argument("--format", choices=("text", "json", "csv"),
@@ -594,14 +597,10 @@ def main(argv=None):
                     fmt=getattr(args, "format", "text"),
                     out=getattr(args, "out", None),
                     level=getattr(args, "level", None),
-                    max_search=getattr(args, "max_search", 64),
                     certificate=getattr(args, "certificate", None))
     start = time.monotonic()
     try:
         payload, columns, code = _DISPATCH[cfg.command](cfg)
-    except ComplementSearchExhausted as exc:
-        print("complement search exhausted: %s" % exc, file=sys.stderr)
-        return 3
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

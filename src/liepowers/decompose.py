@@ -13,20 +13,13 @@ The complement W_{sk} (the new part of B_{sk} beyond the bracket pieces
 carried up from lower degrees) is found by an equivariant-projection
 solve inside L^{sk}(V), trying weight-preserving solutions first.  The
 direct-summand certificate for B_{sk} inside the full tensor power is
-then attempted in three stages:
-
-1. canonical: lift the idempotent of the p-class of the one-part cycle
-   type to an operator E on T^q, build the span of class-symmetrised
-   products of lower-degree basis elements (the star span), and verify
-   that T^q = B + star span + ker E; the projection along the last two
-   is the certificate.  This avoids any solve at tensor-power scale.
-2. direct: for small dimensions, solve for an equivariant projection of
-   T^q onto B outright.
-3. search: walk the affine family of equivariant complements W and
-   retry both certificates for each candidate, up to a configurable cap.
-
-Exhaustion of stage 3 raises ComplementSearchExhausted; the theorems
-predict feasibility, so this is always a loudly-reported failure.
+the projection onto B_{sk} along the star span plus ker E: E lifts the
+idempotent of the p-class of the one-part cycle type to an operator on
+T^q, and the star span is spanned by class-symmetrised products of
+lower-degree basis elements.  No solve at tensor-power scale is needed.
+The theorems predict that every check on this route passes, so any
+failure raises ComplementSearchExhausted naming the degree and the
+reason.
 
 A certificate P (N x N) for a basis B (r x N, canonical, pivot columns
 pi) is checked through C = P[:, pi] without any N x N x N product:
@@ -68,8 +61,6 @@ from .linalg import (
     SpanBuilder,
     Subspace,
     _invert,
-    affine_projection_family,
-    check_prime,
     field,
     index_to_word,
     is_direct_sum,
@@ -91,24 +82,50 @@ __all__ = [
     "certify_decomposition",
 ]
 
-# stage-2 whole-tensor-power solves are only attempted below this dimension
-_DIRECT_CERT_CAP = 256
-# default stage-3 candidate budget
-_DEFAULT_MAX_SEARCH = 64
 # hard dimension cap before any dense allocation
 _DIM_CAP = 20000
-
-
-class ComplementSearchExhausted(RuntimeError):
-    """All strategies for an equivariant complement failed."""
 
 
 def _rowspace(m, ambient):
     return Subspace.from_packed(m.p, ambient, m.packed_rows())
 
 
-def _full_space(p, ambient):
-    return _rowspace(Mat.identity(p, ambient), ambient)
+class ComplementSearchExhausted(ArithmeticError):
+    """No certified equivariant complement at one degree."""
+
+    def __init__(self, degree, reason):
+        super().__init__("degree %d: %s" % (degree, reason))
+        self.degree = degree
+
+
+def _check_dense_dim(n, q):
+    """Raise ValueError when n^q exceeds the dense-dimension cap, found by
+    multiplying up to the cap rather than forming a power of any size."""
+    if n == 1:
+        return
+    dim = 1
+    for _ in range(q):
+        dim *= n
+        if dim > _DIM_CAP:
+            raise ValueError(
+                "n=%d at degree %d exceeds the dense-dimension cap %d"
+                % (n, q, _DIM_CAP))
+
+
+def _check_family_args(n, p, k, max_degree):
+    """Raise ValueError unless p is a usable prime, n >= 1, k >= 1, p does
+    not divide k, max_degree >= k, and the top degree is within the
+    dense-dimension cap."""
+    field(p)
+    if k < 1:
+        raise ValueError("k must be positive")
+    if k % p == 0:
+        raise ValueError("k must not be divisible by p")
+    if n < 1:
+        raise ValueError("n must be positive")
+    if max_degree < k:
+        raise ValueError("max_degree is below k; nothing to construct")
+    _check_dense_dim(n, max_degree // k * k)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +207,7 @@ def split_tensor_power(n, r, p):
                 % (cls.smallest, summand.dim, chain[0], sum(factors)))
         entries.append(ClassSummand(members, summand, chain, factors))
         summands.append(summand)
-    if not is_direct_sum(summands, _full_space(p, N)):
+    if not is_direct_sum(summands, _rowspace(Mat.identity(p, N), N)):
         raise ArithmeticError(
             "class summands do not decompose the tensor power (p=%d, "
             "n=%d, r=%d)" % (p, n, r))
@@ -220,10 +237,10 @@ class DegreeData:
     """Everything retained for one constructed degree q = s k."""
 
     __slots__ = ("degree", "s", "basis", "elim", "complement", "lower",
-                 "projection", "stage")
+                 "projection")
 
     def __init__(self, degree, s, basis, elim, complement, lower,
-                 projection, stage):
+                 projection):
         self.degree = degree
         self.s = s
         self.basis = basis            # B_q, a Subspace of T^q(V)
@@ -231,11 +248,10 @@ class DegreeData:
         self.complement = complement  # the new equivariant complement W_q
         self.lower = lower            # [(c, L^{s/c} on the degree-ck basis)]
         self.projection = projection  # certificate: T^q -> T^q onto basis
-        self.stage = stage            # which strategy produced it (1/2/3)
 
     def __repr__(self):
-        return "DegreeData(degree=%d, dim B=%d, stage=%d)" % (
-            self.degree, self.basis.dim, self.stage)
+        return "DegreeData(degree=%d, dim B=%d)" % (
+            self.degree, self.basis.dim)
 
 
 class DecompositionResult:
@@ -298,10 +314,6 @@ def _complement_from(space, proj):
     return Subspace.from_packed(space.p, space.ambient, amb.packed_rows())
 
 
-class _CanonicalUnavailable(Exception):
-    pass
-
-
 def _multisets_with_slot_sum(elems, total):
     """Non-decreasing index tuples into elems with slot counts summing
     to total; elems is a list of (slots, vector)."""
@@ -329,7 +341,7 @@ def _canonical_data(q, k, n, p, family, action):
     basis (of the lengths a p-power ladder prescribes) are multiplied in
     non-decreasing order and hit with the class idempotent of the
     matching p-class, computed in base-d coordinates and then expanded
-    into T^q(V).  Raises _CanonicalUnavailable when any rank check
+    into T^q(V).  Raises ComplementSearchExhausted when any rank check
     fails.
     """
     N = n ** q
@@ -347,11 +359,12 @@ def _canonical_data(q, k, n, p, family, action):
     try:
         E = class_projector(n, e0)
     except ArithmeticError as exc:
-        raise _CanonicalUnavailable("projector lifting failed: %s" % exc)
+        raise ComplementSearchExhausted(
+            q, "projector lifting failed: %s" % exc)
     image = _rowspace(E, N)
     if image.dim != expect:
-        raise _CanonicalUnavailable(
-            "class projector rank %d, expected %d" % (image.dim, expect))
+        raise ComplementSearchExhausted(
+            q, "class projector rank %d, expected %d" % (image.dim, expect))
     kernel = _rowspace(Mat.identity(p, N) - E, N)
 
     # graded generating sets over each lower degree d
@@ -462,8 +475,8 @@ def _canonical_data(q, k, n, p, family, action):
 
     star = Subspace.from_packed(p, N, star_rows)
     if star.dim != expected_count:
-        raise _CanonicalUnavailable(
-            "star span has rank %d from %d products"
+        raise ComplementSearchExhausted(
+            q, "star span has rank %d from %d products"
             % (star.dim, expected_count))
     return {
         "members": members,
@@ -520,113 +533,60 @@ def _projection_flaw(proj, basis, action):
     return None
 
 
-def _split_off(q, k, n, p, action, lie, lower_sum, elim, family,
-               max_search):
+def _split_off(q, k, n, p, action, lie, lower_sum, elim, family):
     """Find W complementing the settled part of L^q and certify
-    B = elim + W as a direct summand of T^q.  Returns (basis, W,
-    projection, stage)."""
+    B = elim + W as a direct summand of T^q by the projection along the
+    star span plus ker E.  Returns (basis, W, projection); any failure
+    raises ComplementSearchExhausted naming q and the reason."""
     N = n ** q
     known = lower_sum.sum(elim)
     if known.dim != lower_sum.dim + elim.dim:
         raise ArithmeticError(
             "bracket pieces overlap the lower Lie pieces at degree %d" % q)
-
-    canon = None
-    canon_reason = None
-    try:
-        canon = _canonical_data(q, k, n, p, family, action)
-    except _CanonicalUnavailable as exc:
-        canon_reason = str(exc)
-    if canon is not None:
-        # the star span must meet the Lie power exactly in the lower
-        # Lie pieces, and must stack with it to the full class summand
-        if canon["star"].intersect(lie) != lower_sum:
-            canon_reason = "star span meets the Lie power incorrectly"
-            canon = None
-    if canon is not None:
-        merged = canon["star"].sum(lie)
-        if merged.dim != canon["expect"]:
-            canon_reason = ("star span plus Lie power has dimension %d, "
-                            "expected %d" % (merged.dim, canon["expect"]))
-            canon = None
-        else:
-            img = merged.basis_matrix() @ canon["projector"]
-            if Subspace.from_packed(p, N, img.packed_rows()).dim != merged.dim:
-                canon_reason = ("class projector is not injective on the "
-                                "star-extended Lie power")
-                canon = None
-
-    def try_canonical(wcand):
-        if canon is None:
-            return None
-        cand = elim.sum(wcand)
-        if cand.dim != elim.dim + wcand.dim:
-            return None
-        proj = _assemble_certificate(p, N, cand, canon["star"],
-                                     canon["kernel"])
-        if proj is None or _projection_flaw(proj, cand, action) is not None:
-            return None
-        return cand, proj
-
-    def try_direct(wcand):
-        if N > _DIRECT_CERT_CAP:
-            return None
-        cand = elim.sum(wcand)
-        if cand.dim != elim.dim + wcand.dim:
-            return None
-        proj = solve_equivariant_projection(action, cand, _full_space(p, N))
-        if proj is None or _projection_flaw(proj, cand, action) is not None:
-            return None
-        return cand, proj
+    # the canonical data need only the family below q; building them
+    # before the solve also keeps the heap peak lower
+    canon = _canonical_data(q, k, n, p, family, action)
+    star = canon["star"]
+    # the star span must meet the Lie power exactly in the lower Lie
+    # pieces, and must stack with it to the full class summand
+    if star.intersect(lie) != lower_sum:
+        raise ComplementSearchExhausted(
+            q, "star span meets the Lie power incorrectly")
+    merged = star.sum(lie)
+    if merged.dim != canon["expect"]:
+        raise ComplementSearchExhausted(
+            q, "star span plus Lie power has dimension %d, expected %d"
+            % (merged.dim, canon["expect"]))
+    img = merged.basis_matrix() @ canon["projector"]
+    if Subspace.from_packed(p, N, img.packed_rows()).dim != merged.dim:
+        raise ComplementSearchExhausted(
+            q, "class projector is not injective on the star-extended Lie "
+            "power")
 
     if known.dim == lie.dim:
-        first = Subspace.zero(p, N)
+        wnew = Subspace.zero(p, N)
     else:
         labels = _weight_labels(lie, n, q)
         sol = solve_equivariant_projection(action, known, lie, labels=labels)
         if sol is None:
             raise ComplementSearchExhausted(
-                "degree %d: no equivariant projection of the Lie power "
-                "onto the settled part exists" % q)
-        first = _complement_from(lie, sol)
+                q, "no equivariant projection of the Lie power onto the "
+                "settled part exists")
+        wnew = _complement_from(lie, sol)
 
-    got = try_canonical(first)
-    if got is not None:
-        return got[0], first, got[1], 1
-    got = try_direct(first)
-    if got is not None:
-        return got[0], first, got[1], 2
-
-    tried = 1
-    if known.dim < lie.dim:
-        fam = affine_projection_family(action, known, lie)
-        if fam is not None:
-            base, dirs = fam
-            total = p ** len(dirs)
-            t = 0
-            while t < total and tried < max_search:
-                combo = base
-                rem = t
-                for direction in dirs:
-                    digit = rem % p
-                    rem //= p
-                    if digit:
-                        combo = combo + direction.scale(digit)
-                wcand = _complement_from(lie, combo)
-                if wcand != first:
-                    tried += 1
-                    got = try_canonical(wcand)
-                    if got is not None:
-                        return got[0], wcand, got[1], 3
-                    got = try_direct(wcand)
-                    if got is not None:
-                        return got[0], wcand, got[1], 3
-                t += 1
-    detail = "" if canon_reason is None else (
-        "; canonical certificate unavailable (%s)" % canon_reason)
-    raise ComplementSearchExhausted(
-        "degree %d: %d complement candidates exhausted without a "
-        "certified projection%s" % (q, tried, detail))
+    basis = elim.sum(wnew)
+    if basis.dim != elim.dim + wnew.dim:
+        raise ComplementSearchExhausted(
+            q, "complement meets the bracket pieces")
+    proj = _assemble_certificate(p, N, basis, star, canon["kernel"])
+    if proj is None:
+        raise ComplementSearchExhausted(
+            q, "basis, star span and class-projector kernel do not stack "
+            "to a basis")
+    flaw = _projection_flaw(proj, basis, action)
+    if flaw is not None:
+        raise ComplementSearchExhausted(q, flaw)
+    return basis, wnew, proj
 
 
 def _settled_part(q, k, n, p, family):
@@ -721,34 +681,34 @@ def _settled_part(q, k, n, p, family):
     return lower, lower_sum, elim
 
 
-def construct_B_family(n, p, k, max_degree, max_search=_DEFAULT_MAX_SEARCH):
+def _build_degree(q, k, n, p, action, lie, family):
+    """DegreeData for q = s k with s >= 2, from the family below q: the
+    settled part of L^q, the certified split, and the check that L^q is
+    the direct sum of the lower Lie pieces and the new basis."""
+    lower, lower_sum, elim = _settled_part(q, k, n, p, family)
+    basis, wnew, proj = _split_off(q, k, n, p, action, lie, lower_sum,
+                                   elim, family)
+    pieces = [piece for _, piece in lower if piece.dim]
+    if not is_direct_sum(pieces + [basis], lie):
+        raise ArithmeticError(
+            "degree-%d Lie power fails to split into the lower pieces "
+            "plus the new basis" % q)
+    return DegreeData(q, q // k, basis, elim, wnew, lower, proj)
+
+
+def construct_B_family(n, p, k, max_degree):
     """Build the family B_k, B_2k, ... splitting Lie powers off tensor
     powers, with a certified equivariant projection at every degree.
 
     Requires p prime, p not dividing k, and n^max_degree within the
-    dense-dimension cap.  Every verification failure raises
-    ArithmeticError; complement-search exhaustion raises
-    ComplementSearchExhausted.
+    dense-dimension cap (ValueError otherwise).  Every verification
+    failure raises ArithmeticError, ComplementSearchExhausted included.
     """
-    check_prime(p)
-    if k < 1:
-        raise ValueError("k must be positive")
-    if k % p == 0:
-        raise ValueError("k must not be divisible by p")
-    if n < 1:
-        raise ValueError("n must be positive")
-    smax = max_degree // k
-    if smax < 1:
-        raise ValueError("max_degree is below k; nothing to construct")
-    if n ** (smax * k) > _DIM_CAP:
-        raise ValueError(
-            "n^%d = %d exceeds the dense-dimension cap %d"
-            % (smax * k, n ** (smax * k), _DIM_CAP))
+    _check_family_args(n, p, k, max_degree)
     gens = gl_generators(n, p)
     degrees = {}
-    for s in range(1, smax + 1):
+    for s in range(1, max_degree // k + 1):
         q = s * k
-        N = n ** q
         action = induce_on_tensor_power(gens, q)
         lie = lie_power(p, n, q)
         if s == 1:
@@ -758,42 +718,28 @@ def construct_B_family(n, p, k, max_degree, max_search=_DEFAULT_MAX_SEARCH):
             if flaw is not None:
                 raise ArithmeticError(
                     "degree-%d bracketing projection: %s" % (q, flaw))
-            degrees[q] = DegreeData(q, s, lie, Subspace.zero(p, N), lie,
-                                    [], proj, 1)
+            degrees[q] = DegreeData(q, s, lie, Subspace.zero(p, n ** q),
+                                    lie, [], proj)
             continue
-
-        lower, lower_sum, elim = _settled_part(q, k, n, p, degrees)
-        basis, wnew, proj, stage = _split_off(
-            q, k, n, p, action, lie, lower_sum, elim, degrees, max_search)
-        pieces = [piece for _, piece in lower if piece.dim]
-        if not is_direct_sum(pieces + [basis], lie):
-            raise ArithmeticError(
-                "degree-%d Lie power fails to split into the lower pieces "
-                "plus the new basis" % q)
-        degrees[q] = DegreeData(q, s, basis, elim, wnew, lower, proj, stage)
+        degrees[q] = _build_degree(q, k, n, p, action, lie, degrees)
     return DecompositionResult(p, n, k, max_degree, degrees)
 
 
 def canonical_complement(q, k, n, p, family):
-    """The new complement W at degree q produced by the canonical
-    (stage-1) route, given the family data below q.
+    """The new complement W at degree q, given the family data below q.
 
     family maps constructed degrees to DegreeData.  Recomputes the
     settled part of L^q from the family, solves for an equivariant
-    complement, and verifies the canonical certificate.  Raises
-    ComplementSearchExhausted when no certified candidate is found
-    within the default search budget, and ValueError when a degree
-    below q that the settled part needs is missing from family.
+    complement, and verifies its certificate and the splitting of L^q.
+    Raises ComplementSearchExhausted when the certificate fails, and
+    ValueError when a degree below q that the settled part needs is
+    missing from family.
     """
+    if q % k or q // k < 2:
+        raise ValueError("degree must be a multiple of k of weight >= 2")
     action = induce_on_tensor_power(gl_generators(n, p), q)
     lie = lie_power(p, n, q)
-    s = q // k
-    if q % k or s < 2:
-        raise ValueError("degree must be a multiple of k of weight >= 2")
-    _, lower_sum, elim = _settled_part(q, k, n, p, family)
-    _, wnew, _, _ = _split_off(q, k, n, p, action, lie, lower_sum, elim,
-                               family, _DEFAULT_MAX_SEARCH)
-    return wnew
+    return _build_degree(q, k, n, p, action, lie, family).complement
 
 
 def certify_decomposition(result, companion=None):

@@ -586,8 +586,10 @@ def field(p):
     """
     if p == 0:
         raise ValueError("linear algebra needs a prime modulus, got 0")
-    if (check_prime(p) - 1) ** 2 >= _EXACT:
+    # the bound comes first: trial division of a large p takes minutes
+    if isinstance(p, int) and p > 1 and (p - 1) ** 2 >= _EXACT:
         raise ValueError("modulus %d too large: need (p - 1)^2 < 2^53" % p)
+    check_prime(p)
     return _GF2() if p == 2 else _GFp(p)
 
 
@@ -1138,8 +1140,8 @@ def affine_projection_family(action, image, domain, labels=None, max_kernel=None
     """The full affine family of solutions of the projection system.
 
     Returns (particular Mat, [kernel-direction Mats]) or None if
-    infeasible.  Used by exhaustive fallback searches; ``max_kernel``
-    truncates the direction list.
+    infeasible; ``max_kernel`` truncates the direction list.  No package
+    code calls it; it stays while ``bench/tracer.py`` wraps it by name.
     """
     prob = _projection_problem(action, image, domain, labels=labels)
     if prob is None:

@@ -187,7 +187,7 @@ def test_criterion_06_filtration_theorem():
 def test_criterion_07_decomposition_flagship():
     """p=2, k=3, n=2 family through degree 12 with certificates."""
     start = time.monotonic()
-    res = construct_B_family(2, 2, 3, 12, max_search=64)
+    res = construct_B_family(2, 2, 3, 12)
     assert res.b_dims() == {3: 2, 6: 8, 9: 54, 12: 304}
     lower6 = [piece.dim for _, piece in res.degrees[6].lower]
     lower9 = [piece.dim for _, piece in res.degrees[9].lower]

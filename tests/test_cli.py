@@ -1,8 +1,10 @@
 import copy
 import json
+import time
 
 import pytest
 
+import liepowers.decompose as decompose_module
 from liepowers.cli import main
 
 
@@ -70,6 +72,10 @@ def test_decompose_json_and_roundtrip(tmp_path, capsys):
     data = json.loads(out_file.read_text())
     assert [row["b_dim"] for row in data["results"]] == [2, 8]
     assert all(c["status"] == "ok" for c in data["certificates"])
+    assert all(row["stage"] == 1 for row in data["results"])
+    assert all(c["stage"] == 1 for c in data["certificates"]
+               if c["kind"] in ("projection", "basis"))
+    assert data["config"]["max_search"] == 64
     assert data["totals"]["checks"] == data["totals"]["passed"]
     code = main(["certify", str(out_file)])
     capsys.readouterr()
@@ -173,6 +179,22 @@ def _wrong_degree(payload):
     return payload
 
 
+def _empty_family(payload):
+    payload["config"]["max_degree"] = payload["config"]["k"] - 1
+    payload["results"] = []
+    return payload
+
+
+def _p_divides_k(payload):
+    payload["config"]["p"] = 2  # k = 2
+    return payload
+
+
+def _p_is_a_large_prime(payload):
+    payload["config"]["p"] = 2 ** 61 - 1  # no trial division up to 2^30
+    return payload
+
+
 @pytest.mark.parametrize("mutate,message", [
     (_drop_top_degree, "result count 1, expected 2"),
     (_p_is_a_float, "malformed config: p is 2.5, not an integer"),
@@ -188,6 +210,9 @@ def _wrong_degree(payload):
     (_result_is_a_number, "malformed results entry 0"),
     (_degree_is_null, "malformed results entry 0"),
     (_basis_is_a_string, "malformed payload basis/4"),
+    (_empty_family, "max_degree is below k"),
+    (_p_divides_k, "k must not be divisible by p"),
+    (_p_is_a_large_prime, "need (p - 1)^2 < 2^53"),
 ])
 def test_certify_rejects_malformed_report(odd_report, tmp_path, capsys,
                                           mutate, message):
@@ -227,9 +252,40 @@ def test_decompose_modulus_past_exact_bound_exit_2(capsys):
     assert "2^53" in capsys.readouterr().err
 
 
+def test_decompose_dimension_cap_exit_2(capsys):
+    # the cap is decided without forming 3^(10^7)
+    start = time.monotonic()
+    assert main(["decompose", "--p", "2", "--n", "3", "--k", "1",
+                 "--max-degree", "10000000"]) == 2
+    assert time.monotonic() - start < 1
+    assert "dense-dimension cap" in capsys.readouterr().err
+    assert main(["decompose", "--p", "2", "--n", "3", "--k", "1",
+                 "--max-degree", "100000"]) == 2
+    assert "dense-dimension cap" in capsys.readouterr().err
+
+
+def test_decompose_stage_one_failure_exit_1(monkeypatch, capsys):
+    def forced(*args):
+        raise ArithmeticError("forced")
+
+    monkeypatch.setattr(decompose_module, "class_projector", forced)
+    assert main(["decompose", "--p", "2", "--n", "2", "--k", "3",
+                 "--max-degree", "6"]) == 1
+    err = capsys.readouterr().err
+    assert "invariant failed: degree 6: projector lifting failed: forced" \
+        in err
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["dims", "--p", "2"])
+    assert exc.value.code == 2
+
+
+def test_max_search_is_not_an_option():
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--p", "2", "--n", "2", "--k", "3",
+              "--max-degree", "6", "--max-search", "5"])
     assert exc.value.code == 2
 
 

@@ -113,13 +113,40 @@ def test_family_deterministic():
     for q in a.degrees:
         assert a.degrees[q].basis == b.degrees[q].basis
         assert a.degrees[q].projection == b.degrees[q].projection
-        assert a.degrees[q].stage == b.degrees[q].stage
 
 
-def test_stages_recorded():
-    res = construct_B_family(2, 3, 2, 6)
-    for data in res.degrees.values():
-        assert data.stage in (1, 2, 3)
+def _forced_failure(*args):
+    raise ArithmeticError("forced")
+
+
+def test_stage_one_failure_is_loud(monkeypatch):
+    monkeypatch.setattr(decompose_module, "class_projector", _forced_failure)
+    with pytest.raises(ComplementSearchExhausted) as exc:
+        construct_B_family(2, 2, 3, 6)
+    assert exc.value.degree == 6
+    assert str(exc.value) == "degree 6: projector lifting failed: forced"
+
+
+def test_projection_flaw_reaches_the_failure(monkeypatch):
+    res = construct_B_family(2, 2, 3, 3)
+    monkeypatch.setattr(decompose_module, "_projection_flaw",
+                        lambda proj, basis, action: "forced flaw")
+    with pytest.raises(ComplementSearchExhausted,
+                       match="^degree 6: forced flaw$"):
+        canonical_complement(6, 3, 2, 2, res.degrees)
+
+
+def test_family_rejects_zero_modulus():
+    with pytest.raises(ValueError, match="prime modulus, got 0"):
+        construct_B_family(2, 0, 1, 2)
+
+
+def test_dense_dimension_cap_boundary():
+    decompose_module._check_dense_dim(2, 14)  # 16384
+    with pytest.raises(ValueError, match="n=2 at degree 15 exceeds"):
+        decompose_module._check_dense_dim(2, 15)
+    # n = 1 never reaches the cap, however large the degree
+    decompose_module._check_dense_dim(1, 10 ** 12)
 
 
 def test_tampered_projection_detected():

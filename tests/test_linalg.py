@@ -157,7 +157,8 @@ def _exact_product(a, b, p):
 
 def test_field_rejects_primes_past_the_exact_bound():
     assert (_P_CAP - 1) ** 2 < 2 ** 53 <= (_P_OVER - 1) ** 2
-    for p in (_P_OVER, 2147483659):
+    # 2^61 - 1 is prime: the bound is checked before any trial division
+    for p in (_P_OVER, 2147483659, 2 ** 61 - 1):
         with pytest.raises(ValueError, match="2\\^53"):
             field(p)
         with pytest.raises(ValueError):
