@@ -49,7 +49,7 @@ from .descent import (
     multiply_permutation_oracle,
 )
 from .freelie import lie_power, symmetrize_extend, truncate_subspace
-from .linalg import Mat, Subspace, format_subspace, parse_subspace
+from .linalg import Mat, Subspace, field, format_subspace, parse_subspace
 
 _MAX_R = 30
 
@@ -70,8 +70,7 @@ def _part_str(lam):
 
 
 def _check_caps(cfg, need_r=False, need_power=None):
-    if cfg.p is not None and cfg.p < 2:
-        raise ValueError("p must be a prime >= 2")
+    field(cfg.p)  # ValueError unless p is a prime the field code accepts
     if need_r and not 1 <= cfg.r <= _MAX_R:
         raise ValueError("r out of range 1..%d" % _MAX_R)
     if need_power is not None:

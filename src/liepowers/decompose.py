@@ -21,6 +21,17 @@ The theorems predict that every check on this route passes, so any
 failure raises ComplementSearchExhausted naming the degree and the
 reason.
 
+The route runs one weight space T^q_alpha (the words of one letter
+content) at a time.  E keeps letter content, and B, the star span and
+ker E are sums of their weight components, so E is held as its weight
+blocks (``class_projector``), and its rank and kernel, the check that E
+is injective on the star-extended Lie power, and the inverse of the
+stacked rows behind P are computed block by block; P is written from
+its blocks.  A canonical row that crosses weight spaces means a space is
+not graded, and raises ComplementSearchExhausted.  Generators act
+through the action's ``times``, so the only n^q x n^q matrix formed is
+the reported P.
+
 A certificate P (N x N) for a basis B (r x N, canonical, pivot columns
 pi) is checked through C = P[:, pi] without any N x N x N product:
 
@@ -33,6 +44,8 @@ pi) is checked through C = P[:, pi] without any N x N x N product:
 
 from itertools import product as iter_product
 
+import numpy as np
+
 from .combinat import (
     higher_lie_dim,
     p_equivalence_classes,
@@ -40,6 +53,8 @@ from .combinat import (
     witt_dim,
 )
 from .descent import (
+    _assemble,
+    _weight_blocks,
     class_projector,
     element_action_matrix,
     lift_idempotents,
@@ -64,6 +79,7 @@ from .linalg import (
     field,
     index_to_word,
     is_direct_sum,
+    rref,
     solve_equivariant_projection,
     word_weight,
 )
@@ -333,8 +349,9 @@ def _multisets_with_slot_sum(elems, total):
     return out
 
 
-def _canonical_data(q, k, n, p, family, action):
-    """Class projector, its kernel, and the star span at degree q.
+def _canonical_data(q, k, n, p, family):
+    """Class projector, its kernel, and the star span at degree q; the
+    projector and its kernel are kept per weight space.
 
     The star span is built from products of lower-degree basis elements:
     for each proper divisor degree d, Lie elements over the degree-d
@@ -361,11 +378,16 @@ def _canonical_data(q, k, n, p, family, action):
     except ArithmeticError as exc:
         raise ComplementSearchExhausted(
             q, "projector lifting failed: %s" % exc)
-    image = _rowspace(E, N)
-    if image.dim != expect:
+    # E is block diagonal over the weight spaces, so its kernel is the sum
+    # of those of its blocks; each block is idempotent (the lift returns
+    # only then), so its rank is its size less the rank of I - E_alpha
+    kernel = {alpha: _rowspace(Mat.identity(p, block.nrows) - block,
+                               block.nrows)
+              for alpha, block in E.items()}
+    rank = N - sum(space.dim for space in kernel.values())
+    if rank != expect:
         raise ComplementSearchExhausted(
-            q, "class projector rank %d, expected %d" % (image.dim, expect))
-    kernel = _rowspace(Mat.identity(p, N) - E, N)
+            q, "class projector rank %d, expected %d" % (rank, expect))
 
     # graded generating sets over each lower degree d
     ds = []
@@ -421,12 +443,15 @@ def _canonical_data(q, k, n, p, family, action):
 
     star_matrix_memo = {}
 
-    def star_matrix(c_d, step):
-        key = (c_d, step)
+    def star_matrix(b, c_d, step):
+        # the class idempotent of the slot pattern, acting on T^c_d over
+        # the degree-d basis
+        key = (b, c_d, step)
         got = star_matrix_memo.get(key)
         if got is None:
             fam_c = lift_idempotents(c_d, p)
-            got = fam_c.idempotent_for((step,) * (c_d // step))
+            got = element_action_matrix(
+                b, fam_c.idempotent_for((step,) * (c_d // step)))
             star_matrix_memo[key] = got
         return got
 
@@ -448,8 +473,7 @@ def _canonical_data(q, k, n, p, family, action):
                     else:
                         f = concat_packed(p, b, slots, f, ell, row)
                     slots += ell
-                starred = element_action_matrix(
-                    b, star_matrix(c_d, step)).apply(f)
+                starred = star_matrix(b, c_d, step).apply(f)
                 amb = F.zero(n ** (c_d * d))
                 for idx, c in F.terms(starred):
                     word = index_to_word(idx, b, c_d)
@@ -481,27 +505,53 @@ def _canonical_data(q, k, n, p, family, action):
     return {
         "members": members,
         "projector": E,
-        "image": image,
         "kernel": kernel,
         "star": star,
         "expect": expect,
     }
 
 
-def _assemble_certificate(p, ambient, basis, star, kernel):
+def _by_weight(space, n, q, what):
+    """The canonical rows of a subspace of T^q grouped by weight space:
+    weight -> Mat of its rows in that space's coordinates (its words in
+    ascending index order, as in ``_weight_blocks``).  A subspace has
+    this form exactly when it is the sum of its weight components; a row
+    that crosses weight spaces raises ComplementSearchExhausted."""
+    blocks = _weight_blocks(n, q)
+    label = np.empty(n ** q, dtype=np.intp)
+    for t, idx in enumerate(blocks.values()):
+        label[idx] = t
+    rows = field(space.p).digits(space.packed_rows(), space.ambient)
+    own = label[space.pivots]
+    if ((rows != 0) & (label != own[:, None])).any():
+        raise ComplementSearchExhausted(
+            q, "a row of the %s crosses weight spaces" % what)
+    return {alpha: Mat.from_array(space.p, rows[own == t][:, idx])
+            for t, (alpha, idx) in enumerate(blocks.items())}
+
+
+def _assemble_certificate(p, n, q, basis, star, kernel):
     """Projection onto basis along star + kernel, or None if the three
-    do not stack to a basis of the tensor power."""
-    rows = (list(basis.packed_rows()) + list(star.packed_rows())
-            + list(kernel.packed_rows()))
-    if len(rows) != ambient:
-        return None
-    try:
-        inv = _invert(Mat.from_packed(p, rows, ambient))
-    except ValueError:
-        return None
-    # the projection keeps the first b coordinates over the stacked rows:
-    # inv . diag(I_b, 0) . stacked = (first b columns of inv) . B
-    return inv.columns(range(basis.dim)) @ basis.basis_matrix()
+    do not stack to a basis of the tensor power.  basis and star map each
+    weight to their rows in it (see ``_by_weight``), and kernel to a
+    Subspace of it; the projection is assembled from one per weight
+    space, as the stacked rows are a basis exactly when they are one in
+    every weight space."""
+    pieces = {}
+    for alpha, b in basis.items():
+        d = b.ncols
+        rows = (b.packed_rows() + star[alpha].packed_rows()
+                + kernel[alpha].packed_rows())
+        if len(rows) != d:
+            return None
+        try:
+            inv = _invert(Mat.from_packed(p, rows, d))
+        except ValueError:
+            return None
+        # the projection keeps the first b coordinates over the stacked
+        # rows: inv . diag(I_b, 0) . stacked = (first b columns of inv) . B
+        pieces[alpha] = inv.columns(range(b.nrows)) @ b
+    return _assemble(p, n, q, pieces)
 
 
 def _projection_flaw(proj, basis, action):
@@ -523,12 +573,11 @@ def _projection_flaw(proj, basis, action):
     if B @ C != Mat.identity(proj.p, basis.dim):
         return "projection does not fix the stored basis"
     for gi in range(len(action.generators)):
-        g = action.induced_matrix(gi)
-        Bg = B @ g
+        Bg = action.times(gi, B)
         M = Bg.columns(basis.pivots)
         if M @ B != Bg:
             return "stored basis is not invariant under generator %d" % gi
-        if C @ M != g @ C:
+        if C @ M != action.times(gi, C, left=True):
             return "projection fails to commute with generator %d" % gi
     return None
 
@@ -545,7 +594,7 @@ def _split_off(q, k, n, p, action, lie, lower_sum, elim, family):
             "bracket pieces overlap the lower Lie pieces at degree %d" % q)
     # the canonical data need only the family below q; building them
     # before the solve also keeps the heap peak lower
-    canon = _canonical_data(q, k, n, p, family, action)
+    canon = _canonical_data(q, k, n, p, family)
     star = canon["star"]
     # the star span must meet the Lie power exactly in the lower Lie
     # pieces, and must stack with it to the full class summand
@@ -557,11 +606,13 @@ def _split_off(q, k, n, p, action, lie, lower_sum, elim, family):
         raise ComplementSearchExhausted(
             q, "star span plus Lie power has dimension %d, expected %d"
             % (merged.dim, canon["expect"]))
-    img = merged.basis_matrix() @ canon["projector"]
-    if Subspace.from_packed(p, N, img.packed_rows()).dim != merged.dim:
-        raise ComplementSearchExhausted(
-            q, "class projector is not injective on the star-extended Lie "
-            "power")
+    E = canon["projector"]
+    for alpha, rows in _by_weight(merged, n, q, "star-extended Lie "
+                                  "power").items():
+        if rref(rows @ E[alpha])[1] != rows.nrows:
+            raise ComplementSearchExhausted(
+                q, "class projector is not injective on the star-extended "
+                "Lie power")
 
     if known.dim == lie.dim:
         wnew = Subspace.zero(p, N)
@@ -578,7 +629,9 @@ def _split_off(q, k, n, p, action, lie, lower_sum, elim, family):
     if basis.dim != elim.dim + wnew.dim:
         raise ComplementSearchExhausted(
             q, "complement meets the bracket pieces")
-    proj = _assemble_certificate(p, N, basis, star, canon["kernel"])
+    proj = _assemble_certificate(p, n, q, _by_weight(basis, n, q, "basis"),
+                                 _by_weight(star, n, q, "star span"),
+                                 canon["kernel"])
     if proj is None:
         raise ComplementSearchExhausted(
             q, "basis, star span and class-projector kernel do not stack "

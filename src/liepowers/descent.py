@@ -20,7 +20,8 @@ X^c, the sums of them and their Newton lifts are built and multiplied one
 weight block at a time, at a cost of sum over alpha of dim(T^q_alpha)^3
 per product instead of (n^q)^3: for n = 2, q = 12 the largest block is
 924 and the blocks together cost 33 times less than one dense product.
-The dense n^q x n^q matrix is assembled only when a caller asks for it.
+The dense n^q x n^q matrix is assembled only when a caller asks for it;
+``class_projector`` hands out the blocks themselves.
 """
 
 from collections import Counter
@@ -384,16 +385,16 @@ def element_action_matrix(n, elem):
 
 def class_projector(n, elem):
     """``lift_matrix_idempotent`` of the action matrix of elem, lifted one
-    weight space at a time.
+    weight space at a time and returned as its weight blocks, keyed as in
+    ``_weight_blocks``; ``_assemble`` gives the dense matrix.
 
     Newton's map acts on each block on its own and fixes a block once it
-    is idempotent, so the result is the dense lift exactly, and it fails
-    (after the same rounds) exactly when the dense lift does.
+    is idempotent, so the blocks are those of the dense lift exactly, and
+    the lift fails (after the same rounds) exactly when the dense one does.
     """
     p = elem.p
-    return _assemble(p, n, elem.r, {
-        alpha: lift_matrix_idempotent(block, p)
-        for alpha, block in _element_blocks(n, elem).items()})
+    return {alpha: lift_matrix_idempotent(block, p)
+            for alpha, block in _element_blocks(n, elem).items()}
 
 
 def act_on_tensor(elem, n, vec):

@@ -17,7 +17,9 @@ returned by ``field(p)``, and every other module works on rows through it:
 
 A backend turns rows into and out of dense integer arrays and
 (index, coefficient) terms, adds, scales and concatenates them, runs the
-echelon, reduction and product kernels, and writes a row as payload text.
+echelon, reduction and product kernels, multiplies rows by a tensor power
+g x ... x g of a small matrix without forming it, and writes a row as
+payload text.
 ``Mat``, ``Subspace``, ``SpanBuilder`` and the equivariant solver each
 have one body written against it.
 """
@@ -25,7 +27,7 @@ have one body written against it.
 from __future__ import annotations
 
 import string
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -127,6 +129,22 @@ def _red2(v, piv_by_col, mask):
             return v
         c = (inter & -inter).bit_length() - 1
         v ^= piv_by_col[c]
+
+
+@lru_cache(maxsize=None)
+def _letter_masks(n, r):
+    """Per position of a length-r word, (stride, masks): the index stride
+    of that position and, per letter j, the int with bit c set for the
+    indices c whose word has letter j there."""
+    c = np.arange(n ** r)
+    out = []
+    for pos in range(r):
+        stride = n ** (r - 1 - pos)
+        letter = c // stride % n
+        out.append((stride, tuple(
+            int.from_bytes(np.packbits(letter == j, bitorder="little")
+                           .tobytes(), "little") for j in range(n))))
+    return tuple(out)
 
 
 def _mul2_tables(arows, brows):
@@ -354,9 +372,13 @@ class _GF2:
         return np.frombuffer(b"".join(r.to_bytes(nb, "little") for r in rows),
                              dtype=np.uint8).reshape(len(rows), nb)
 
-    def to_array(self, rows, n):
+    def digits(self, rows, n):
+        """The rows as a dense array of the narrowest dtype: uint8 bits."""
         return np.unpackbits(self._bytes(rows, n), axis=1, count=n,
-                             bitorder="little").astype(np.int64)
+                             bitorder="little")
+
+    def to_array(self, rows, n):
+        return self.digits(rows, n).astype(np.int64)
 
     def take(self, rows, n, cols):
         """The given columns of the rows, in order, as new rows."""
@@ -367,8 +389,7 @@ class _GF2:
     def spread(self, rows, n, cols, width):
         """Inverse of take: column j of the rows becomes column cols[j] of
         width-column rows whose other columns are zero."""
-        bits = np.unpackbits(self._bytes(rows, n), axis=1, count=n,
-                             bitorder="little")
+        bits = self.digits(rows, n)
         out = np.zeros((len(bits), width), dtype=np.uint8)
         out[:, cols] = bits
         return self.from_array(out)
@@ -455,6 +476,27 @@ class _GF2:
             i += 1
         return out
 
+    def tensor_times(self, rows, g, n, r):
+        """Each row times g tensor ... tensor g (r factors), for an n x n
+        array g, without forming that matrix.  Per tensor axis, the n
+        slices of a row (the columns with letter j there, cut out by a
+        mask and shifted onto letter 0) are summed into the output
+        slices, one XOR per nonzero entry of g."""
+        masks = _letter_masks(n, r)
+        cols = [np.flatnonzero(g[:, i] & 1).tolist() for i in range(n)]
+        out = []
+        for x in rows:
+            for stride, mask in masks:
+                parts = [(x & mask[j]) >> (j * stride) for j in range(n)]
+                x = 0
+                for i, js in enumerate(cols):
+                    acc = 0
+                    for j in js:
+                        acc ^= parts[j]
+                    x |= acc << (i * stride)
+            out.append(x)
+        return out
+
     def row_text(self, row, n):
         return "%0*x" % (max(1, (n + 3) // 4), row)
 
@@ -490,7 +532,7 @@ class _GFp:
         return np.asarray(arr, dtype=np.int64) % self.p
 
     coerce = from_array
-    to_array = stack
+    to_array = digits = stack
 
     def terms(self, row):
         for i in np.nonzero(row)[0]:
@@ -559,6 +601,28 @@ class _GFp:
 
     def vecmat(self, v, block):
         return _matmulp(v[None, :], block, self.p)[0]
+
+    def tensor_times(self, rows, g, n, r):
+        """Each row times g tensor ... tensor g (r factors), for an n x n
+        array g reduced mod p, without forming that matrix.  Per tensor
+        axis, each output slice is a sum of input slices scaled by entries
+        of g, reduced once per axis, or after every lim terms where n
+        terms could overflow int64."""
+        p = self.p
+        x = self.stack(rows, n ** r)
+        m = len(x)
+        lim = (np.iinfo(np.int64).max - p + 1) // (p - 1) ** 2  # >= 1023
+        for axis in range(r):
+            src = x.reshape(m * n ** axis, n, n ** (r - axis - 1))
+            out = np.zeros_like(src)
+            for i in range(n):
+                for t, j in enumerate(np.flatnonzero(g[:, i])):
+                    if t and t % lim == 0:
+                        np.remainder(out[:, i], p, out=out[:, i])
+                    out[:, i] += int(g[j, i]) * src[:, j]
+            np.remainder(out, p, out=out)
+            x = out
+        return x.reshape(m, n ** r)
 
     def row_text(self, row, n):
         return " ".join(map(str, row.tolist()))
@@ -678,6 +742,11 @@ class Mat:
 
     def packed_rows(self):
         return list(self._d)
+
+    def transpose(self):
+        """The transposed matrix."""
+        return Mat.from_array(self.p, np.ascontiguousarray(
+            self._f.digits(self._d, self.ncols).T))
 
     def columns(self, cols):
         """The submatrix of the given columns, in the given order."""
@@ -928,10 +997,12 @@ class GroupAction:
     def apply(self, i, vec):
         return self.generators[i].apply(vec)
 
-    def induced_matrix(self, i):
-        """The dim x dim matrix of generator i; the equivariant solver
-        reads every action through this method."""
-        return self.generators[i]
+    def times(self, i, mat, left=False):
+        """mat @ g for generator g = generators[i], or g @ mat when left.
+        The equivariant solver and the certificate check read every
+        action through this method."""
+        g = self.generators[i]
+        return g @ mat if left else mat @ g
 
 
 # ---------------------------------------------------------------------------
@@ -942,12 +1013,13 @@ class GroupAction:
 _CHUNK = 1 << 18
 
 
-def _restrict(space, g):
-    """Matrix of g on the canonical basis B of space, or None when space
-    is not g-invariant: M = (B g)[:, pivots] (see ``Subspace.coords``),
-    and B g lies in the span exactly when M B = B g."""
+def _restrict(space, times):
+    """Matrix of a map g on the canonical basis B of space, or None when
+    space is not g-invariant; times(X) is X @ g.  M = (B g)[:, pivots]
+    (see ``Subspace.coords``), and B g lies in the span exactly when
+    M B = B g."""
     B = space.basis_matrix()
-    img = B @ g
+    img = times(B)
     co = img.columns(space.pivots)
     return co if co @ B == img else None
 
@@ -959,7 +1031,7 @@ def _action_on_domain(action, domain):
     """
     mats = []
     for gi in range(len(action.generators)):
-        co = _restrict(domain, action.induced_matrix(gi))
+        co = _restrict(domain, partial(action.times, gi))
         if co is None:
             raise ValueError("domain is not invariant under the action")
         mats.append(co)
@@ -1013,7 +1085,7 @@ def _projection_problem(action, image, domain, labels=None):
     im = Subspace.from_packed(
         p, d, image.basis_matrix().columns(domain.pivots).packed_rows())
     m = im.dim
-    if any(_restrict(im, g) is None for g in gmats):
+    if any(_restrict(im, lambda x: x @ g) is None for g in gmats):
         return None  # image not invariant: infeasible
     free_cols = np.setdiff1d(np.arange(d), im.pivots).tolist()
 
@@ -1054,6 +1126,21 @@ def _invert(mat):
     return Mat.from_packed(mat.p, [F.split(r, n)[1] for r in ech], n)
 
 
+def _csr(a):
+    """The nonzeros of a 2-d array by rows: (row starts, columns, values)."""
+    r, cols = np.nonzero(a)
+    return np.searchsorted(r, np.arange(len(a) + 1)), cols, a[r, cols]
+
+
+def _csr_gather(ptr, rows):
+    """The nonzeros of the given rows (repeats allowed) of a matrix with
+    row starts ptr: (index into rows, position in the nonzero arrays)."""
+    counts = ptr[rows + 1] - ptr[rows]
+    owner = np.repeat(np.arange(len(rows)), counts)
+    shift = np.repeat(ptr[rows] - np.cumsum(counts) + counts, counts)
+    return owner, np.arange(len(owner)) + shift
+
+
 def _assemble_projection_system(prob, graded=None):
     """Equations X*A - D*X = C per generator over the unknowns X[u, v],
     v an image coordinate, u a complement one; equation (i, j) has
@@ -1062,7 +1149,9 @@ def _assemble_projection_system(prob, graded=None):
     ``graded`` masks the unknowns kept (k x m); the others are pinned to
     zero.  Returns (index, nunk, rows, rhs): index[u, v] numbers X[u, v]
     (-1 when pinned); rows/rhs are the distinct nonzero equations in
-    first-occurrence order, built in dense blocks of about _CHUNK entries.
+    first-occurrence order.  Equations are formed and deduplicated as
+    sorted (unknown, coefficient) terms, in chunks of about _CHUNK
+    entries, and only the distinct ones are written out densely.
     """
     p, d, m = prob["p"], prob["d"], prob["m"]
     F = field(p)
@@ -1072,32 +1161,50 @@ def _assemble_projection_system(prob, graded=None):
     index = np.full((k, m), -1, dtype=np.intp)
     index[keep] = np.arange(nunk)
     col = np.where(keep, index, nunk)  # pinned unknowns land in column nunk
-    step = max(1, _CHUNK // max(nunk + 1, m, k))
-    dtype = np.min_scalar_type(-p)  # holds every coefficient in (-p, p)
+    step = max(1, _CHUNK // max(m, k, 1))
     seen = set()
-    rows, rhs = [], []
+    terms, rhs = [], []
     for a, c, dd in prob["blocks"]:
-        at, dd = a.T.astype(dtype), dd.astype(dtype)
+        aptr, acol, aval = _csr(a.T)
+        dptr, dcol, dval = _csr(dd)
         for e0 in range(0, k * m, step):
             i, j = np.divmod(np.arange(e0, min(e0 + step, k * m)), m)
-            block = np.zeros((len(i), nunk + 1), dtype=dtype)
-            # scatter only the nonzero coefficients of each equation
-            r, v = np.nonzero(at[j])
-            block[r, col[i[r], v]] = at[j[r], v]
-            r, u = np.nonzero(dd[i])
-            block[r, col[u, j[r]]] -= dd[i[r], u]
-            packed = F.from_array(block[:, :nunk])
-            fresh = []
-            for t, (row, b) in enumerate(zip(packed, (c[i, j] % p).tolist())):
-                key = (F.key(row), b)
-                if key in seen:
-                    continue
-                seen.add(key)
-                if b or not F.is_zero(row):
-                    fresh.append(t)
-                    rhs.append(b)
-            # a copy of the kept rows, so the block is not held by views
-            rows.extend(F.stack([packed[t] for t in fresh], nunk))
+            r1, t1 = _csr_gather(aptr, j)
+            r2, t2 = _csr_gather(dptr, i)
+            eq = np.concatenate((r1, r2))
+            unk = np.concatenate((col[i[r1], acol[t1]], col[dcol[t2], j[r2]]))
+            coef = np.concatenate((aval[t1], p - dval[t2]))
+            # sort by (equation, unknown), then sum the terms on one unknown
+            order = np.argsort(eq * (nunk + 1) + unk)
+            eq, unk, coef = eq[order], unk[order], coef[order]
+            if len(eq):
+                new = np.flatnonzero(np.diff(eq, prepend=-1)
+                                     | np.diff(unk, prepend=-1))
+                eq, unk = eq[new], unk[new]
+                coef = np.add.reduceat(coef, new) % p
+                live = (coef != 0) & (unk < nunk)
+                eq, unk, coef = eq[live], unk[live], coef[live]
+            ends = np.searchsorted(eq, np.arange(len(i) + 1))
+            b = c[i, j] % p
+            # most equations are empty, and those are never kept
+            live = np.flatnonzero((np.diff(ends) > 0) | (b != 0))
+            ends, b = ends.tolist(), b.tolist()
+            for t in live.tolist():
+                s, e = ends[t], ends[t + 1]
+                key = (unk[s:e].tobytes(), coef[s:e].tobytes(), b[t])
+                if key not in seen:
+                    seen.add(key)
+                    terms.append((unk[s:e], coef[s:e]))
+                    rhs.append(b[t])
+    rows = []
+    step = max(1, _CHUNK // max(nunk, 1))
+    for s in range(0, len(terms), step):
+        part = terms[s:s + step]
+        block = np.zeros((len(part), nunk), dtype=np.min_scalar_type(p - 1))
+        owner = np.repeat(np.arange(len(part)), [len(u) for u, _ in part])
+        block[owner, np.concatenate([u for u, _ in part])] = \
+            np.concatenate([x for _, x in part])
+        rows.extend(F.from_array(block))
     return index, nunk, rows, rhs
 
 

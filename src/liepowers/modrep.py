@@ -9,10 +9,11 @@ by deriving every elementary transvection from the list (see
 closure; it is the independent check the tests compare against.
 
 The induced action on T^r(V) substitutes each letter of a word by the
-image row of the generator.  ``apply`` transforms one vector by r
-per-position mixing steps (tensor contractions); the n^r x n^r matrix of
-an induced generator is built once on request and cached, and the
-equivariant solver and the certificate check read the action through it.
+image row of the generator.  ``TensorAction.times`` multiplies a stack of
+rows by an induced generator, on either side, through r per-axis
+contractions with the n x n generator, so the n^r x n^r matrix is never
+formed; the equivariant solver and the certificate check read the action
+only through it, and ``apply`` is its one-row case.
 """
 
 from functools import lru_cache
@@ -185,10 +186,11 @@ def gl_generators(n, p):
 class TensorAction:
     """Letter-substitution action of GL(n) generators on T^r(V).
 
-    Duck-types the GroupAction protocol (``apply``, ``induced_matrix``
-    and the length of ``generators``); ``generators`` holds the small
-    n x n matrices, with the n^r x n^r induced matrices built lazily by
-    ``induced_matrix``.
+    Duck-types the GroupAction protocol (``apply``, ``times`` and the
+    length of ``generators``); ``generators`` holds the small n x n
+    matrices.  ``times`` multiplies a stack of rows by an induced
+    n^r x n^r generator matrix without forming it; ``induced_matrix``
+    forms it, for tests that compare against the dense product.
     """
 
     __slots__ = ("p", "n", "r", "dim", "generators", "_f", "_arrs", "_mats")
@@ -215,19 +217,36 @@ class TensorAction:
         self._arrs = [g.to_array() for g in gens]
         self._mats = [None] * len(gens)
 
+    def times(self, gi, mat, left=False):
+        """mat @ G for a stack of rows, or G @ mat when left, where G is
+        the induced matrix of generator gi; G is never formed.
+
+        Row convention: a row times G contracts each tensor axis of the
+        row with g in turn (see the field backends' ``tensor_times``).
+        G @ mat is (mat^T @ G^T)^T, and G^T is the induced matrix of g^T.
+        """
+        if mat.p != self.p or (mat.nrows if left else mat.ncols) != self.dim:
+            raise ValueError("shape/modulus mismatch")
+        g = self._arrs[gi]
+        if left:
+            mat, g = mat.transpose(), g.T
+        out = Mat.from_packed(self.p, self._f.tensor_times(
+            mat.packed_rows(), g, self.n, self.r), self.dim)
+        return out.transpose() if left else out
+
     def apply(self, gi, vec):
         """Image of a degree-r tensor under generator gi: a packed row for
         a packed row, a plain list for a plain list."""
-        F, g = self._f, self._arrs[gi]
-        arr = F.to_array([F.coerce(vec)], self.dim).reshape((self.n,) * self.r)
-        for axis in range(self.r):
-            arr = np.moveaxis(
-                np.tensordot(arr, g, axes=([axis], [0])), -1, axis) % self.p
-        flat = arr.reshape(1, -1)
-        return flat[0].tolist() if isinstance(vec, list) else F.from_array(flat)[0]
+        F = self._f
+        row = self.times(gi, Mat.from_packed(self.p, [F.coerce(vec)],
+                                             self.dim)).packed_rows()[0]
+        return F.to_array([row], self.dim)[0].tolist() \
+            if isinstance(vec, list) else row
 
     def induced_matrix(self, gi):
-        """Dense n^r x n^r matrix of generator gi (cached).
+        """Dense n^r x n^r matrix of generator gi (cached).  No package
+        code calls it: it is the tests' oracle for ``times``, and
+        ``bench/tracer.py`` wraps it by name.
 
         Row (j, i) of g tensor K is the concatenation of row j of g with
         row i of K, so the r-th tensor power is built one factor at a time.

@@ -44,6 +44,16 @@ def test_dims_cap_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["pclasses", "--p", "4", "--r", "4"],
+    ["dims", "--p", "4", "--n", "2", "--r", "2"],
+    ["dims", "--p", "1", "--n", "2", "--r", "2"],
+])
+def test_composite_modulus_exit_2(argv, capsys):
+    assert main(argv) == 2
+    assert "modulus must be a prime" in capsys.readouterr().err
+
+
 def test_pclasses_example(capsys):
     code, out = run(capsys, "pclasses", "--p", "2", "--r", "4")
     assert code == 0

@@ -13,7 +13,8 @@ from liepowers.decompose import (
     split_tensor_power,
 )
 from liepowers.freelie import lie_power
-from liepowers.linalg import Mat, Subspace
+from liepowers.descent import _assemble, _weight_blocks
+from liepowers.linalg import Mat, Subspace, _invert
 from liepowers.modrep import TensorAction, gl_generators, induce_on_tensor_power
 
 
@@ -291,9 +292,92 @@ def test_projection_flaw_makes_no_full_size_products(monkeypatch):
     assert all(data.basis.dim in shape for shape in shapes)
 
 
+def _dense_certificate(p, N, basis, star, kernel):
+    """The projection onto basis along star + kernel from one inverse of
+    the stacked N x N rows."""
+    rows = basis.packed_rows() + star.packed_rows() + kernel.packed_rows()
+    inv = _invert(Mat.from_packed(p, rows, N))
+    return inv.columns(range(basis.dim)) @ basis.basis_matrix()
+
+
+@pytest.mark.parametrize("n,p,k,top", [(2, 2, 3, 9), (3, 3, 2, 4),
+                                       (2, 3, 2, 6)])
+def test_graded_stage_one_matches_the_dense_route(n, p, k, top):
+    res = construct_B_family(n, p, k, top)
+    for q in range(2 * k, top + 1, k):
+        N = n ** q
+        canon = decompose_module._canonical_data(q, k, n, p, res.degrees)
+        E = _assemble(p, n, q, canon["projector"])
+        kernel = decompose_module._rowspace(Mat.identity(p, N) - E, N)
+        blocks = _weight_blocks(n, q)
+        spread = [row for alpha, space in canon["kernel"].items()
+                  for row in space.basis_matrix().spread(
+                      blocks[alpha], N).packed_rows()]
+        assert Subspace.from_packed(p, N, spread) == kernel
+        basis, star = res.degrees[q].basis, canon["star"]
+        graded = decompose_module._assemble_certificate(
+            p, n, q, decompose_module._by_weight(basis, n, q, "basis"),
+            decompose_module._by_weight(star, n, q, "star span"),
+            canon["kernel"])
+        assert graded == _dense_certificate(p, N, basis, star, kernel)
+        assert graded == res.degrees[q].projection
+
+
+def test_weight_crossing_row_is_loud(monkeypatch):
+    # a complement whose first row gains a word of another weight spans a
+    # subspace that is not a sum of weight components
+    res = construct_B_family(2, 2, 3, 3)
+    complement_from = decompose_module._complement_from
+    blocks = _weight_blocks(2, 6)
+
+    def crossing(space, proj):
+        w = complement_from(space, proj)
+        rows = w.packed_rows()
+        own = next(idx for idx in blocks.values() if w.pivots[0] in idx)
+        other = next(i for i in range(2 ** 6) if i not in own)
+        rows[0] ^= 1 << other
+        out = Subspace.from_packed(2, 2 ** 6, rows)
+        assert out.dim == w.dim
+        return out
+
+    monkeypatch.setattr(decompose_module, "_complement_from", crossing)
+    with pytest.raises(ComplementSearchExhausted,
+                       match="^degree 6: a row of the basis crosses weight "
+                             "spaces$"):
+        canonical_complement(6, 3, 2, 2, res.degrees)
+
+
+def test_construction_forms_no_dense_operator(monkeypatch):
+    # stage 1 works one weight space at a time and reads generators
+    # without their induced matrices: no product has an N x N factor
+    dense, shapes, induced = [], [], []
+    matmul = Mat.__matmul__
+    induce = decompose_module.induce_on_tensor_power
+
+    def degree(gens, q):
+        dense.append(2 ** q)  # the degree now under construction
+        return induce(gens, q)
+
+    def counted(a, b):
+        N = dense[-1]
+        shapes.append((a.nrows, a.ncols, b.ncols, N))
+        return matmul(a, b)
+
+    monkeypatch.setattr(decompose_module, "induce_on_tensor_power", degree)
+    monkeypatch.setattr(Mat, "__matmul__", counted)
+    monkeypatch.setattr(TensorAction, "induced_matrix",
+                        lambda self, gi: induced.append(self.r))
+    res = construct_B_family(2, 2, 3, 9)
+    assert res.b_dims() == {3: 2, 6: 8, 9: 54}
+    assert dense == [8, 64, 512] and induced == []
+    assert {s[-1] for s in shapes} == {8, 64, 512}
+    assert not [s for s in shapes if s[0] == s[1] == s[3]
+                or s[1] == s[2] == s[3]]
+
+
 def test_solve_reads_generators_as_matrices(monkeypatch):
-    # the solve multiplies each stacked basis by an induced matrix once,
-    # with no one-vector TensorAction.apply call
+    # the solve multiplies each stacked basis by a generator once,
+    # through TensorAction.times, with no one-vector apply call
     solve = decompose_module.solve_equivariant_projection
     apply = TensorAction.apply
     solved, calls = [], []

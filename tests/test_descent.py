@@ -15,6 +15,7 @@ from liepowers.combinat import (
 )
 from liepowers.descent import (
     DescentElement,
+    _assemble,
     act_on_tensor,
     apply_place_permutation,
     class_projector,
@@ -217,7 +218,7 @@ def test_matrix_lift_agrees_with_algebra_lift():
         got = lift_matrix_idempotent(element_action_matrix(n, y), p)
         want = element_action_matrix(n, e)
         assert got == want, (n, p, r)
-        assert class_projector(n, y) == want, (n, p, r)
+        assert _assemble(p, n, r, class_projector(n, y)) == want, (n, p, r)
 
 
 def test_lift_idempotents_is_cached():
@@ -244,7 +245,7 @@ def test_descent_operators_make_no_full_size_products(monkeypatch):
     monkeypatch.setattr(Mat, "__matmul__", counted)
     cls = next(c for c in p_equivalence_classes(10, 2) if (10,) in c)
     y = solve_class_indicator(10, 2, sorted(cls.members))
-    E = class_projector(2, y)
+    E = _assemble(2, 2, 10, class_projector(2, y))
     assert E.nrows == E.ncols == 2 ** 10
     assert shapes and max(max(shape) for shape in shapes) <= 252
 

@@ -10,7 +10,7 @@ from liepowers.descent import (
     lift_idempotents,
 )
 from liepowers.freelie import filtration_subspace, lie_power
-from liepowers.linalg import Mat, Subspace, word_to_index
+from liepowers.linalg import Mat, Subspace, field, word_to_index
 from liepowers.modrep import (
     TensorAction,
     _generates_gl,
@@ -135,6 +135,46 @@ def test_induced_matrix_matches_apply(n, p, r):
                     if isinstance(got, int) else got == want
             else:
                 assert np.array_equal(np.asarray(got), np.asarray(want))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_batched_action_matches_induced_matrix(n, p):
+    # the dense induced matrix is the oracle for both sides of the
+    # matrix-free product, down to r = 0 and stacks of no rows
+    rng = np.random.default_rng(10 * n + p)
+    for r in range(6):
+        act = induce_on_tensor_power(gl_generators(n, p), r)
+        dim = n ** r
+        for gi in range(len(act.generators)):
+            g = act.induced_matrix(gi)
+            for m in (0, 1, 5):
+                rows = Mat.from_array(p, rng.integers(0, p, size=(m, dim)))
+                assert act.times(gi, rows) == rows @ g
+                cols = Mat.from_array(p, rng.integers(0, p, size=(dim, m)))
+                assert act.times(gi, cols, left=True) == g @ cols
+
+
+def test_batched_action_rejects_a_wrong_shape():
+    act = induce_on_tensor_power(gl_generators(2, 3), 2)
+    with pytest.raises(ValueError, match="shape/modulus"):
+        act.times(0, Mat.identity(3, 3))
+    with pytest.raises(ValueError, match="shape/modulus"):
+        act.times(0, Mat.zeros(3, 4, 3), left=False)
+    with pytest.raises(ValueError, match="shape/modulus"):
+        act.times(0, Mat.identity(5, 4), left=True)
+
+
+def test_tensor_kernel_reduces_before_int64_overflows():
+    # 1030 terms of (p - 1)^2 exceed 2^63 for the largest usable prime, so
+    # the kernel must reduce part-way through a column
+    p, n = 94906249, 1030
+    g = np.full((n, n), p - 1, dtype=np.int64)
+    x = np.full((2, n), p - 1, dtype=np.int64)
+    x[1, ::3] = 1
+    got = field(p).tensor_times(x, g, n, 1)
+    want = [[sum(int(a) * (p - 1) for a in row) % p] * n for row in x]
+    assert got.tolist() == want
 
 
 def test_action_is_multiplicative():
