@@ -26,6 +26,7 @@ import time
 from contextlib import contextmanager
 
 from .combinat import (
+    compositions,
     higher_lie_dim,
     p_equivalence_classes,
     partitions,
@@ -54,27 +55,16 @@ from .linalg import Mat, Subspace, field, format_subspace, parse_subspace
 _MAX_R = 30
 
 
-class RunConfig:
-    """One parsed invocation."""
-
-    __slots__ = ("command", "p", "n", "r", "k", "max_degree", "fmt",
-                 "out", "level", "certificate")
-
-    def __init__(self, **kw):
-        for name in self.__slots__:
-            setattr(self, name, kw.get(name))
-
-
 def _part_str(lam):
     return "+".join(str(x) for x in lam)
 
 
-def _check_caps(cfg, need_r=False, need_power=None):
-    field(cfg.p)  # ValueError unless p is a prime the field code accepts
-    if need_r and not 1 <= cfg.r <= _MAX_R:
+def _check_caps(args, need_r=False, need_power=None):
+    field(args.p)  # ValueError unless p is a prime the field code accepts
+    if need_r and not 1 <= args.r <= _MAX_R:
         raise ValueError("r out of range 1..%d" % _MAX_R)
     if need_power is not None:
-        _check_dense_dim(cfg.n, need_power)
+        _check_dense_dim(args.n, need_power)
 
 
 # ---------------------------------------------------------------------------
@@ -99,21 +89,23 @@ def _subspace_payload(space, n, r):
             "lines": format_subspace(space, n, r).splitlines()}
 
 
-def _subspace_from_payload(obj, n, r):
-    space, pn, pr = parse_subspace("\n".join(obj["lines"]))
-    if pn != n or pr != r:
-        raise ValueError("subspace payload is for n=%d, r=%d, expected "
-                         "n=%d, r=%d" % (pn, pr, n, r))
-    return space
+def _subspace_from_payload(payloads, key, p, n, r):
+    """The subspace of a payload whose header must be 'p n r'; the header
+    is checked before any row is parsed."""
+    text = "\n".join(payloads[key]["lines"])
+    try:
+        return parse_subspace(text, header=(p, n, r))[0]
+    except ValueError as exc:
+        raise ValueError("payload %s: %s" % (key, exc)) from None
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_dims(cfg):
-    _check_caps(cfg, need_r=True)
-    p, n, r = cfg.p, cfg.n, cfg.r
+def cmd_dims(args):
+    _check_caps(args, need_r=True)
+    p, n, r = args.p, args.n, args.r
     rows = []
     total = 0
     for lam in sorted(partitions(r)):
@@ -132,9 +124,9 @@ def cmd_dims(cfg):
     return payload, ("partition", "dim"), 0 if ok else 1
 
 
-def cmd_pclasses(cfg):
-    _check_caps(cfg, need_r=True)
-    p, r = cfg.p, cfg.r
+def cmd_pclasses(args):
+    _check_caps(args, need_r=True)
+    p, r = args.p, args.r
     rows = []
     covered = 0
     for cls in p_equivalence_classes(r, p):
@@ -153,9 +145,9 @@ def cmd_pclasses(cfg):
     return payload, ("class", "size", "members"), 0 if ok else 1
 
 
-def cmd_filtration(cfg):
-    _check_caps(cfg, need_r=True, need_power=cfg.r)
-    p, n, r = cfg.p, cfg.n, cfg.r
+def cmd_filtration(args):
+    _check_caps(args, need_r=True, need_power=args.r)
+    p, n, r = args.p, args.n, args.r
     report = split_tensor_power(n, r, p)
     classes = {frozenset(c.members): c for c in p_equivalence_classes(r, p)}
     rows = []
@@ -186,11 +178,9 @@ def cmd_filtration(cfg):
                      "pbw_basis_check"), 0 if ok else 1
 
 
-def cmd_decompose(cfg):
-    p, n, k = cfg.p, cfg.n, cfg.k
-    max_degree = cfg.max_degree
-    if k is None or max_degree is None:
-        raise ValueError("decompose requires --k and --max-degree")
+def cmd_decompose(args):
+    p, n, k = args.p, args.n, args.k
+    max_degree = args.max_degree
     result = construct_B_family(n, p, k, max_degree)
     report = certify_decomposition(result)
     # "stage" (always 1) and "max_search" (always 64) are fixed fields of
@@ -293,7 +283,7 @@ def _result_from_payload(payload):
     for q, _ in entries:
         key = "basis/%d" % q
         with _reading("payload " + key):
-            basis = _subspace_from_payload(payload["payloads"][key], n, q)
+            basis = _subspace_from_payload(payload["payloads"], key, p, n, q)
         key = "projection/%d" % q
         with _reading("payload " + key):
             proj = _matrix_from_payload(payload["payloads"], key)
@@ -305,8 +295,8 @@ def _result_from_payload(payload):
     return DecompositionResult(p, n, k, max_degree, degrees)
 
 
-def cmd_certify(cfg):
-    with open(cfg.certificate, "r", encoding="utf-8") as fh:
+def cmd_certify(args):
+    with open(args.certificate, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     with _reading("report"):
         command = payload.get("config", {}).get("command")
@@ -354,7 +344,7 @@ def _st_dims_bookkeeping():
 def _st_descent_oracle():
     for p in (2, 3):
         for r in (2, 3):
-            comps = [c for c in _all_compositions(r)]
+            comps = compositions(r)
             for a in comps:
                 for b in comps:
                     x = DescentElement.x_basis(r, p, a)
@@ -365,17 +355,12 @@ def _st_descent_oracle():
     return True
 
 
-def _all_compositions(r):
-    from .combinat import compositions
-    return compositions(r)
-
-
 def _st_young_constancy():
     for p in (2, 3):
         for r in (3, 4):
             for cls in p_equivalence_classes(r, p):
                 members = sorted(cls.members)
-                for nu in _all_compositions(r):
+                for nu in compositions(r):
                     vals = {young_character(nu, lam) % p for lam in members}
                     if len(vals) != 1:
                         return False
@@ -470,8 +455,8 @@ _SELFTEST_FULL = _SELFTEST_QUICK + [
 ]
 
 
-def cmd_selftest(cfg):
-    suite = _SELFTEST_QUICK if cfg.level == "quick" else _SELFTEST_FULL
+def cmd_selftest(args):
+    suite = _SELFTEST_QUICK if args.level == "quick" else _SELFTEST_FULL
     rows = []
     passed = 0
     for name, fn in suite:
@@ -485,7 +470,7 @@ def cmd_selftest(cfg):
             row["note"] = note
         rows.append(row)
     payload = {
-        "config": {"command": "selftest", "level": cfg.level},
+        "config": {"command": "selftest", "level": args.level},
         "results": rows,
         "certificates": [],
         "totals": {"checks": len(rows), "passed": passed},
@@ -587,19 +572,9 @@ _DISPATCH = {
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(command=args.command,
-                    p=getattr(args, "p", None),
-                    n=getattr(args, "n", None),
-                    r=getattr(args, "r", None),
-                    k=getattr(args, "k", None),
-                    max_degree=getattr(args, "max_degree", None),
-                    fmt=getattr(args, "format", "text"),
-                    out=getattr(args, "out", None),
-                    level=getattr(args, "level", None),
-                    certificate=getattr(args, "certificate", None))
     start = time.monotonic()
     try:
-        payload, columns, code = _DISPATCH[cfg.command](cfg)
+        payload, columns, code = _DISPATCH[args.command](args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -607,14 +582,14 @@ def main(argv=None):
         print("invariant failed: %s" % exc, file=sys.stderr)
         return 1
     payload["timing_ms"] = int((time.monotonic() - start) * 1000)
-    if cfg.fmt == "json":
+    if args.format == "json":
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         text = _render_csv(payload, columns)
     else:
         text = _render_text(payload, columns)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -42,6 +42,7 @@ pi) is checked through C = P[:, pi] without any N x N x N product:
      M = (B g)[:, pi] (span B is g-invariant) and C M = g C.
 """
 
+from functools import partial
 from itertools import product as iter_product
 
 import numpy as np
@@ -76,6 +77,7 @@ from .linalg import (
     SpanBuilder,
     Subspace,
     _invert,
+    _restrict,
     field,
     index_to_word,
     is_direct_sum,
@@ -573,9 +575,8 @@ def _projection_flaw(proj, basis, action):
     if B @ C != Mat.identity(proj.p, basis.dim):
         return "projection does not fix the stored basis"
     for gi in range(len(action.generators)):
-        Bg = action.times(gi, B)
-        M = Bg.columns(basis.pivots)
-        if M @ B != Bg:
+        M = _restrict(basis, partial(action.times, gi))
+        if M is None:
             return "stored basis is not invariant under generator %d" % gi
         if C @ M != action.times(gi, C, left=True):
             return "projection fails to commute with generator %d" % gi

@@ -8,11 +8,11 @@ identical, so no tolerance ever enters.
 How a row of F_p^N is stored is decided in one place, the field backend
 returned by ``field(p)``, and every other module works on rows through it:
 
-* ``p == 2``: a row is a Python int, bit ``j`` = column ``j``.  Big-int XOR
-  makes 4096-dimensional eliminations cheap, and wide products and
-  echelons switch to numpy uint64 word kernels.  An echelon takes the
-  word kernel only when its rows are dense (one set bit per 64 columns
-  or more), since sparse rows eliminate faster as big ints.
+* ``p == 2``: a row is a Python int, bit ``j`` = column ``j``.  Every
+  product, of any shape, runs one kernel: Four-Russians on numpy uint64
+  words.  An echelon chooses by density: wide dense rows (one set bit per
+  64 columns or more) take the word kernel, and the rest eliminate as big
+  ints, whose XOR costs time only where rows have bits.
 * odd ``p``: a row is a numpy ``int64`` array reduced mod p.
 
 A backend turns rows into and out of dense integer arrays and
@@ -96,12 +96,7 @@ def _rref2_ints(vecs):
     piv = {}
     mask = 0
     for v in sorted(vecs, key=lambda v: -(v & -v).bit_length()):
-        while True:
-            inter = v & mask
-            if not inter:
-                break
-            c = (inter & -inter).bit_length() - 1
-            v ^= piv[c]
+        v = _red2(v, piv, mask)
         if v:
             c = (v & -v).bit_length() - 1
             piv[c] = v
@@ -109,20 +104,15 @@ def _rref2_ints(vecs):
     fin = {}
     fmask = 0
     for c in sorted(piv, reverse=True):
-        v = piv[c]
-        while True:
-            inter = v & fmask
-            if not inter:
-                break
-            c2 = (inter & -inter).bit_length() - 1
-            v ^= fin[c2]
-        fin[c] = v
+        fin[c] = _red2(piv[c], fin, fmask)
         fmask |= 1 << c
     pivots = sorted(fin)
     return [fin[c] for c in pivots], pivots
 
 
 def _red2(v, piv_by_col, mask):
+    """v with its bits at the masked pivot columns cleared, lowest first,
+    by XOR with the row of each pivot."""
     while True:
         inter = v & mask
         if not inter:
@@ -141,74 +131,48 @@ def _letter_masks(n, r):
     for pos in range(r):
         stride = n ** (r - 1 - pos)
         letter = c // stride % n
-        out.append((stride, tuple(
-            int.from_bytes(np.packbits(letter == j, bitorder="little")
-                           .tobytes(), "little") for j in range(n))))
+        masks = np.packbits(letter == np.arange(n)[:, None], axis=1,
+                            bitorder="little")
+        out.append((stride, tuple(_words_to_rows(masks))))
     return tuple(out)
 
 
-def _mul2_tables(arows, brows):
-    nb = len(brows)
-    tables = []
-    for g0 in range(0, nb, 8):
-        grp = brows[g0:g0 + 8]
-        tab = [0] * (1 << len(grp))
-        for t in range(1, len(tab)):
-            low = t & -t
-            tab[t] = tab[t ^ low] ^ grp[low.bit_length() - 1]
-        tables.append(tab)
-    out = []
-    for a in arows:
-        acc = 0
-        gi = 0
-        while a:
-            byte = a & 255
-            if byte:
-                acc ^= tables[gi][byte]
-            a >>= 8
-            gi += 1
-        out.append(acc)
-    return out
-
-
-def _mul2(arows, brows, pad_to=None):
+def _mul2(arows, brows):
     """C = A*B for packed rows; bit j of arows[i] selects brows[j].
 
-    Small products go through 8-bit combination tables; big ones through
-    the uint64 word kernels below.
+    Every product, of any shape, goes through the word kernel
+    ``_mul2_words``; a row of A that is negative or wider than B's row
+    count raises ValueError.
     """
     nb = len(brows)
     for a in arows:
         if a < 0 or a.bit_length() > nb:
             raise ValueError("row width exceeds left factor's column count")
-    if nb >= 512 and len(arows) >= 256:
-        bw = max((r.bit_length() for r in brows), default=1)
-        C = _mul2_words(_rows_to_words(arows, nb), _rows_to_words(brows, bw))
-        return _words_to_rows(C)
-    return _mul2_tables(arows, brows)
+    bw = max((r.bit_length() for r in brows), default=0)
+    C = _mul2_words(_rows_to_words(arows, nb), _rows_to_words(brows, bw))
+    return _words_to_rows(C)
 
 
 # ---------------------------------------------------------------------------
-# wide GF(2) kernels (numpy uint64 word arrays)
+# GF(2) word kernels (numpy uint64 word arrays)
 #
 # Python-int bitsets are convenient, but the quadratic loops dominate once
 # matrices reach tensor rank 9 and beyond (4096 columns at rank 12), so
-# the dense product and echelon dispatch to vectorized word arithmetic.
+# products and dense echelons run on vectorized word arithmetic.
 # Bit j of a row lives in word j // 64 at position j % 64.
 
 
 def _rows_to_words(rows, ncols):
+    """Packed rows as a (rows, words) uint64 array, padded to whole words."""
     nw = max(1, (ncols + 63) // 64)
-    out = np.zeros((len(rows), nw), dtype=np.uint64)
-    nbytes = nw * 8
-    for i, r in enumerate(rows):
-        out[i] = np.frombuffer(int(r).to_bytes(nbytes, "little"),
-                               dtype=np.uint64)
-    return out
+    return _GF2._bytes(rows, 64 * nw).view(np.uint64)
 
 
 def _words_to_rows(words):
-    return [int.from_bytes(w.tobytes(), "little") for w in np.ascontiguousarray(words)]
+    """Packed rows from the rows of a 2-d unsigned array read as
+    little-endian bits, of words of any width (uint8 or uint64)."""
+    return [int.from_bytes(w.tobytes(), "little")
+            for w in np.ascontiguousarray(words)]
 
 
 def _mul2_words(A, B):
@@ -363,10 +327,10 @@ class _GF2:
 
     def from_array(self, arr):
         bits = np.asarray(arr).astype(np.uint8) & 1  # the cast keeps parity
-        packed = np.packbits(bits, axis=1, bitorder="little")
-        return [int.from_bytes(row.tobytes(), "little") for row in packed]
+        return _words_to_rows(np.packbits(bits, axis=1, bitorder="little"))
 
-    def _bytes(self, rows, n):
+    @staticmethod
+    def _bytes(rows, n):
         """The rows as a uint8 array; column j is bit j % 8 of byte j // 8."""
         nb = max(1, (n + 7) // 8)
         return np.frombuffer(b"".join(r.to_bytes(nb, "little") for r in rows),
@@ -464,6 +428,7 @@ class _GF2:
         return 0, None
 
     def matmul(self, a, b):
+        """a @ b for blocks of rows, always through the word kernel."""
         return _mul2(a, b)
 
     def vecmat(self, x, block):
@@ -1342,8 +1307,12 @@ def format_subspace(space, n, r, comment=None):
     return "\n".join(lines) + "\n"
 
 
-def parse_subspace(text):
-    """Inverse of format_subspace: returns (Subspace, n, r)."""
+def parse_subspace(text, header=None):
+    """Inverse of format_subspace: returns (Subspace, n, r).
+
+    A given header (p, n, r) must match the text's header; that is
+    checked before any row is read or n^r is formed.
+    """
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
     if not lines:
@@ -1352,6 +1321,9 @@ def parse_subspace(text):
     if len(head) != 3:
         raise ValueError(f"bad header {lines[0]!r}, want 'p n r'")
     p, n, r = (int(t) for t in head)
+    if header is not None and (p, n, r) != tuple(header):
+        raise ValueError("header %r, expected '%d %d %d'"
+                         % (lines[0], *header))
     F = field(p)
     vecs = [F.from_terms(n ** r, [(word_to_index(word, n), c)
                                   for word, c in parse_terms(ln, n, r)])

@@ -200,6 +200,17 @@ def _p_divides_k(payload):
     return payload
 
 
+def _basis_header_is_huge(payload):
+    # n^r = 3^(10^8) must not be formed: the header is checked first
+    payload["payloads"]["basis/4"]["lines"] = ["2 3 100000000"]
+    return payload
+
+
+def _basis_header_has_another_p(payload):
+    payload["payloads"]["basis/4"]["lines"] = ["2 2 4"]  # report has p = 3
+    return payload
+
+
 def _p_is_a_large_prime(payload):
     payload["config"]["p"] = 2 ** 61 - 1  # no trial division up to 2^30
     return payload
@@ -223,13 +234,20 @@ def _p_is_a_large_prime(payload):
     (_empty_family, "max_degree is below k"),
     (_p_divides_k, "k must not be divisible by p"),
     (_p_is_a_large_prime, "need (p - 1)^2 < 2^53"),
+    (_basis_header_is_huge,
+     "payload basis/4: header '2 3 100000000', expected '3 2 4'"),
+    (_basis_header_has_another_p,
+     "payload basis/4: header '2 2 4', expected '3 2 4'"),
 ])
 def test_certify_rejects_malformed_report(odd_report, tmp_path, capsys,
                                           mutate, message):
     payload = mutate(copy.deepcopy(odd_report))
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload))
+    start = time.monotonic()
     assert main(["certify", str(bad)]) == 2
+    # every case is refused while the report is read, before any check
+    assert time.monotonic() - start < 2
     assert message in capsys.readouterr().err
 
 

@@ -16,7 +16,7 @@ from liepowers.linalg import (
     _assemble_projection_system,
     _ech2,
     _invert,
-    _mul2_tables,
+    _mul2,
     _mul2_words,
     _projection_problem,
     _rows_to_words,
@@ -91,8 +91,8 @@ def test_matmul_matches_numpy_reference():
 @pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("m,k,n", [(13, 17, 9), (300, 600, 40)])
 def test_field_backend_parity(p, m, k, n):
-    # the second shape is past the 512-column switch to the GF(2) word
-    # kernels; every backend must agree with plain numpy mod p
+    # the second shape spans several 64-bit words; every backend must
+    # agree with plain numpy mod p
     rng = np.random.default_rng(p * 1000 + k)
     F = field(p)
     a = rng.integers(0, p, size=(m, k))
@@ -140,9 +140,50 @@ def test_mul2_words_matches_tables(nb, bw):
     arows = F.from_array(a) + [0]
     brows = F.from_array(rng.integers(0, 2, size=(nb, bw)))
     got = _mul2_words(_rows_to_words(arows, nb), _rows_to_words(brows, bw))
-    assert _words_to_rows(got) == _mul2_tables(arows, brows)
     assert _words_to_rows(got) == F.from_array(
         np.vstack([a, np.zeros((1, nb), dtype=int)]) @ F.to_array(brows, bw))
+
+
+@pytest.mark.parametrize("nb", [1, 7, 8, 9, 511, 512, 513])
+def test_mul2_matches_dense_product_mod_2(nb):
+    # A and B row counts straddle byte boundaries and 256 and 512 rows;
+    # half of A's rows have zero bytes between nonzero ones
+    rng = np.random.default_rng(nb)
+    F = field(2)
+    b = rng.integers(0, 2, size=(nb, 70))
+    for na in (0, 1, 255, 256, 257):
+        a = rng.integers(0, 2, size=(na, nb))
+        a[::2, (np.arange(nb) // 8) % 2 == 1] = 0
+        got = _mul2(F.from_array(a), F.from_array(b))
+        assert got == F.from_array((a @ b) % 2)
+        got = Mat.from_array(2, a) @ Mat.from_array(2, b)
+        assert np.array_equal(got.to_array(), (a @ b) % 2)
+
+
+def test_every_gf2_product_runs_the_word_kernel(monkeypatch):
+    calls = []
+
+    def counted(A, B):
+        calls.append((A.shape[0], B.shape[0]))
+        return _mul2_words(A, B)
+
+    monkeypatch.setattr(linalg, "_mul2_words", counted)
+    shapes = [(0, 3, 2), (3, 0, 2), (3, 2, 0), (1, 1, 1), (2, 700, 1),
+              (300, 600, 40)]
+    for m, k, n in shapes:
+        a, b = np.ones((m, k), dtype=int), np.ones((k, n), dtype=int)
+        got = (Mat.from_array(2, a) @ Mat.from_array(2, b)).to_array()
+        assert np.array_equal(got, (a @ b) % 2)
+    assert calls == [(m, k) for m, k, _ in shapes]
+
+
+def test_mul2_rejects_rows_outside_the_left_factor():
+    with pytest.raises(ValueError):
+        _mul2([4], [1, 1])  # bit 2 selects a third row of B
+    with pytest.raises(ValueError):
+        _mul2([-1], [1, 1])
+    with pytest.raises(ValueError):
+        _mul2([1], [])
 
 
 # the largest prime with (p - 1)^2 < 2^53, and the next prime after it
