@@ -15,10 +15,7 @@ from functools import lru_cache
 __all__ = [
     "partitions",
     "compositions",
-    "associated_partition",
-    "lex_less",
     "next_partition",
-    "is_refinement",
     "mobius",
     "witt_dim",
     "higher_lie_dim",
@@ -61,15 +58,6 @@ def compositions(r):
     return tuple(out)
 
 
-def associated_partition(comp):
-    return tuple(sorted(comp, reverse=True))
-
-
-def lex_less(lam, theta):
-    """Strict lexicographic comparison of partition tuples."""
-    return tuple(lam) < tuple(theta)
-
-
 def next_partition(lam):
     """Successor of lam in the ascending lex list of partitions of |lam|,
     or None at the top."""
@@ -77,43 +65,6 @@ def next_partition(lam):
     ps = partitions(r)
     i = ps.index(tuple(lam))
     return ps[i + 1] if i + 1 < len(ps) else None
-
-
-def is_refinement(fine, coarse):
-    """True if the parts of ``fine`` can be grouped to give ``coarse``.
-
-    Both arguments are read as multisets.  Backtracking over which parts
-    feed each coarse part; desk-scale sizes only.
-    """
-    fine = sorted(fine, reverse=True)
-    coarse = sorted(coarse, reverse=True)
-    if sum(fine) != sum(coarse):
-        return False
-
-    def place(parts, targets):
-        if not targets:
-            return not parts
-        t = targets[0]
-        # choose a sub-multiset of parts summing to t; take largest first
-        def pick(idx, remaining, chosen):
-            if remaining == 0:
-                rest = [p for k, p in enumerate(parts) if k not in chosen]
-                return place(rest, targets[1:])
-            prev = None
-            for k in range(idx, len(parts)):
-                if k in chosen or parts[k] > remaining or parts[k] == prev:
-                    continue
-                prev = parts[k]
-                chosen.add(k)
-                if pick(k + 1, remaining - parts[k], chosen):
-                    chosen.discard(k)
-                    return True
-                chosen.discard(k)
-            return False
-
-        return pick(0, t, set())
-
-    return place(fine, coarse)
 
 
 @lru_cache(maxsize=None)

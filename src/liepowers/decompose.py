@@ -10,8 +10,8 @@ the lower B's plus the new B_{sk}, and each B_{sk} is certified a direct
 summand of T^{sk}(V) by an explicit idempotent equivariant projection.
 
 The complement W_{sk} (the new part of B_{sk} beyond the bracket pieces
-carried up from lower degrees) is found by an equivariant-projection
-solve inside L^{sk}(V), trying weight-preserving solutions first.  The
+carried up from lower degrees) is found by one weight-preserving
+equivariant-projection solve inside L^{sk}(V).  The
 direct-summand certificate for B_{sk} inside the full tensor power is
 the projection onto B_{sk} along the star span plus ker E: E lifts the
 idempotent of the p-class of the one-part cycle type to an operator on
@@ -45,8 +45,6 @@ pi) is checked through C = P[:, pi] without any N x N x N product:
 from functools import partial
 from itertools import product as iter_product
 
-import numpy as np
-
 from .combinat import (
     higher_lie_dim,
     p_equivalence_classes,
@@ -55,7 +53,6 @@ from .combinat import (
 )
 from .descent import (
     _assemble,
-    _weight_blocks,
     class_projector,
     element_action_matrix,
     lift_idempotents,
@@ -78,12 +75,13 @@ from .linalg import (
     Subspace,
     _invert,
     _restrict,
+    _weight_blocks,
+    _weight_index,
     field,
     index_to_word,
     is_direct_sum,
     rref,
     solve_equivariant_projection,
-    word_weight,
 )
 from .modrep import gl_generators, induce_on_tensor_power
 
@@ -117,8 +115,11 @@ class ComplementSearchExhausted(ArithmeticError):
 
 
 def _check_dense_dim(n, q):
-    """Raise ValueError when n^q exceeds the dense-dimension cap, found by
-    multiplying up to the cap rather than forming a power of any size."""
+    """Raise ValueError unless n >= 1 and n^q is within the dense-dimension
+    cap, found by multiplying up to the cap rather than forming a power of
+    any size."""
+    if n < 1:
+        raise ValueError("n must be positive")
     if n == 1:
         return
     dim = 1
@@ -131,16 +132,14 @@ def _check_dense_dim(n, q):
 
 
 def _check_family_args(n, p, k, max_degree):
-    """Raise ValueError unless p is a usable prime, n >= 1, k >= 1, p does
-    not divide k, max_degree >= k, and the top degree is within the
+    """Raise ValueError unless p is a usable prime, k >= 1, p does not
+    divide k, max_degree >= k, n >= 1 and the top degree is within the
     dense-dimension cap."""
     field(p)
     if k < 1:
         raise ValueError("k must be positive")
     if k % p == 0:
         raise ValueError("k must not be divisible by p")
-    if n < 1:
-        raise ValueError("n must be positive")
     if max_degree < k:
         raise ValueError("max_degree is below k; nothing to construct")
     _check_dense_dim(n, max_degree // k * k)
@@ -304,27 +303,6 @@ def _p_part(q, p):
     return m, q
 
 
-def _ascending_compositions(total):
-    out = []
-
-    def rec(minpart, remaining, acc):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for part in range(minpart, remaining + 1):
-            acc.append(part)
-            rec(part, remaining - part, acc)
-            acc.pop()
-
-    rec(1, total, [])
-    return out
-
-
-def _weight_labels(space, n, r):
-    """Weight of each canonical basis row, read off its pivot word."""
-    return [word_weight(index_to_word(c, n, r), n) for c in space.pivots]
-
-
 def _complement_from(space, proj):
     """Ambient kernel of a projection given in domain coordinates."""
     eye = Mat.identity(space.p, space.dim)
@@ -411,22 +389,9 @@ def _canonical_data(q, k, n, p, family):
         ds.append((d, step, b, brows, elems))
 
     # slot budgets: c_d slots of width d per divisor, multiples of step
-    sigmas = []
-
-    def rec_sigma(idx, remaining, acc):
-        if idx == len(ds):
-            if remaining == 0:
-                sigmas.append(tuple(acc))
-            return
-        d, step = ds[idx][0], ds[idx][1]
-        c = 0
-        while c * d <= remaining:
-            acc.append(c)
-            rec_sigma(idx + 1, remaining - c * d, acc)
-            acc.pop()
-            c += step
-
-    rec_sigma(0, q, [])
+    sigmas = [sigma for sigma in iter_product(
+        *(range(0, q // d + 1, step) for d, step, *_ in ds))
+        if sum(c * d for c, (d, *_) in zip(sigma, ds)) == q]
 
     embed_memo = {}
 
@@ -520,9 +485,7 @@ def _by_weight(space, n, q, what):
     this form exactly when it is the sum of its weight components; a row
     that crosses weight spaces raises ComplementSearchExhausted."""
     blocks = _weight_blocks(n, q)
-    label = np.empty(n ** q, dtype=np.intp)
-    for t, idx in enumerate(blocks.values()):
-        label[idx] = t
+    label = _weight_index(n, q)
     rows = field(space.p).digits(space.packed_rows(), space.ambient)
     own = label[space.pivots]
     if ((rows != 0) & (label != own[:, None])).any():
@@ -618,12 +581,12 @@ def _split_off(q, k, n, p, action, lie, lower_sum, elim, family):
     if known.dim == lie.dim:
         wnew = Subspace.zero(p, N)
     else:
-        labels = _weight_labels(lie, n, q)
-        sol = solve_equivariant_projection(action, known, lie, labels=labels)
+        sol = solve_equivariant_projection(
+            action, known, lie, labels=_weight_index(n, q)[lie.pivots])
         if sol is None:
             raise ComplementSearchExhausted(
-                q, "no equivariant projection of the Lie power onto the "
-                "settled part exists")
+                q, "no weight-preserving equivariant projection of the Lie "
+                "power onto the settled part exists")
         wnew = _complement_from(lie, sol)
 
     basis = elim.sum(wnew)
@@ -643,45 +606,65 @@ def _split_off(q, k, n, p, action, lie, lower_sum, elim, family):
     return basis, wnew, proj
 
 
-def _settled_part(q, k, n, p, family):
-    """The part of L^q settled by the family below degree q.
+def _family_degree(family, d, q):
+    """The DegreeData of degree d, which degree q needs; ValueError when
+    family lacks it."""
+    if d not in family:
+        raise ValueError("degree %d is needed for degree %d but is "
+                         "missing from the family" % (d, q))
+    return family[d]
 
-    Returns (lower, lower_sum, elim): the Lie piece generated by each
-    lower basis B_ck as [(c, piece)], the sum of those pieces, and the
-    span of the bracket pieces carried up from lower complements.  A
-    dimension that contradicts free generation raises ArithmeticError;
-    a lower degree missing from family raises ValueError.
+
+def _lower_pieces(q, k, n, p, family):
+    """The Lie piece L^{s/c}(B_ck) of L^q generated by each lower basis
+    B_ck, for the proper divisors c of s = q / k, as [(c, piece)].
+
+    A piece whose dimension is not witt_dim(dim B_ck, s/c), as free
+    generation requires, raises ArithmeticError; a lower degree missing
+    from family raises ValueError.
     """
     s = q // k
-    N = n ** q
-
-    def data(d):
-        if d not in family:
-            raise ValueError("degree %d is needed for degree %d but is "
-                             "missing from the family" % (d, q))
-        return family[d]
-
-    lower = []
-    lower_sb = SpanBuilder(p, N)
-    expected_lower = 0
+    pieces = []
     for c in _proper_divisors(s):
-        bd = data(c * k).basis
-        if bd.dim == 0:
-            lower.append((c, Subspace.zero(p, N)))
-            continue
-        closure = subalgebra_generated(
-            p, n, {c * k: list(bd.packed_rows())}, q)
-        piece = closure.get(q, Subspace.zero(p, N))
+        bd = _family_degree(family, c * k, q).basis
+        piece = Subspace.zero(p, n ** q)
+        if bd.dim:
+            piece = subalgebra_generated(
+                p, n, {c * k: list(bd.packed_rows())}, q).get(q, piece)
         want = witt_dim(bd.dim, s // c)
         if piece.dim != want:
             raise ArithmeticError(
                 "free generation fails at degree %d: Lie elements of "
                 "length %d over the degree-%d basis span dimension "
                 "%d, expected %d" % (q, s // c, c * k, piece.dim, want))
-        lower.append((c, piece))
+        pieces.append((c, piece))
+    return pieces
+
+
+def _splits(lower, basis, lie):
+    """True when the Lie power is the direct sum of the nonzero lower
+    pieces and the basis."""
+    return is_direct_sum([piece for _, piece in lower if piece.dim]
+                         + [basis], lie)
+
+
+def _settled_part(q, k, n, p, family):
+    """The part of L^q settled by the family below degree q.
+
+    Returns (lower, lower_sum, elim): the lower Lie pieces (see
+    ``_lower_pieces``), their sum, and the span of the bracket pieces
+    carried up from lower complements.  A dimension that contradicts free
+    generation raises ArithmeticError; a lower degree missing from family
+    raises ValueError.
+    """
+    s = q // k
+    N = n ** q
+    lower = _lower_pieces(q, k, n, p, family)
+    lower_sb = SpanBuilder(p, N)
+    for _, piece in lower:
         for row in piece.packed_rows():
             lower_sb.add(row)
-        expected_lower += want
+    expected_lower = sum(piece.dim for _, piece in lower)
     if lower_sb.dim != expected_lower:
         raise ArithmeticError(
             "lower Lie pieces overlap at degree %d: joint dimension "
@@ -694,17 +677,18 @@ def _settled_part(q, k, n, p, family):
         i = s - total
         if i < 2:
             continue
-        for tau in _ascending_compositions(total):
+        # the partitions of total, each read with its parts ascending
+        for tau in (lam[::-1] for lam in partitions(total)):
             if any(i + sum(tau[:u]) <= tau[u] for u in range(len(tau))):
                 continue
-            wpart = data(i * k).complement
+            wpart = _family_degree(family, i * k, q).complement
             if wpart.dim == 0:
                 continue
             rows = list(wpart.packed_rows())
             deg = i * k
             count = wpart.dim
             for t_part in tau:
-                bpart = data(t_part * k).basis
+                bpart = _family_degree(family, t_part * k, q).basis
                 if bpart.dim == 0:
                     count = 0
                     break
@@ -742,8 +726,7 @@ def _build_degree(q, k, n, p, action, lie, family):
     lower, lower_sum, elim = _settled_part(q, k, n, p, family)
     basis, wnew, proj = _split_off(q, k, n, p, action, lie, lower_sum,
                                    elim, family)
-    pieces = [piece for _, piece in lower if piece.dim]
-    if not is_direct_sum(pieces + [basis], lie):
+    if not _splits(lower, basis, lie):
         raise ArithmeticError(
             "degree-%d Lie power fails to split into the lower pieces "
             "plus the new basis" % q)
@@ -802,10 +785,12 @@ def certify_decomposition(result, companion=None):
     Checks, per degree: the stored projection is an idempotent
     equivariant operator with image the stored basis, and the basis
     lies inside the Lie power.  At degrees k, pk, p^2 k, ... the lower
-    Lie pieces are re-derived independently and the exact splitting of
-    the Lie power is re-checked.  When companion (a family built at a
-    smaller n, same p and k) is given, letters beyond its rank are
-    truncated away and the bases compared degree by degree.
+    Lie pieces are re-derived from the stored lower bases, free
+    generation included, and the exact splitting of the Lie power is
+    re-checked; a failure of either is a failed splitting check.  When
+    companion (a family built at a smaller n, same p and k) is given,
+    letters beyond its rank are truncated away and the bases compared
+    degree by degree.
 
     Returns a report dict with per-degree check lists and an overall
     "ok" flag; failures are collected, not raised.
@@ -834,20 +819,11 @@ def certify_decomposition(result, companion=None):
     q = k
     while q <= result.max_degree:
         if q in result.degrees:
-            pieces = []
-            for c in _proper_divisors(q // k):
-                if c * k not in result.degrees:
-                    continue
-                bd = result.degrees[c * k].basis
-                if bd.dim == 0:
-                    continue
-                closure = subalgebra_generated(
-                    p, result.n, {c * k: list(bd.packed_rows())}, q)
-                piece = closure.get(q)
-                if piece is not None and piece.dim:
-                    pieces.append(piece)
-            pieces.append(result.degrees[q].basis)
-            ok = is_direct_sum(pieces, lie_power(p, result.n, q))
+            try:
+                ok = _splits(_lower_pieces(q, k, n, p, result.degrees),
+                             result.degrees[q].basis, lie_power(p, n, q))
+            except (ArithmeticError, ValueError):
+                ok = False
             record(q, "Lie power splits over the lower bases", ok)
         q *= p
 

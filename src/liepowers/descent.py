@@ -1,11 +1,12 @@
 """Solomon's descent algebra, its class-function map, and tensor actions.
 
-Elements are stored on the basis X^c indexed by compositions c of r,
-where X^c is the sum of all permutations whose descent set is contained
-in the partial-sum set of c.  Products follow the nonnegative-integer-
-matrix rule (validated against the group algebra in the test suite); the
-map onto class functions sends X^c to the Young character of c and has
-nilpotent kernel, which is what makes idempotent lifting work.
+Elements are stored over GF(p), p checked by ``linalg.field``, on the
+basis X^c indexed by compositions c of r, where X^c is the sum of all
+permutations whose descent set is contained in the partial-sum set of
+c.  Products follow the nonnegative-integer-matrix rule (validated
+against the group algebra in the test suite); the map onto class
+functions sends X^c to the Young character of c and has nilpotent
+kernel, which is what makes idempotent lifting work.
 
 Permutations act on tensors by place permutation, (w.sigma)_i =
 w_{sigma(i)}, so X^c acts by splitting off subsequences: X^c(w) is the
@@ -15,7 +16,8 @@ description rather than by expanding permutations.
 
 A place permutation keeps the letter content of a word, so every descent
 operator on T^q(V) is block diagonal over the weight spaces T^q_alpha,
-spanned by the words of content alpha, of dimension multinomial(q; alpha).
+spanned by the words of content alpha, of dimension multinomial(q; alpha);
+the weight spaces are read from ``linalg._weight_blocks``.
 X^c, the sums of them and their Newton lifts are built and multiplied one
 weight block at a time, at a cost of sum over alpha of dim(T^q_alpha)^3
 per product instead of (n^q)^3: for n = 2, q = 12 the largest block is
@@ -38,8 +40,15 @@ from .combinat import (
     partitions,
     young_character,
 )
-from .linalg import Mat, check_prime, field, index_to_word, word_to_index, \
-    _solve_linear_system
+from .linalg import (
+    Mat,
+    _digit_table,
+    _solve_linear_system,
+    _weight_blocks,
+    field,
+    index_to_word,
+    word_to_index,
+)
 
 __all__ = [
     "DescentElement",
@@ -149,7 +158,7 @@ class DescentElement:
     __slots__ = ("r", "p", "coeffs")
 
     def __init__(self, r, p, coeffs=None):
-        check_prime(p)
+        field(p)
         self.r = r
         self.p = p
         self.coeffs = {}
@@ -158,7 +167,7 @@ class DescentElement:
                 c = tuple(c)
                 if sum(c) != r or any(x <= 0 for x in c):
                     raise ValueError(f"{c} is not a composition of {r}")
-                v = v % p if p else v
+                v %= p
                 if v:
                     self.coeffs[c] = v
 
@@ -221,7 +230,7 @@ class DescentElement:
             tot = 0
             for c, v in self.coeffs.items():
                 tot += v * young_character(c, lam)
-            tot = tot % self.p if self.p else tot
+            tot %= self.p
             if tot:
                 vals[lam] = tot
         return ClassFunction(self.r, vals)
@@ -233,9 +242,7 @@ class DescentElement:
         for c, v in self.coeffs.items():
             for sigma in xnu_as_permutation_sum(c):
                 out[sigma] += v
-        if self.p:
-            out = Counter({s: v % self.p for s, v in out.items() if v % self.p})
-        return out
+        return Counter({s: v % self.p for s, v in out.items() if v % self.p})
 
 
 def multiply_permutation_oracle(a, b):
@@ -250,37 +257,11 @@ def multiply_permutation_oracle(a, b):
         for tau, vb in pb.items():
             comp = tuple(sig[t - 1] for t in tau)
             out[comp] += va * vb
-    if a.p:
-        out = Counter({s: v % a.p for s, v in out.items() if v % a.p})
-    return out
+    return Counter({s: v % a.p for s, v in out.items() if v % a.p})
 
 
 # ---------------------------------------------------------------------------
 # action on tensor space
-
-
-@lru_cache(maxsize=None)
-def _digit_table(n, r):
-    N = n ** r
-    D = np.empty((N, r), dtype=np.int64)
-    idx = np.arange(N)
-    for pos in range(r - 1, -1, -1):
-        D[:, pos] = idx % n
-        idx = idx // n
-    return D
-
-
-@lru_cache(maxsize=None)
-def _weight_blocks(n, r):
-    """The weight spaces of T^r(V_n): letter content (the count of each
-    letter) -> ascending array of the indices of the words with it."""
-    D = _digit_table(n, r)
-    content = np.stack([(D == a).sum(axis=1) for a in range(n)], axis=1)
-    keys, label = np.unique(content, axis=0, return_inverse=True)
-    label = label.ravel()
-    order = np.argsort(label, kind="stable")
-    ends = np.cumsum(np.bincount(label, minlength=len(keys)))[:-1]
-    return dict(zip(map(tuple, keys.tolist()), np.split(order, ends)))
 
 
 def _place_blocks(p, size, pieces):

@@ -17,11 +17,11 @@ from .linalg import (
     Mat,
     SpanBuilder,
     Subspace,
-    check_prime,
+    _weight_blocks,
+    _weight_index,
     field,
     index_to_word,
     word_to_index,
-    word_weight,
 )
 
 __all__ = [
@@ -61,7 +61,7 @@ class Tensor:
     __slots__ = ("p", "n", "r", "coeffs")
 
     def __init__(self, p, n, r, coeffs=None):
-        check_prime(p)
+        field(p)
         self.p = p
         self.n = n
         self.r = r
@@ -155,6 +155,9 @@ def unpack_tensor(p, n, r, vec):
 @lru_cache(maxsize=None)
 def lyndon_words(n, r):
     """Lyndon words of length exactly r over 1..n, in lex order (Duval)."""
+    if n < 1:
+        raise ValueError("the alphabet needs at least one letter, got n=%r"
+                         % (n,))
     out = []
     w = [1]
     while True:
@@ -301,15 +304,16 @@ def filtration_subspace(p, n, r, lam):
 # weights (multidegrees) and alphabet truncation
 
 
-@lru_cache(maxsize=None)
 def weight_columns(n, r, weight):
-    return tuple(i for i in range(n ** r)
-                 if word_weight(index_to_word(i, n, r), n) == tuple(weight))
+    """The columns of T^r(V_n) of one multidegree, ascending."""
+    idx = _weight_blocks(n, r).get(tuple(weight))
+    return () if idx is None else tuple(idx.tolist())
 
 
 def weight_labels(n, r):
     """Multidegree of every column of T^r(V_n), in column order."""
-    return [word_weight(index_to_word(i, n, r), n) for i in range(n ** r)]
+    weights = list(_weight_blocks(n, r))
+    return [weights[t] for t in _weight_index(n, r).tolist()]
 
 
 def weight_component(space, n, r, weight):

@@ -21,11 +21,20 @@ echelon, reduction and product kernels, multiplies rows by a tensor power
 g x ... x g of a small matrix without forming it, and writes a row as
 payload text.
 ``Mat``, ``Subspace``, ``SpanBuilder`` and the equivariant solver each
-have one body written against it.
+have one body written against it.  ``field(p)`` is also the one check
+that p is a usable modulus.
+
+Word indexing lives here as well: a word over 1..n of length r has the
+big-endian base-n index of ``word_to_index``.  The weight table of
+T^r(V_n) is cached per (n, r) beside it: ``_digit_table`` (the letters of
+every word), ``_weight_index`` (the weight space of every index) and
+``_weight_blocks`` (the indices of each weight space).  Every module
+that grades by letter content reads them.
 """
 
 from __future__ import annotations
 
+import math
 import string
 from functools import lru_cache, partial
 
@@ -41,7 +50,6 @@ __all__ = [
     "is_direct_sum",
     "solve_equivariant_projection",
     "affine_projection_family",
-    "check_prime",
     "word_to_index",
     "index_to_word",
     "word_weight",
@@ -50,20 +58,6 @@ __all__ = [
     "parse_terms",
     "format_terms",
 ]
-
-
-def check_prime(p):
-    """Validate that p is a prime (or 0 for the rational oracle mode)."""
-    if p == 0:
-        return p
-    if not isinstance(p, int) or p < 2:
-        raise ValueError(f"modulus must be a prime, got {p!r}")
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            raise ValueError(f"modulus must be a prime, got {p}")
-        d += 1
-    return p
 
 
 # ---------------------------------------------------------------------------
@@ -126,12 +120,11 @@ def _letter_masks(n, r):
     """Per position of a length-r word, (stride, masks): the index stride
     of that position and, per letter j, the int with bit c set for the
     indices c whose word has letter j there."""
-    c = np.arange(n ** r)
+    D = _digit_table(n, r)
     out = []
     for pos in range(r):
         stride = n ** (r - 1 - pos)
-        letter = c // stride % n
-        masks = np.packbits(letter == np.arange(n)[:, None], axis=1,
+        masks = np.packbits(D[:, pos] == np.arange(n)[:, None], axis=1,
                             bitorder="little")
         out.append((stride, tuple(_words_to_rows(masks))))
     return tuple(out)
@@ -610,15 +603,19 @@ def field(p):
     """The row backend of GF(p), shared by every caller.
 
     A packed row is whatever its methods take and return; no other code
-    needs to know its type.  Raises ValueError unless p is a prime with
-    (p - 1)^2 < 2^53, the bound of the exact odd-p products.
+    needs to know its type.  This is the one check of a modulus: it raises
+    ValueError unless p is an int prime with (p - 1)^2 < 2^53, the bound
+    of the exact odd-p products.
     """
     if p == 0:
         raise ValueError("linear algebra needs a prime modulus, got 0")
+    if not isinstance(p, int) or p < 2:
+        raise ValueError(f"modulus must be a prime, got {p!r}")
     # the bound comes first: trial division of a large p takes minutes
-    if isinstance(p, int) and p > 1 and (p - 1) ** 2 >= _EXACT:
+    if (p - 1) ** 2 >= _EXACT:
         raise ValueError("modulus %d too large: need (p - 1)^2 < 2^53" % p)
-    check_prime(p)
+    if any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise ValueError(f"modulus must be a prime, got {p}")
     return _GF2() if p == 2 else _GFp(p)
 
 
@@ -948,7 +945,7 @@ class GroupAction:
     __slots__ = ("p", "dim", "generators")
 
     def __init__(self, p, dim, generators):
-        check_prime(p)
+        field(p)
         for g in generators:
             if g.p != p or g.nrows != dim or g.ncols != dim:
                 raise ValueError("generator shape/modulus mismatch")
@@ -1037,7 +1034,9 @@ def _projection_problem(action, image, domain, labels=None):
 
     Returns None if the image is not an invariant subspace (then no
     projection with that image can commute with the action), otherwise a
-    dict of the adapted-coordinate data.
+    dict of the adapted-coordinate data.  With labels, ``graded`` masks
+    the unknowns that keep the grading when every image row is
+    homogeneous, and is None otherwise.
     """
     p = domain.p
     F = field(p)
@@ -1050,8 +1049,6 @@ def _projection_problem(action, image, domain, labels=None):
     im = Subspace.from_packed(
         p, d, image.basis_matrix().columns(domain.pivots).packed_rows())
     m = im.dim
-    if any(_restrict(im, lambda x: x @ g) is None for g in gmats):
-        return None  # image not invariant: infeasible
     free_cols = np.setdiff1d(np.arange(d), im.pivots).tolist()
 
     # adapted basis: image rows first, then unit vectors on free columns
@@ -1062,7 +1059,7 @@ def _projection_problem(action, image, domain, labels=None):
     for g in gmats:
         gad = (T @ g @ Tinv).to_array()
         if gad[:m, m:].any():
-            return None  # cannot happen if image invariant; belt and braces
+            return None  # image not invariant: infeasible
         blocks.append((gad[:m, :m], gad[m:, :m], gad[m:, m:]))
 
     # the graded ansatz keeps X[u, v] when free column u and image row v
@@ -1193,19 +1190,16 @@ def solve_equivariant_projection(action, image, domain, labels=None):
     ValueError instead.
 
     ``labels`` optionally assigns a hashable grade to each domain basis
-    row; when given, a solution preserving the grading is tried first and
-    the unrestricted system is kept as fallback.
+    row.  When every image row is homogeneous, the projection must then
+    keep the grading, and None means that no such projection exists;
+    otherwise the labels are ignored.  One system is solved either way.
     """
     prob = _projection_problem(action, image, domain, labels=labels)
     if prob is None:
         return None
-    attempts = [None] if prob["graded"] is None else [prob["graded"], None]
-    for graded in attempts:
-        index, nunk, rows, rhs = _assemble_projection_system(prob, graded)
-        sol = _solve_linear_system(prob["p"], rows, rhs, nunk)
-        if sol is not None:
-            return _projection_from_x(prob, sol[0], index)
-    return None
+    index, nunk, rows, rhs = _assemble_projection_system(prob, prob["graded"])
+    sol = _solve_linear_system(prob["p"], rows, rhs, nunk)
+    return None if sol is None else _projection_from_x(prob, sol[0], index)
 
 
 def affine_projection_family(action, image, domain, labels=None, max_kernel=None):
@@ -1259,6 +1253,39 @@ def word_weight(word, n):
     for a in word:
         w[a - 1] += 1
     return tuple(w)
+
+
+@lru_cache(maxsize=None)
+def _digit_table(n, r):
+    """The letters of every word of length r as an n^r x r array, row i
+    holding the word of index i with letters 0..n-1."""
+    D = np.empty((n ** r, r), dtype=np.int64)
+    idx = np.arange(n ** r)
+    for pos in range(r - 1, -1, -1):
+        D[:, pos] = idx % n
+        idx = idx // n
+    return D
+
+
+@lru_cache(maxsize=None)
+def _weight_index(n, r):
+    """Per word index of T^r(V_n), the position of its weight (letter
+    content) among the keys of ``_weight_blocks(n, r)``."""
+    D = _digit_table(n, r)
+    content = np.stack([(D == a).sum(axis=1) for a in range(n)], axis=1)
+    return np.unique(content, axis=0, return_inverse=True)[1].ravel()
+
+
+@lru_cache(maxsize=None)
+def _weight_blocks(n, r):
+    """The weight spaces of T^r(V_n): letter content (the count of each
+    letter, the ``word_weight`` of its words) -> ascending array of the
+    indices of the words with it, in ascending order of content."""
+    label = _weight_index(n, r)
+    order = np.argsort(label, kind="stable")
+    D = _digit_table(n, r)
+    return {tuple(np.bincount(D[idx[0]], minlength=n).tolist()): idx
+            for idx in np.split(order, np.cumsum(np.bincount(label))[:-1])}
 
 
 def format_terms(pairs, n, r):

@@ -24,7 +24,6 @@ from .linalg import (
     Mat,
     SpanBuilder,
     Subspace,
-    check_prime,
     field,
     rref,
 )
@@ -46,7 +45,7 @@ _CLOSURE_LIMIT = 10 ** 7
 
 def primitive_root(p):
     """Smallest generator of the multiplicative group of F_p."""
-    check_prime(p)
+    field(p)
     if p == 2:
         return 1
     fac = []
@@ -175,7 +174,7 @@ def gl_generators(n, p):
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    check_prime(p)
+    field(p)
     return list(_gl_generators_checked(n, p))
 
 
@@ -200,7 +199,6 @@ class TensorAction:
             raise ValueError("generator list must be nonempty")
         p = gens[0].p
         n = gens[0].nrows
-        check_prime(p)
         if r < 0:
             raise ValueError("r must be nonnegative")
         for g in gens:

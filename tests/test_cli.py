@@ -292,6 +292,39 @@ def test_decompose_dimension_cap_exit_2(capsys):
     assert "dense-dimension cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["filtration", "--p", "2", "--n", "0", "--r", "2"],
+    ["filtration", "--p", "2", "--n", "-1", "--r", "2"],
+    ["decompose", "--p", "2", "--n", "0", "--k", "3", "--max-degree", "6"],
+])
+def test_alphabet_below_one_letter_exit_2(argv, capsys):
+    # n < 1 is refused before any Lyndon word is enumerated
+    start = time.monotonic()
+    assert main(argv) == 2
+    assert time.monotonic() - start < 1
+    assert "n must be positive" in capsys.readouterr().err
+
+
+def test_certify_records_a_cut_lower_basis(tmp_path, capsys):
+    # B_3 cut to one row: the degree-6 splitting check fails and is
+    # recorded with the other checks, not raised
+    out_file = tmp_path / "cert.json"
+    assert main(["decompose", "--p", "2", "--n", "2", "--k", "3",
+                 "--max-degree", "6", "--format", "json",
+                 "--out", str(out_file)]) == 0
+    payload = json.loads(out_file.read_text())
+    lines = payload["payloads"]["basis/3"]["lines"]
+    assert len(lines) == 3  # the header and two rows
+    del lines[2:]
+    out_file.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["certify", str(out_file), "--format", "json"]) == 1
+    rows = json.loads(capsys.readouterr().out)["results"]
+    assert {"degree": 6, "check": "Lie power splits over the lower bases",
+            "status": "fail"} in rows
+    assert len(rows) == 6
+
+
 def test_decompose_stage_one_failure_exit_1(monkeypatch, capsys):
     def forced(*args):
         raise ArithmeticError("forced")

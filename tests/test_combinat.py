@@ -5,13 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from liepowers.combinat import (
     ClassFunction,
-    associated_partition,
     class_of_partition,
     compositions,
     count_block_assignments,
     higher_lie_dim,
-    is_refinement,
-    lex_less,
     mobius,
     next_partition,
     p_equivalence_classes,
@@ -45,28 +42,10 @@ def test_compositions_count_and_distinct():
         assert all(sum(c) == r and all(x > 0 for x in c) for c in cs)
 
 
-def test_associated_partition():
-    assert associated_partition((1, 3, 2, 3)) == (3, 3, 2, 1)
-    assert associated_partition(()) == ()
-
-
 def test_lex_and_successor():
-    assert lex_less((1, 1, 1, 1), (2, 1, 1))
-    assert lex_less((2, 1, 1), (2, 2))
-    assert not lex_less((4,), (3, 1))
     assert next_partition((1, 1, 1, 1)) == (2, 1, 1)
     assert next_partition((3, 1)) == (4,)
     assert next_partition((4,)) is None
-
-
-def test_refinement():
-    assert is_refinement((2, 1, 1), (3, 1))
-    assert is_refinement((2, 1, 1), (2, 2))
-    assert not is_refinement((2, 2), (3, 1))
-    assert is_refinement((1, 1, 1, 1), (4,))
-    assert is_refinement((3, 1), (4,))
-    assert not is_refinement((3, 1), (2, 2))
-    assert is_refinement((4,), (4,))
 
 
 def test_mobius_values():

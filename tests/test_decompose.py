@@ -13,8 +13,8 @@ from liepowers.decompose import (
     split_tensor_power,
 )
 from liepowers.freelie import lie_power
-from liepowers.descent import _assemble, _weight_blocks
-from liepowers.linalg import Mat, Subspace, _invert
+from liepowers.descent import _assemble
+from liepowers.linalg import Mat, Subspace, _invert, _weight_blocks
 from liepowers.modrep import TensorAction, gl_generators, induce_on_tensor_power
 
 
@@ -142,12 +142,39 @@ def test_family_rejects_zero_modulus():
         construct_B_family(2, 0, 1, 2)
 
 
+@pytest.mark.parametrize("n,p,k,top", [(2, 2, 3, 12), (3, 3, 2, 6)])
+def test_certify_derives_the_constructed_lower_pieces(n, p, k, top):
+    # certify re-derives the lower Lie pieces at k p^j by the routine the
+    # construction used, and gets the stored ones
+    res = construct_B_family(n, p, k, top)
+    dims = []
+    q = k
+    while q <= top:
+        lower = decompose_module._lower_pieces(q, k, n, p, res.degrees)
+        assert lower == res.degrees[q].lower
+        dims.append(sum(piece.dim for _, piece in lower))
+        q *= p
+    assert len(dims) >= 2 and any(dims)
+
+
+def test_certify_records_a_missing_lower_degree():
+    res = construct_B_family(2, 2, 3, 6)
+    del res.degrees[3]
+    rep = certify_decomposition(res)
+    assert rep["degrees"][6][-1] == ("Lie power splits over the lower bases",
+                                     False)
+    assert not rep["ok"]
+
+
 def test_dense_dimension_cap_boundary():
     decompose_module._check_dense_dim(2, 14)  # 16384
     with pytest.raises(ValueError, match="n=2 at degree 15 exceeds"):
         decompose_module._check_dense_dim(2, 15)
     # n = 1 never reaches the cap, however large the degree
     decompose_module._check_dense_dim(1, 10 ** 12)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be positive"):
+            decompose_module._check_dense_dim(n, 2)
 
 
 def test_tampered_projection_detected():

@@ -30,10 +30,18 @@ from liepowers.freelie import (
     symmetrize_extend,
     truncate_subspace,
     truncate_vector,
+    weight_columns,
     weight_component,
     weight_labels,
 )
-from liepowers.linalg import Subspace, word_to_index
+from liepowers.linalg import (
+    Subspace,
+    _weight_blocks,
+    _weight_index,
+    index_to_word,
+    word_to_index,
+    word_weight,
+)
 
 
 def test_lyndon_words_small():
@@ -216,6 +224,26 @@ def test_weight_labels_shape():
     assert len(labs) == 8
     assert labs[word_to_index((1, 1, 1), 2)] == (3, 0)
     assert labs[word_to_index((2, 1, 2), 2)] == (1, 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("r", [0, 1, 2, 3, 4, 5])
+def test_weight_tables_match_word_weight(n, r):
+    want = [word_weight(index_to_word(i, n, r), n) for i in range(n ** r)]
+    assert weight_labels(n, r) == want
+    weights = list(_weight_blocks(n, r))
+    assert weights == sorted(set(want))
+    assert [weights[t] for t in _weight_index(n, r)] == want
+    for alpha in weights:
+        assert weight_columns(n, r, alpha) == tuple(
+            i for i, w in enumerate(want) if w == alpha)
+    assert weight_columns(n, r, (r + 1,) + (0,) * (n - 1)) == ()
+
+
+def test_lyndon_words_need_a_letter():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="at least one letter"):
+            lyndon_words(n, 2)
 
 
 def test_truncate_vector_and_subspace():

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import time
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import liepowers
 from liepowers import linalg
+from liepowers.descent import DescentElement
+from liepowers.freelie import Tensor
 from liepowers.linalg import (
     GroupAction,
     Mat,
@@ -25,7 +28,6 @@ from liepowers.linalg import (
     _solve_linear_system,
     _words_to_rows,
     affine_projection_family,
-    check_prime,
     field,
     format_subspace,
     index_to_word,
@@ -36,14 +38,16 @@ from liepowers.linalg import (
     word_to_index,
     word_weight,
 )
+from liepowers.modrep import gl_generators
 
 
 def test_check_prime():
-    for p in (2, 3, 5, 7, 11):
-        assert check_prime(p) == p
-    for bad in (1, 4, 6, 9, -3):
+    # field(p) is the only modulus check
+    for p in (2, 3, 5, 7, 11, 94906249):
+        assert field(p) is field(p)
+    for bad in (1, 4, 6, 9, -3, 97 * 97, 2 ** 61 - 1, 2.0, 3.0, True):
         with pytest.raises(ValueError):
-            check_prime(bad)
+            field(bad)
 
 
 def test_rref_keeps_shape_and_rank():
@@ -295,10 +299,18 @@ def test_mat_apply_row_vector():
 
 
 def test_modulus_zero_rejected():
-    # characteristic 0 has no row backend; only check_prime accepts it
-    assert check_prime(0) == 0
+    # characteristic 0 has no row backend, and nothing else takes it
     with pytest.raises(ValueError):
         field(0)
+    with pytest.raises(ValueError):
+        Tensor(0, 2, 1, {(1,): 1})
+    with pytest.raises(ValueError):
+        DescentElement(2, 0, {(2,): 1})
+    # past the exact bound the modulus is refused before trial division
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="2\\^53"):
+        gl_generators(2, 2 ** 61 - 1)
+    assert time.monotonic() - start < 1
     with pytest.raises(ValueError):
         Mat.from_rows(0, [[1, 2], [3, 4]])
     with pytest.raises(ValueError):
@@ -496,6 +508,20 @@ def test_projection_with_weight_labels():
     pi = solve_equivariant_projection(act, img, dom, labels=["a", "b"])
     assert pi is not None
     assert pi.to_lists() == [[1, 0], [0, 0]]
+
+
+def test_graded_system_is_solved_alone():
+    # e1 g = e1 and e2 g = e1 + 2 e2: the only invariant complement of
+    # span{e1} is span{e1 + e2}, which crosses the grades "a" and "b", so
+    # the equivariant projection exists but no weight-preserving one does
+    g = Mat.from_rows(3, [[1, 0], [1, 2]])
+    act = GroupAction(3, 2, [g])
+    dom = Subspace.from_vectors(3, 2, [[1, 0], [0, 1]])
+    img = Subspace.from_vectors(3, 2, [[1, 0]])
+    assert solve_equivariant_projection(act, img, dom).to_lists() == \
+        [[1, 0], [2, 0]]
+    assert solve_equivariant_projection(act, img, dom,
+                                        labels=["a", "b"]) is None
 
 
 def test_affine_family_spans_all_solutions():
