@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Subcommands: dims (dimension tables), pclasses (p-equivalence classes),
-filtration (class-summand split of a tensor power), decompose (build and
-certify a B-family, optionally writing a certificate file), certify
-(re-verify a certificate file), selftest (quick or full check suites).
+filtration (class-summand split of a tensor power), decompose (build a
+B-family, which certifies every degree as it goes, and report the
+verdicts of that construction, optionally writing a certificate file),
+certify (re-verify a certificate file from its data alone), selftest
+(quick or full check suites).
 
 Exit codes:
   0  everything verified;
@@ -36,6 +38,7 @@ from .combinat import (
 from .decompose import (
     _check_dense_dim,
     _check_family_args,
+    _splitting_degrees,
     DecompositionResult,
     DegreeData,
     certify_decomposition,
@@ -182,14 +185,17 @@ def cmd_decompose(args):
     p, n, k = args.p, args.n, args.k
     max_degree = args.max_degree
     result = construct_B_family(n, p, k, max_degree)
-    report = certify_decomposition(result)
+    # construct_B_family raises at the first failed check, so every check
+    # certify_decomposition would make here has already passed: the
+    # construction runs _projection_flaw at every degree and _splits at
+    # every s >= 2, and _splits implies B_q lies in L^q; at s = 1, B is
+    # L^q itself, which is its own splitting.
     # "stage" (always 1) and "max_search" (always 64) are fixed fields of
     # this report format, kept so existing reports stay byte-identical
+    splitting = set(_splitting_degrees(k, p, max_degree))
     rows = []
     certs = []
     payloads = {}
-    checks = 0
-    passed = 0
     for q in sorted(result.degrees):
         data = result.degrees[q]
         rows.append({"degree": q,
@@ -202,33 +208,23 @@ def cmd_decompose(args):
                      "stage": 1})
         payloads["basis/%d" % q] = _subspace_payload(data.basis, n, q)
         payloads["projection/%d" % q] = _matrix_payload(data.projection)
-        for name, ok in report["degrees"][q]:
-            checks += 1
-            passed += int(ok)
-            if name.startswith("projection certificate"):
-                certs.append({"kind": "projection", "degree_or_class": q,
-                              "status": "ok" if ok else "fail",
-                              "stage": 1,
-                              "data_ref": "projection/%d" % q})
-            elif name.startswith("basis"):
-                certs.append({"kind": "basis", "degree_or_class": q,
-                              "status": "ok" if ok else "fail",
-                              "stage": 1,
-                              "data_ref": "basis/%d" % q})
-            else:
-                certs.append({"kind": "splitting", "degree_or_class": q,
-                              "status": "ok" if ok else "fail",
-                              "stage": None, "data_ref": None})
+        for kind in ("projection", "basis"):
+            certs.append({"kind": kind, "degree_or_class": q,
+                          "status": "ok", "stage": 1,
+                          "data_ref": "%s/%d" % (kind, q)})
+        if q in splitting:
+            certs.append({"kind": "splitting", "degree_or_class": q,
+                          "status": "ok", "stage": None, "data_ref": None})
     payload = {
         "config": {"command": "decompose", "p": p, "n": n, "k": k,
                    "max_degree": max_degree, "max_search": 64},
         "results": rows,
         "certificates": certs,
         "payloads": payloads,
-        "totals": {"checks": checks, "passed": passed},
+        "totals": {"checks": len(certs), "passed": len(certs)},
     }
     return payload, ("degree", "b_dim", "elim_dim", "complement_dim",
-                     "lie_dim", "stage"), 0 if report["ok"] else 1
+                     "lie_dim", "stage"), 0
 
 
 @contextmanager

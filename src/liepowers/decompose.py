@@ -641,6 +641,15 @@ def _lower_pieces(q, k, n, p, family):
     return pieces
 
 
+def _splitting_degrees(k, p, max_degree):
+    """The degrees k, pk, p^2 k, ... up to max_degree, at which
+    certification re-checks the splitting of the Lie power."""
+    q = k
+    while q <= max_degree:
+        yield q
+        q *= p
+
+
 def _splits(lower, basis, lie):
     """True when the Lie power is the direct sum of the nonzero lower
     pieces and the basis."""
@@ -816,8 +825,7 @@ def certify_decomposition(result, companion=None):
         record(q, "basis lies in the Lie power",
                lie.contains_space(data.basis))
 
-    q = k
-    while q <= result.max_degree:
+    for q in _splitting_degrees(k, p, result.max_degree):
         if q in result.degrees:
             try:
                 ok = _splits(_lower_pieces(q, k, n, p, result.degrees),
@@ -825,7 +833,6 @@ def certify_decomposition(result, companion=None):
             except (ArithmeticError, ValueError):
                 ok = False
             record(q, "Lie power splits over the lower bases", ok)
-        q *= p
 
     if companion is not None:
         if companion.p != p or companion.k != k or companion.n >= n:

@@ -9,11 +9,12 @@ How a row of F_p^N is stored is decided in one place, the field backend
 returned by ``field(p)``, and every other module works on rows through it:
 
 * ``p == 2``: a row is a Python int, bit ``j`` = column ``j``.  Every
-  product, of any shape, runs one kernel: Four-Russians on numpy uint64
-  words.  An echelon chooses by density: wide dense rows (one set bit per
-  64 columns or more) take the word kernel, and the rest eliminate as big
-  ints, whose XOR costs time only where rows have bits.
+  product, of any shape, runs Four-Russians on numpy uint64 words, and
+  every echelon eliminates on the big ints, whose XOR costs time only
+  where rows have bits.
 * odd ``p``: a row is a numpy ``int64`` array reduced mod p.
+
+There is one echelon kernel per field.
 
 A backend turns rows into and out of dense integer arrays and
 (index, coefficient) terms, adds, scales and concatenates them, runs the
@@ -62,25 +63,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # packed-row kernels, p == 2
-
-
-def _ech2(vecs):
-    """Canonical RREF of int-packed rows.  Returns (rows, pivot columns).
-
-    Inputs of at least 512 rows and 512 columns go to the word kernel only
-    when dense (64 * set bits >= rows * width): it scans every row at each
-    column, while a big-int XOR costs time only where rows have bits.
-    Both paths return the canonical RREF.
-    """
-    if not isinstance(vecs, (list, tuple)):
-        vecs = list(vecs)
-    if len(vecs) >= 512:
-        width = max(v.bit_length() for v in vecs)
-        if width >= 512 and \
-                64 * sum(v.bit_count() for v in vecs) >= len(vecs) * width:
-            rows, pivots = _rref2_words(_rows_to_words(vecs, width), width)
-            return _words_to_rows(rows), pivots
-    return _rref2_ints(vecs)
 
 
 def _rref2_ints(vecs):
@@ -151,7 +133,7 @@ def _mul2(arows, brows):
 #
 # Python-int bitsets are convenient, but the quadratic loops dominate once
 # matrices reach tensor rank 9 and beyond (4096 columns at rank 12), so
-# products and dense echelons run on vectorized word arithmetic.
+# products run on vectorized word arithmetic.
 # Bit j of a row lives in word j // 64 at position j % 64.
 
 
@@ -190,35 +172,6 @@ def _mul2_words(A, B):
             np.bitwise_xor(lut[:h], B[base + bit], out=lut[h:2 * h])
         out ^= lut[col]
     return out
-
-
-def _rref2_words(W, ncols):
-    """Gauss-Jordan on word rows; returns (canonical rows, pivots)."""
-    A = W.copy()
-    n = A.shape[0]
-    pivots = []
-    rank = 0
-    one = np.uint64(1)
-    for c in range(ncols):
-        if rank == n:
-            break
-        w, b = divmod(c, 64)
-        shift = np.uint64(b)
-        colbits = (A[rank:, w] >> shift) & one
-        cand = np.nonzero(colbits)[0]
-        if cand.size == 0:
-            continue
-        piv = rank + int(cand[0])
-        if piv != rank:
-            A[[rank, piv]] = A[[piv, rank]]
-        allbits = (A[:, w] >> shift) & one
-        rows = np.nonzero(allbits)[0]
-        rows = rows[rows != rank]
-        if rows.size:
-            A[rows] ^= A[rank]
-        pivots.append(c)
-        rank += 1
-    return A[:rank], pivots
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +351,7 @@ class _GF2:
 
     def echelon(self, rows, n):
         """Canonical RREF of the rows: (nonzero rows, pivot columns)."""
-        return _ech2(rows)
+        return _rref2_ints(rows)
 
     def reduce(self, rows, pivots, vecs):
         """Each vector reduced by canonical echelon rows."""
@@ -1289,15 +1242,19 @@ def _weight_blocks(n, r):
 
 
 def format_terms(pairs, n, r):
-    """Render [(word, coeff), ...] as 'c w c w ...'."""
+    """Render [(word, coeff), ...] as 'c w c w ...'.  A word is its
+    letters' digits run together, or, when n > 9 and a letter may have
+    two digits, its letters joined by '.'."""
+    sep = "." if n > 9 else ""
     bits = []
     for word, c in pairs:
         bits.append(str(c))
-        bits.append("".join(str(a) for a in word))
+        bits.append(sep.join(str(a) for a in word))
     return " ".join(bits)
 
 
 def parse_terms(line, n, r):
+    """Inverse of format_terms for words over 1..n of length r."""
     toks = line.split()
     if len(toks) % 2:
         raise ValueError(f"dangling token in term line: {line!r}")
@@ -1305,9 +1262,11 @@ def parse_terms(line, n, r):
     for i in range(0, len(toks), 2):
         c = int(toks[i])
         w = toks[i + 1]
-        if len(w) != r:
-            raise ValueError(f"word {w!r} has length {len(w)}, expected {r}")
-        word = tuple(int(ch) for ch in w)
+        letters = w.split(".") if n > 9 else w
+        if len(letters) != r:
+            raise ValueError(f"word {w!r} has length {len(letters)}, "
+                             f"expected {r}")
+        word = tuple(int(ch) for ch in letters)
         for a in word:
             if not 1 <= a <= n:
                 raise ValueError(f"letter {a} outside alphabet 1..{n}")
@@ -1319,7 +1278,9 @@ def format_subspace(space, n, r, comment=None):
     """Serialize a subspace of the word space T^r(V_n).
 
     Header 'p n r', then one line per canonical basis vector listing
-    coefficient/word pairs.  '#' starts a comment.
+    coefficient/word pairs.  A word is written as its letters' digits
+    run together ('2 121'), or, when n > 9, as its letters joined by '.'
+    ('2 1.10.3'); the header's n decides which.  '#' starts a comment.
     """
     if space.ambient != n ** r:
         raise ValueError("ambient does not match n^r")

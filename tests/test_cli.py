@@ -92,6 +92,70 @@ def test_decompose_json_and_roundtrip(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("k,line,checks", [
+    ("1", "1 10", 5),           # degree 1: one-letter words
+    ("2", "1 9.10 2 10.9", 3),  # degree 2: letters joined by '.'
+])
+def test_decompose_report_with_two_digit_letters_certifies(tmp_path, capsys,
+                                                          k, line, checks):
+    out_file = tmp_path / "cert.json"
+    assert main(["decompose", "--p", "3", "--n", "10", "--k", k,
+                 "--max-degree", "2", "--format", "json",
+                 "--out", str(out_file)]) == 0
+    lines = json.loads(out_file.read_text())["payloads"]["basis/" + k][
+        "lines"]
+    assert lines[0] == "3 10 " + k and lines[-1] == line
+    code, out = run(capsys, "certify", str(out_file))
+    assert code == 0
+    assert "checks=%d passed=%d" % (checks, checks) in out
+
+
+_CHECK_KINDS = {"projection certificate": "projection",
+                "basis lies in the Lie power": "basis",
+                "Lie power splits over the lower bases": "splitting"}
+
+
+@pytest.mark.parametrize("n,p,k,top", [
+    (2, 2, 3, 9), (2, 2, 1, 6), (2, 3, 2, 8), (3, 3, 1, 4)])
+def test_decompose_reports_the_verdicts_of_certification(tmp_path, n, p,
+                                                         k, top):
+    out_file = tmp_path / "cert.json"
+    assert main(["decompose", "--p", str(p), "--n", str(n), "--k", str(k),
+                 "--max-degree", str(top), "--format", "json",
+                 "--out", str(out_file)]) == 0
+    data = json.loads(out_file.read_text())
+    report = decompose_module.certify_decomposition(
+        decompose_module.construct_B_family(n, p, k, top))
+    want = []
+    for q in sorted(report["degrees"]):
+        for name, ok in report["degrees"][q]:
+            kind = _CHECK_KINDS[name]
+            stage = None if kind == "splitting" else 1
+            ref = None if kind == "splitting" else "%s/%d" % (kind, q)
+            want.append({"kind": kind, "degree_or_class": q,
+                         "status": "ok" if ok else "fail", "stage": stage,
+                         "data_ref": ref})
+    assert data["certificates"] == want
+    assert data["totals"] == {"checks": len(want),
+                              "passed": sum(c["status"] == "ok"
+                                            for c in want)}
+
+
+def test_decompose_checks_each_projection_once(monkeypatch, tmp_path):
+    seen = []
+    flaw = decompose_module._projection_flaw
+
+    def counted(proj, basis, action):
+        seen.append(proj.ncols)
+        return flaw(proj, basis, action)
+
+    monkeypatch.setattr(decompose_module, "_projection_flaw", counted)
+    assert main(["decompose", "--p", "2", "--n", "2", "--k", "3",
+                 "--max-degree", "9", "--format", "json",
+                 "--out", str(tmp_path / "cert.json")]) == 0
+    assert seen == [2 ** 3, 2 ** 6, 2 ** 9]
+
+
 def test_certify_tampered_exit_1(tmp_path, capsys):
     out_file = tmp_path / "cert.json"
     assert main(["decompose", "--p", "3", "--n", "2", "--k", "2",

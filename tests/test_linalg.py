@@ -17,14 +17,12 @@ from liepowers.linalg import (
     SpanBuilder,
     Subspace,
     _assemble_projection_system,
-    _ech2,
+    _echp,
     _invert,
     _mul2,
     _mul2_words,
     _projection_problem,
     _rows_to_words,
-    _rref2_ints,
-    _rref2_words,
     _solve_linear_system,
     _words_to_rows,
     affine_projection_family,
@@ -574,6 +572,27 @@ def test_subspace_text_accepts_comments_and_blank_lines():
     assert s.contains([1, 0, 0, 2])
 
 
+def test_subspace_text_roundtrip_with_two_digit_letters():
+    # n > 9: letters are joined by '.', so letter 10 is not read as 1, 0
+    n, r = 11, 2
+    words = [(10, 11), (1, 10), (11, 1), (2, 3)]
+    vecs = []
+    for w in words:
+        v = [0] * n ** r
+        v[word_to_index(w, n)] = 1
+        vecs.append(v)
+    s = Subspace.from_vectors(3, n ** r, vecs)
+    txt = format_subspace(s, n, r)
+    assert "1 10.11" in txt and "1 1.10" in txt and "1 2.3" in txt
+    back, bn, br = parse_subspace(txt)
+    assert (bn, br) == (n, r)
+    assert back == s
+    with pytest.raises(ValueError, match="length 1, expected 2"):
+        parse_subspace("3 11 2\n1 10\n")
+    with pytest.raises(ValueError, match="letter 12 outside"):
+        parse_subspace("3 11 2\n1 12.1\n")
+
+
 def test_parse_rejects_bad_words():
     with pytest.raises(ValueError):
         parse_subspace("2 2 3\n1 12\n")  # word too short
@@ -757,14 +776,15 @@ def _sparse_rows(rng, nrows, width, bits):
     (600, 700, False), (400, 700, False), (700, 520, False),
     (520, 520, True), (300, 300, True), (600, 600, True),
 ])
-def test_ech2_paths_agree(nrows, width, dense):
+def test_gf2_echelon_matches_odd_p_kernel(nrows, width, dense):
+    # sparse and dense rows on both sides of 512 rows and columns; the
+    # reference is the int64 elimination of odd p, run at p = 2
+    F = field(2)
     rng = np.random.default_rng(nrows * width)
     if dense:
-        rows = field(2).from_array(rng.integers(0, 2, size=(nrows, width)))
+        rows = F.from_array(rng.integers(0, 2, size=(nrows, width)))
     else:
         rows = _sparse_rows(rng, nrows, width, 3)
     rows += [rows[0] ^ rows[1], 0, rows[2]]  # rank-deficient
-    words, wpiv = _rref2_words(_rows_to_words(rows, width), width)
-    want = (_words_to_rows(words), wpiv)
-    assert _rref2_ints(rows) == want
-    assert _ech2(rows) == want
+    a, piv = _echp(F.to_array(rows, width), 2)
+    assert F.echelon(rows, width) == (F.from_array(a[:len(piv)]), piv)
