@@ -650,6 +650,17 @@ def _splitting_degrees(k, p, max_degree):
         q *= p
 
 
+def _splitting_flaw(q, k, n, p, family, lie):
+    """None when the Lie power at degree q is the direct sum of the lower
+    pieces re-derived from family and of the basis; else the reason."""
+    try:
+        if _splits(_lower_pieces(q, k, n, p, family), family[q].basis, lie):
+            return None
+    except (ArithmeticError, ValueError) as exc:
+        return str(exc)
+    return "the lower pieces and the basis do not split it"
+
+
 def _splits(lower, basis, lie):
     """True when the Lie power is the direct sum of the nonzero lower
     pieces and the basis."""
@@ -793,10 +804,12 @@ def certify_decomposition(result, companion=None):
 
     Checks, per degree: the stored projection is an idempotent
     equivariant operator with image the stored basis, and the basis
-    lies inside the Lie power.  At degrees k, pk, p^2 k, ... the lower
-    Lie pieces are re-derived from the stored lower bases, free
+    lies inside the Lie power.  At every degree with s = q / k >= 2 the
+    lower Lie pieces are re-derived from the stored lower bases, free
     generation included, and the exact splitting of the Lie power is
-    re-checked; a failure of either is a failed splitting check.  When
+    re-checked.  At degrees k, pk, p^2 k, ... that is its own splitting
+    check; at the other degrees it is part of the basis check, whose
+    name then carries the reason of a failure.  When
     companion (a family built at a smaller n, same p and k) is given,
     letters beyond its rank are truncated away and the bases compared
     degree by degree.
@@ -814,6 +827,7 @@ def certify_decomposition(result, companion=None):
         if not ok:
             report["ok"] = False
 
+    splitting = set(_splitting_degrees(k, p, result.max_degree))
     for q in sorted(result.degrees):
         data = result.degrees[q]
         action = induce_on_tensor_power(gens, q)
@@ -822,17 +836,20 @@ def certify_decomposition(result, companion=None):
         record(q, "projection certificate"
                if flaw is None else "projection certificate (%s)" % flaw,
                flaw is None)
-        record(q, "basis lies in the Lie power",
-               lie.contains_space(data.basis))
+        if not lie.contains_space(data.basis):
+            flaw = "a basis row is not a Lie element"
+        elif q // k >= 2 and q not in splitting:
+            flaw = _splitting_flaw(q, k, n, p, result.degrees, lie)
+        else:
+            flaw = None
+        record(q, "basis lies in the Lie power"
+               if flaw is None else "basis lies in the Lie power (%s)" % flaw,
+               flaw is None)
 
-    for q in _splitting_degrees(k, p, result.max_degree):
-        if q in result.degrees:
-            try:
-                ok = _splits(_lower_pieces(q, k, n, p, result.degrees),
-                             result.degrees[q].basis, lie_power(p, n, q))
-            except (ArithmeticError, ValueError):
-                ok = False
-            record(q, "Lie power splits over the lower bases", ok)
+    for q in sorted(splitting & set(result.degrees)):
+        record(q, "Lie power splits over the lower bases",
+               _splitting_flaw(q, k, n, p, result.degrees,
+                               lie_power(p, n, q)) is None)
 
     if companion is not None:
         if companion.p != p or companion.k != k or companion.n >= n:

@@ -520,7 +520,7 @@ def gr_action_check(p, n, r, trials=50, seed=0):
     concatenated in order.  Raises ArithmeticError with context on the
     first mismatch; returns the number of comparisons on success.
     """
-    from .freelie import (concat_packed, filtration_subspace, lie_element,
+    from .freelie import (concat_packed, filtration_subspace, lyndon_packed,
                           lyndon_words)
     from .combinat import next_partition
 
@@ -528,7 +528,7 @@ def gr_action_check(p, n, r, trials=50, seed=0):
     rng = random.Random(seed)
     basis = {}
     for d in range(1, r + 1):
-        basis[d] = [lie_element(p, n, w).to_packed() for w in lyndon_words(n, d)]
+        basis[d] = [lyndon_packed(p, n, w) for w in lyndon_words(n, d)]
 
     def random_lie(d):
         while True:

@@ -1,10 +1,12 @@
 """Free Lie algebra machinery inside tensor powers.
 
 Words are tuples over the alphabet 1..n and index the monomial basis of
-T^r(V) through ``word_to_index``.  Lie elements are expanded once over the
-integers (bracketed Lyndon words are triangular with unit diagonal against
-the lex order, so they stay independent after reduction mod any prime) and
-reduced mod p on demand.
+T^r(V) through ``word_to_index``.  A bracketed Lyndon word is built
+directly as a packed row of GF(p), one packed bracket per step of its
+standard factorization, and memoized per (p, n, word); bracketed Lyndon
+words are triangular with unit diagonal against the lex order, so they
+stay independent mod any prime.  ``lyndon_expansion`` gives the same
+elements over the integers, as word dicts, for the ``Tensor`` API.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ __all__ = [
     "lyndon_words",
     "standard_factorization",
     "lyndon_expansion",
+    "lyndon_packed",
     "lie_element",
     "lie_power",
     "pbw_monomials",
@@ -222,16 +225,25 @@ def lie_element(p, n, w):
 
 
 @lru_cache(maxsize=None)
-def _lie_power_packed(p, n, r):
-    return tuple(pack_tensor(p, n, r, lyndon_expansion(n, w))
-                 for w in lyndon_words(n, r))
+def lyndon_packed(p, n, w):
+    """Packed row of the bracketed Lyndon word w in T^|w|(V_n) over GF(p):
+    a letter is a unit row, and w = uv (its standard factorization) is
+    the packed bracket of u and v.  It equals the reduction mod p of
+    ``lyndon_expansion(n, w)``.  The row is shared by every caller."""
+    if len(w) == 1:
+        return field(p).unit(n, w[0] - 1)
+    u, v = standard_factorization(w)
+    return bracket_packed(p, n, len(u), lyndon_packed(p, n, u),
+                          len(v), lyndon_packed(p, n, v))
 
 
 @lru_cache(maxsize=None)
 def lie_power(p, n, r):
     """The degree-r homogeneous piece of the free Lie algebra, as a
-    subspace of T^r(V_n)."""
-    s = Subspace.from_packed(p, n ** r, list(_lie_power_packed(p, n, r)))
+    subspace of T^r(V_n), spanned by the packed bracketed Lyndon words
+    of length r."""
+    s = Subspace.from_packed(p, n ** r, [lyndon_packed(p, n, w)
+                                         for w in lyndon_words(n, r)])
     # triangularity of bracketed Lyndon words keeps them independent mod p
     if s.dim != witt_dim(n, r):
         raise ArithmeticError(
@@ -265,16 +277,11 @@ def pbw_monomials(n, lam):
 
 def pbw_monomial_vector(p, n, monomial):
     """Packed vector of a product of bracketed Lyndon words."""
-    r0 = len(monomial[0])
-    vec = pack_tensor(p, n, r0, {w: c % p for w, c in
-                                 lyndon_expansion(n, monomial[0]).items()})
-    deg = r0
+    vec = lyndon_packed(p, n, monomial[0])
+    deg = len(monomial[0])
     for w in monomial[1:]:
-        rw = len(w)
-        nxt = pack_tensor(p, n, rw, {u: c % p for u, c in
-                                     lyndon_expansion(n, w).items()})
-        vec = concat_packed(p, n, deg, vec, rw, nxt)
-        deg += rw
+        vec = concat_packed(p, n, deg, vec, len(w), lyndon_packed(p, n, w))
+        deg += len(w)
     return vec
 
 

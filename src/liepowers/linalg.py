@@ -30,13 +30,14 @@ big-endian base-n index of ``word_to_index``.  The weight table of
 T^r(V_n) is cached per (n, r) beside it: ``_digit_table`` (the letters of
 every word), ``_weight_index`` (the weight space of every index) and
 ``_weight_blocks`` (the indices of each weight space).  Every module
-that grades by letter content reads them.
+that grades by letter content reads them.  ``_word_texts`` caches the
+text of every word, which the subspace text format writes and reads.
 """
 
 from __future__ import annotations
 
 import math
-import string
+import re
 from functools import lru_cache, partial
 
 import numpy as np
@@ -255,6 +256,9 @@ def _matmulp(a, b, p):
 # block yields its rows, and every method taking rows also takes a block.
 
 
+_HEX_DIGITS = re.compile(r"[0-9a-fA-F]*\Z")
+
+
 class _GF2:
     """Rows over GF(2) as Python ints, bit j = column j."""
 
@@ -413,7 +417,9 @@ class _GF2:
 
     def parse_row(self, text, n):
         width = max(1, (n + 3) // 4)
-        if len(text) != width or not set(text) <= set(string.hexdigits):
+        # int(text, 16) alone would also take '0x', '_', whitespace and
+        # non-ASCII digits
+        if len(text) != width or not _HEX_DIGITS.match(text):
             raise ValueError("not %d hex digits" % width)
         row = int(text, 16)
         if row.bit_length() > n:
@@ -1241,6 +1247,16 @@ def _weight_blocks(n, r):
             for idx in np.split(order, np.cumsum(np.bincount(label))[:-1])}
 
 
+@lru_cache(maxsize=None)
+def _word_texts(n, r):
+    """The payload text of every word of T^r(V_n), in index order, and
+    the inverse dict from text to index: letters' digits run together
+    for n <= 9, letters joined by '.' for n > 9 (as ``format_terms``)."""
+    sep = "." if n > 9 else ""
+    texts = [sep.join(map(str, w)) for w in (_digit_table(n, r) + 1).tolist()]
+    return texts, {t: i for i, t in enumerate(texts)}
+
+
 def format_terms(pairs, n, r):
     """Render [(word, coeff), ...] as 'c w c w ...'.  A word is its
     letters' digits run together, or, when n > 9 and a letter may have
@@ -1281,6 +1297,7 @@ def format_subspace(space, n, r, comment=None):
     coefficient/word pairs.  A word is written as its letters' digits
     run together ('2 121'), or, when n > 9, as its letters joined by '.'
     ('2 1.10.3'); the header's n decides which.  '#' starts a comment.
+    Word texts come from a table cached per (n, r).
     """
     if space.ambient != n ** r:
         raise ValueError("ambient does not match n^r")
@@ -1289,9 +1306,10 @@ def format_subspace(space, n, r, comment=None):
         for ln in comment.splitlines():
             lines.append(f"# {ln}")
     lines.append(f"{space.p} {n} {r}")
+    texts = _word_texts(n, r)[0]
     for row in space.packed_rows():
-        pairs = [(index_to_word(j, n, r), c) for j, c in space._f.terms(row)]
-        lines.append(format_terms(pairs, n, r))
+        lines.append(" ".join("%d %s" % (c, texts[j])
+                              for j, c in space._f.terms(row)))
     return "\n".join(lines) + "\n"
 
 
@@ -1299,7 +1317,9 @@ def parse_subspace(text, header=None):
     """Inverse of format_subspace: returns (Subspace, n, r).
 
     A given header (p, n, r) must match the text's header; that is
-    checked before any row is read or n^r is formed.
+    checked before any row is read or n^r is formed.  Canonical lines are
+    read through the word table of ``format_subspace``, all others by
+    ``parse_terms`` (see ``_row_terms``).
     """
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
@@ -1313,7 +1333,25 @@ def parse_subspace(text, header=None):
         raise ValueError("header %r, expected '%d %d %d'"
                          % (lines[0], *header))
     F = field(p)
-    vecs = [F.from_terms(n ** r, [(word_to_index(word, n), c)
-                                  for word, c in parse_terms(ln, n, r)])
+    # the table holds n^r words: a text shorter than that, or a header
+    # with no words, is read by parse_terms alone, so a huge or malformed
+    # header fails on its rows as it always has, not on memory
+    index = _word_texts(n, r)[1] if n >= 1 and r >= 0 and \
+        n ** r <= len(text) else {}
+    vecs = [F.from_terms(n ** r, _row_terms(ln, n, r, index))
             for ln in lines[1:]]
     return Subspace.from_packed(p, n ** r, vecs), n, r
+
+
+def _row_terms(line, n, r, index):
+    """The (index, coefficient) pairs of one term line: through the word
+    table ``index`` when every word is in it, else through
+    ``parse_terms``, which accepts and rejects as always, with its
+    messages."""
+    toks = line.split()
+    if len(toks) % 2 == 0:
+        try:
+            return [(index[w], int(c)) for c, w in zip(toks[::2], toks[1::2])]
+        except (KeyError, ValueError):
+            pass
+    return [(word_to_index(word, n), c) for word, c in parse_terms(line, n, r)]

@@ -389,6 +389,30 @@ def test_certify_records_a_cut_lower_basis(tmp_path, capsys):
     assert len(rows) == 6
 
 
+def test_certify_rejects_an_emptied_basis_between_splitting_degrees(
+        tmp_path, capsys):
+    # degree 9 = 3k is not k p^j: B_9 emptied and its projection zeroed
+    # pass the projection check, so the basis check must find that L^9
+    # no longer splits over the lower pieces
+    out_file = tmp_path / "cert.json"
+    assert main(["decompose", "--p", "2", "--n", "2", "--k", "3",
+                 "--max-degree", "9", "--format", "json",
+                 "--out", str(out_file)]) == 0
+    payload = json.loads(out_file.read_text())
+    del payload["payloads"]["basis/9"]["lines"][1:]
+    rows = payload["payloads"]["projection/9"]["rows"]
+    rows[:] = ["0" * len(row) for row in rows]
+    out_file.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["certify", str(out_file), "--format", "json"]) == 1
+    rows = json.loads(capsys.readouterr().out)["results"]
+    failed = [(row["degree"], row["check"]) for row in rows
+              if row["status"] == "fail"]
+    assert failed == [(9, "basis lies in the Lie power (the lower pieces "
+                          "and the basis do not split it)")]
+    assert len(rows) == 8
+
+
 def test_decompose_stage_one_failure_exit_1(monkeypatch, capsys):
     def forced(*args):
         raise ArithmeticError("forced")

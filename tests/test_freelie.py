@@ -22,7 +22,9 @@ from liepowers.freelie import (
     lie_element,
     lie_power,
     lyndon_expansion,
+    lyndon_packed,
     lyndon_words,
+    pack_tensor,
     pbw_monomial_vector,
     pbw_monomials,
     standard_factorization,
@@ -36,6 +38,7 @@ from liepowers.freelie import (
 )
 from liepowers.linalg import (
     Subspace,
+    field,
     _weight_blocks,
     _weight_index,
     index_to_word,
@@ -95,6 +98,19 @@ def test_lyndon_expansion_explicit():
     # [1,[1,2]] = 112 - 121 - 121 + 211 wait: compute directly in the test
     e = lyndon_expansion(2, (1, 1, 2))
     assert e == {(1, 1, 2): 1, (1, 2, 1): -2, (2, 1, 1): 1}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_lyndon_packed_matches_the_integer_expansion(p, n):
+    key = field(p).key
+    for r in range(1, 13 if (p, n) == (2, 2) else 8):
+        for w in lyndon_words(n, r):
+            # the word itself is bracketed outside the memo, which would
+            # otherwise keep every degree-7 row (300 MB at n = 4, p = 5)
+            got = lyndon_packed.__wrapped__(p, n, w)
+            assert key(got) == key(pack_tensor(p, n, r,
+                                               lyndon_expansion(n, w)))
 
 
 def test_lie_element_matches_tensor_bracket():
@@ -169,6 +185,24 @@ def test_filtration_chain_dims():
         for i, lam in enumerate(ps):
             upper = dims[i + 1] if i + 1 < len(ps) else 0
             assert dims[i] - upper == higher_lie_dim(n, lam)
+
+
+@pytest.mark.parametrize("p,n,r", [(2, 2, 5), (3, 2, 4)])
+def test_filtration_matches_products_of_integer_expansions(p, n, r):
+    # the span of every PBW monomial of type >= lam, each a product of
+    # lie_element tensors, which expand over the integers
+    for lam in partitions(r):
+        vecs = []
+        for mu in partitions(r):
+            if mu < lam:
+                continue
+            for mono in pbw_monomials(n, mu):
+                t = lie_element(p, n, mono[0])
+                for w in mono[1:]:
+                    t = t * lie_element(p, n, w)
+                vecs.append(t.to_packed())
+        assert filtration_subspace(p, n, r, lam) == \
+            Subspace.from_packed(p, n ** r, vecs)
 
 
 def test_filtration_nested():

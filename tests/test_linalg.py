@@ -28,6 +28,7 @@ from liepowers.linalg import (
     affine_projection_family,
     field,
     format_subspace,
+    format_terms,
     index_to_word,
     is_direct_sum,
     parse_subspace,
@@ -593,11 +594,69 @@ def test_subspace_text_roundtrip_with_two_digit_letters():
         parse_subspace("3 11 2\n1 12.1\n")
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_subspace_text_roundtrip_random(data):
+    n = data.draw(st.integers(1, 11))
+    r = data.draw(st.integers(1, 4))
+    p = data.draw(st.sampled_from([2, 3]))
+    N = n ** r
+    F = field(p)
+    rows = data.draw(st.lists(st.lists(
+        st.tuples(st.integers(0, N - 1), st.integers(1, p - 1)),
+        max_size=6), max_size=5))
+    s = Subspace.from_packed(p, N, [F.from_terms(N, t) for t in rows])
+    txt = format_subspace(s, n, r)
+    # the text written word by word through format_terms
+    want = ["%d %d %d" % (p, n, r)] + [
+        format_terms([(index_to_word(j, n, r), c) for j, c in F.terms(row)],
+                     n, r)
+        for row in s.packed_rows()]
+    assert txt == "\n".join(want) + "\n"
+    back, bn, br = parse_subspace(txt, header=(p, n, r))
+    assert (bn, br) == (n, r)
+    assert back == s
+
+
+@pytest.mark.parametrize("text,word,coeff", [
+    ("2 2 2\n1 1\uff12\n", (1, 2), 1),    # a fullwidth digit in a word
+    ("2 2 2\n+1 12\n", (1, 2), 1),         # a signed coefficient
+    ("5 2 2\n\u0663 12\n", (1, 2), 3),     # an Arabic-Indic coefficient
+    ("3 11 2\n1 01.3\n", (1, 3), 1),       # a letter with a leading zero
+])
+def test_subspace_text_accepts_non_canonical_tokens(text, word, coeff):
+    s, n, r = parse_subspace(text)
+    F = field(s.p)
+    assert s == Subspace.from_packed(
+        s.p, n ** r, [F.from_terms(n ** r, [(word_to_index(word, n), coeff)])])
+
+
 def test_parse_rejects_bad_words():
-    with pytest.raises(ValueError):
-        parse_subspace("2 2 3\n1 12\n")  # word too short
-    with pytest.raises(ValueError):
-        parse_subspace("2 2 3\n1 132\n")  # letter outside alphabet
+    for text, message in [
+            ("2 2 3\n1 12\n", "word '12' has length 2, expected 3"),
+            ("2 2 2\n1 1.2\n", "word '1.2' has length 3, expected 2"),
+            ("2 2 3\n1 132\n", "letter 3 outside alphabet 1..2"),
+            ("2 2 2\n1 12\n1 02\n", "letter 0 outside alphabet 1..2"),
+            ("3 11 2\n1 1.12\n", "letter 12 outside alphabet 1..11"),
+            ("2 2 2\n1 12 1\n", "dangling token in term line: '1 12 1'"),
+            ("3 2 2\n1 1 2 12\n", "word '1' has length 1, expected 2"),
+            ("2 2 40\n1 1\n", "word '1' has length 1, expected 40"),
+            ("2 2 -2\n1 1\n", "word '1' has length 1, expected -2"),
+            ("3 -2 2\n1 11\n", "letter 1 outside alphabet 1..-2")]:
+        with pytest.raises(ValueError) as exc:
+            parse_subspace(text)
+        assert str(exc.value) == message
+
+
+def test_gf2_row_text_takes_only_ascii_hex_digits():
+    F = field(2)
+    assert F.parse_row("01ff", 16) == 0x1ff
+    assert F.parse_row("1FFf", 16) == 0x1fff
+    # int(text, 16) takes all of these
+    for text in ("0x1f", "1_ff", " 1ff", "1\u0663ff", "10000"):
+        with pytest.raises(ValueError) as exc:
+            F.parse_row(text, 16)
+        assert str(exc.value) == "not 4 hex digits"
 
 
 # ---------------------------------------------------------------------------
