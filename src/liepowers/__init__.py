@@ -20,7 +20,6 @@ from .combinat import (
     young_character,
 )
 from .linalg import (
-    GroupAction,
     Mat,
     SpanBuilder,
     Subspace,
@@ -85,7 +84,6 @@ __all__ = [
     "partitions",
     "witt_dim",
     "young_character",
-    "GroupAction",
     "Mat",
     "SpanBuilder",
     "Subspace",

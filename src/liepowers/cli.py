@@ -56,16 +56,19 @@ from .freelie import lie_power, symmetrize_extend, truncate_subspace
 from .linalg import Mat, Subspace, field, format_subspace, parse_subspace
 
 _MAX_R = 30
+# filtration lifts the descent idempotents of degree r, whose cost grows far
+# faster than n^r: r = 7 takes seconds, r = 8 did not finish in two minutes
+_MAX_FILTRATION_R = 7
 
 
 def _part_str(lam):
     return "+".join(str(x) for x in lam)
 
 
-def _check_caps(args, need_r=False, need_power=None):
+def _check_caps(args, max_r, need_power=None):
     field(args.p)  # ValueError unless p is a prime the field code accepts
-    if need_r and not 1 <= args.r <= _MAX_R:
-        raise ValueError("r out of range 1..%d" % _MAX_R)
+    if not 1 <= args.r <= max_r:
+        raise ValueError("r out of range 1..%d" % max_r)
     if need_power is not None:
         _check_dense_dim(args.n, need_power)
 
@@ -107,7 +110,7 @@ def _subspace_from_payload(payloads, key, p, n, r):
 
 
 def cmd_dims(args):
-    _check_caps(args, need_r=True)
+    _check_caps(args, _MAX_R)
     p, n, r = args.p, args.n, args.r
     rows = []
     total = 0
@@ -128,7 +131,7 @@ def cmd_dims(args):
 
 
 def cmd_pclasses(args):
-    _check_caps(args, need_r=True)
+    _check_caps(args, _MAX_R)
     p, r = args.p, args.r
     rows = []
     covered = 0
@@ -149,7 +152,7 @@ def cmd_pclasses(args):
 
 
 def cmd_filtration(args):
-    _check_caps(args, need_r=True, need_power=args.r)
+    _check_caps(args, _MAX_FILTRATION_R, need_power=args.r)
     p, n, r = args.p, args.n, args.r
     report = split_tensor_power(n, r, p)
     classes = {frozenset(c.members): c for c in p_equivalence_classes(r, p)}

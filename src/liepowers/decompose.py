@@ -60,28 +60,27 @@ from .descent import (
 )
 from .freelie import (
     bracket_products,
-    concat_packed,
+    concat_all,
     dynkin_matrix,
     filtration_subspace,
     lie_power,
     pbw_monomial_vector,
     pbw_monomials,
-    subalgebra_generated,
     truncate_subspace,
 )
 from .linalg import (
     Mat,
-    SpanBuilder,
     Subspace,
     _invert,
     _restrict,
     _weight_blocks,
     _weight_index,
+    direct_sum,
     field,
-    index_to_word,
     is_direct_sum,
     rref,
     solve_equivariant_projection,
+    substitute,
 )
 from .modrep import gl_generators, induce_on_tensor_power
 
@@ -337,12 +336,11 @@ def _canonical_data(q, k, n, p, family):
     for each proper divisor degree d, Lie elements over the degree-d
     basis (of the lengths a p-power ladder prescribes) are multiplied in
     non-decreasing order and hit with the class idempotent of the
-    matching p-class, computed in base-d coordinates and then expanded
-    into T^q(V).  Raises ComplementSearchExhausted when any rank check
-    fails.
+    matching p-class, computed with the degree-d basis as the alphabet
+    and then substituted into T^q(V).  Raises ComplementSearchExhausted
+    when any rank check fails.
     """
     N = n ** q
-    F = field(p)
     m, q1 = _p_part(q, p)
     J = None
     for cls in p_equivalence_classes(q, p):
@@ -393,21 +391,6 @@ def _canonical_data(q, k, n, p, family):
         *(range(0, q // d + 1, step) for d, step, *_ in ds))
         if sum(c * d for c, (d, *_) in zip(sigma, ds)) == q]
 
-    embed_memo = {}
-
-    def embed(d, brows, word):
-        # word letters are 1-based indices into the degree-d basis rows
-        key = (d, word)
-        got = embed_memo.get(key)
-        if got is None:
-            got = brows[word[0] - 1]
-            deg = d
-            for letter in word[1:]:
-                got = concat_packed(p, n, deg, got, d, brows[letter - 1])
-                deg += d
-            embed_memo[key] = got
-        return got
-
     star_matrix_memo = {}
 
     def star_matrix(b, c_d, step):
@@ -423,52 +406,25 @@ def _canonical_data(q, k, n, p, family):
         return got
 
     star_rows = []
-    expected_count = 0
     for sigma in sigmas:
         per_d = []
         for (d, step, b, brows, elems), c_d in zip(ds, sigma):
             if c_d == 0:
                 continue
-            vectors = []
-            for multi in _multisets_with_slot_sum(elems, c_d):
-                f = None
-                slots = 0
-                for j in multi:
-                    ell, row = elems[j]
-                    if f is None:
-                        f = row
-                    else:
-                        f = concat_packed(p, b, slots, f, ell, row)
-                    slots += ell
-                starred = star_matrix(b, c_d, step).apply(f)
-                amb = F.zero(n ** (c_d * d))
-                for idx, c in F.terms(starred):
-                    word = index_to_word(idx, b, c_d)
-                    amb = F.add(amb, F.scale(embed(d, brows, word), c))
-                vectors.append((c_d * d, amb))
-            per_d.append(vectors)
-        if not per_d:
-            continue
-        count = 1
-        for vectors in per_d:
-            count *= len(vectors)
-        expected_count += count
-        for combo in iter_product(*per_d):
-            acc = None
-            deg = 0
-            for piece_deg, vec in combo:
-                if acc is None:
-                    acc = vec
-                else:
-                    acc = concat_packed(p, n, deg, acc, piece_deg, vec)
-                deg += piece_deg
-            star_rows.append(acc)
+            idem = star_matrix(b, c_d, step)
+            starred = [idem.apply(concat_all(p, b, [elems[j] for j in multi]))
+                       for multi in _multisets_with_slot_sum(elems, c_d)]
+            per_d.append([(c_d * d, row) for row in substitute(
+                p, n, d, brows, c_d, starred)])
+        if per_d:
+            star_rows.extend(concat_all(p, n, combo)
+                             for combo in iter_product(*per_d))
 
     star = Subspace.from_packed(p, N, star_rows)
-    if star.dim != expected_count:
+    if star.dim != len(star_rows):
         raise ComplementSearchExhausted(
             q, "star span has rank %d from %d products"
-            % (star.dim, expected_count))
+            % (star.dim, len(star_rows)))
     return {
         "members": members,
         "projector": E,
@@ -549,13 +505,21 @@ def _projection_flaw(proj, basis, action):
 def _split_off(q, k, n, p, action, lie, lower_sum, elim, family):
     """Find W complementing the settled part of L^q and certify
     B = elim + W as a direct summand of T^q by the projection along the
-    star span plus ker E.  Returns (basis, W, projection); any failure
-    raises ComplementSearchExhausted naming q and the reason."""
+    star span plus ker E, or, when the lower Lie pieces fill L^q, by the
+    zero projection onto B = W = 0.  Returns (basis, W, projection); any
+    failure raises ComplementSearchExhausted naming q and the reason."""
     N = n ** q
-    known = lower_sum.sum(elim)
-    if known.dim != lower_sum.dim + elim.dim:
+    known, want = direct_sum(p, N, [lower_sum, elim])
+    if known.dim != want:
         raise ArithmeticError(
             "bracket pieces overlap the lower Lie pieces at degree %d" % q)
+    if lower_sum.dim == lie.dim:
+        # the lower pieces fill L^q, so B_q is 0 and so is its projection
+        basis, proj = Subspace.zero(p, N), Mat.zeros(p, N, N)
+        flaw = _projection_flaw(proj, basis, action)
+        if flaw is not None:
+            raise ComplementSearchExhausted(q, flaw)
+        return basis, basis, proj
     # the canonical data need only the family below q; building them
     # before the solve also keeps the heap peak lower
     canon = _canonical_data(q, k, n, p, family)
@@ -589,8 +553,8 @@ def _split_off(q, k, n, p, action, lie, lower_sum, elim, family):
                 "power onto the settled part exists")
         wnew = _complement_from(lie, sol)
 
-    basis = elim.sum(wnew)
-    if basis.dim != elim.dim + wnew.dim:
+    basis, want = direct_sum(p, N, [elim, wnew])
+    if basis.dim != want:
         raise ComplementSearchExhausted(
             q, "complement meets the bracket pieces")
     proj = _assemble_certificate(p, n, q, _by_weight(basis, n, q, "basis"),
@@ -617,7 +581,10 @@ def _family_degree(family, d, q):
 
 def _lower_pieces(q, k, n, p, family):
     """The Lie piece L^{s/c}(B_ck) of L^q generated by each lower basis
-    B_ck, for the proper divisors c of s = q / k, as [(c, piece)].
+    B_ck, for the proper divisors c of s = q / k, as [(c, piece)]: the
+    image of the free Lie power L^{s/c} on dim B_ck letters under the
+    substitution of the rows of B_ck for the letters, which is the
+    degree-q part of the Lie subalgebra that B_ck generates.
 
     A piece whose dimension is not witt_dim(dim B_ck, s/c), as free
     generation requires, raises ArithmeticError; a lower degree missing
@@ -627,16 +594,18 @@ def _lower_pieces(q, k, n, p, family):
     pieces = []
     for c in _proper_divisors(s):
         bd = _family_degree(family, c * k, q).basis
-        piece = Subspace.zero(p, n ** q)
+        ell = s // c
+        rows = []
         if bd.dim:
-            piece = subalgebra_generated(
-                p, n, {c * k: list(bd.packed_rows())}, q).get(q, piece)
-        want = witt_dim(bd.dim, s // c)
+            rows = substitute(p, n, c * k, bd.packed_rows(), ell,
+                              lie_power(p, bd.dim, ell).packed_rows())
+        piece = Subspace.from_packed(p, n ** q, rows)
+        want = witt_dim(bd.dim, ell)
         if piece.dim != want:
             raise ArithmeticError(
                 "free generation fails at degree %d: Lie elements of "
                 "length %d over the degree-%d basis span dimension "
-                "%d, expected %d" % (q, s // c, c * k, piece.dim, want))
+                "%d, expected %d" % (q, ell, c * k, piece.dim, want))
         pieces.append((c, piece))
     return pieces
 
@@ -680,19 +649,13 @@ def _settled_part(q, k, n, p, family):
     s = q // k
     N = n ** q
     lower = _lower_pieces(q, k, n, p, family)
-    lower_sb = SpanBuilder(p, N)
-    for _, piece in lower:
-        for row in piece.packed_rows():
-            lower_sb.add(row)
-    expected_lower = sum(piece.dim for _, piece in lower)
-    if lower_sb.dim != expected_lower:
+    lower_sum, want = direct_sum(p, N, [piece for _, piece in lower])
+    if lower_sum.dim != want:
         raise ArithmeticError(
             "lower Lie pieces overlap at degree %d: joint dimension "
-            "%d, expected %d" % (q, lower_sb.dim, expected_lower))
-    lower_sum = lower_sb.subspace()
+            "%d, expected %d" % (q, lower_sum.dim, want))
 
-    elim_sb = SpanBuilder(p, N)
-    expected_elim = 0
+    pieces = []
     for total in range(1, s - 1):
         i = s - total
         if i < 2:
@@ -724,14 +687,12 @@ def _settled_part(q, k, n, p, family):
                     "bracket piece over the degree-%d complement with "
                     "appended degrees %s has dimension %d, expected %d"
                     % (i * k, [t * k for t in tau], piece.dim, count))
-            for row in piece.packed_rows():
-                elim_sb.add(row)
-            expected_elim += count
-    if elim_sb.dim != expected_elim:
+            pieces.append(piece)
+    elim, want = direct_sum(p, N, pieces)
+    if elim.dim != want:
         raise ArithmeticError(
             "bracket pieces overlap at degree %d: joint dimension %d, "
-            "expected %d" % (q, elim_sb.dim, expected_elim))
-    elim = elim_sb.subspace()
+            "expected %d" % (q, elim.dim, want))
     lie = lie_power(p, n, q)
     if not lie.contains_space(elim) or not lie.contains_space(lower_sum):
         raise ArithmeticError(
@@ -827,29 +788,29 @@ def certify_decomposition(result, companion=None):
         if not ok:
             report["ok"] = False
 
+    def check(q, name, flaw):
+        record(q, name if flaw is None else "%s (%s)" % (name, flaw),
+               flaw is None)
+
     splitting = set(_splitting_degrees(k, p, result.max_degree))
     for q in sorted(result.degrees):
         data = result.degrees[q]
         action = induce_on_tensor_power(gens, q)
         lie = lie_power(p, n, q)
-        flaw = _projection_flaw(data.projection, data.basis, action)
-        record(q, "projection certificate"
-               if flaw is None else "projection certificate (%s)" % flaw,
-               flaw is None)
+        check(q, "projection certificate",
+              _projection_flaw(data.projection, data.basis, action))
         if not lie.contains_space(data.basis):
             flaw = "a basis row is not a Lie element"
         elif q // k >= 2 and q not in splitting:
             flaw = _splitting_flaw(q, k, n, p, result.degrees, lie)
         else:
             flaw = None
-        record(q, "basis lies in the Lie power"
-               if flaw is None else "basis lies in the Lie power (%s)" % flaw,
-               flaw is None)
+        check(q, "basis lies in the Lie power", flaw)
 
     for q in sorted(splitting & set(result.degrees)):
-        record(q, "Lie power splits over the lower bases",
-               _splitting_flaw(q, k, n, p, result.degrees,
-                               lie_power(p, n, q)) is None)
+        check(q, "Lie power splits over the lower bases",
+              _splitting_flaw(q, k, n, p, result.degrees,
+                              lie_power(p, n, q)))
 
     if companion is not None:
         if companion.p != p or companion.k != k or companion.n >= n:

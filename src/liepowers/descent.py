@@ -520,7 +520,7 @@ def gr_action_check(p, n, r, trials=50, seed=0):
     concatenated in order.  Raises ArithmeticError with context on the
     first mismatch; returns the number of comparisons on success.
     """
-    from .freelie import (concat_packed, filtration_subspace, lyndon_packed,
+    from .freelie import (concat_all, filtration_subspace, lyndon_packed,
                           lyndon_words)
     from .combinat import next_partition
 
@@ -545,12 +545,7 @@ def gr_action_check(p, n, r, trials=50, seed=0):
         for _ in range(trials):
             lam = parts_list[rng.randrange(len(parts_list))]
             factors = [(d, random_lie(d)) for d in lam]
-            w = None
-            deg = 0
-            for d, v in factors:
-                w = v if w is None else concat_packed(p, n, deg, w, d, v)
-                deg += d
-            lhs = mat.apply(w)
+            lhs = mat.apply(concat_all(p, n, factors))
             diff = F.sub(lhs, _dealt_sum(p, n, nu, factors))
             nxt = next_partition(lam)
             if nxt is None:
@@ -567,7 +562,7 @@ def gr_action_check(p, n, r, trials=50, seed=0):
 def _dealt_sum(p, n, nu, factors):
     """Sum over ways of dealing the factors onto blocks with degree sums
     nu, of the concatenated block products."""
-    from .freelie import concat_packed
+    from .freelie import concat_all
 
     F = field(p)
     t = len(nu)
@@ -577,15 +572,9 @@ def _dealt_sum(p, n, nu, factors):
 
     def emit():
         nonlocal out
-        blocks = [[] for _ in range(t)]
-        for i, (d, v) in enumerate(factors):
-            blocks[assign[i]].append((d, v))
-        w = None
-        deg = 0
-        for blk in blocks:
-            for d, v in blk:
-                w = v if w is None else concat_packed(p, n, deg, w, d, v)
-                deg += d
+        # blocks in order, each keeping its factors' order (a stable sort)
+        dealt = sorted(range(l), key=assign.__getitem__)
+        w = concat_all(p, n, [factors[i] for i in dealt])
         out = w if out is None else F.add(out, w)
 
     def rec(i, remaining):

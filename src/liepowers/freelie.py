@@ -23,6 +23,7 @@ from .linalg import (
     _weight_index,
     field,
     index_to_word,
+    substitute,
     word_to_index,
 )
 
@@ -43,10 +44,9 @@ __all__ = [
     "truncate_vector",
     "truncate_subspace",
     "extend_vector",
-    "letter_permutation_map",
-    "apply_letter_permutation",
     "symmetrize_extend",
     "concat_packed",
+    "concat_all",
     "bracket_packed",
     "pack_tensor",
     "unpack_tensor",
@@ -277,12 +277,8 @@ def pbw_monomials(n, lam):
 
 def pbw_monomial_vector(p, n, monomial):
     """Packed vector of a product of bracketed Lyndon words."""
-    vec = lyndon_packed(p, n, monomial[0])
-    deg = len(monomial[0])
-    for w in monomial[1:]:
-        vec = concat_packed(p, n, deg, vec, len(w), lyndon_packed(p, n, w))
-        deg += len(w)
-    return vec
+    return concat_all(p, n, [(len(w), lyndon_packed(p, n, w))
+                             for w in monomial])
 
 
 @lru_cache(maxsize=None)
@@ -351,19 +347,22 @@ def truncate_vector(p, n_from, n_to, r, vec):
     into T^r(V_{n_to})."""
     if n_to > n_from:
         raise ValueError("truncation cannot grow the alphabet")
-    F = field(p)
-    terms = []
-    for i, c in F.terms(vec):
-        w = index_to_word(i, n_from, r)
-        if all(a <= n_to for a in w):
-            terms.append((word_to_index(w, n_to), c))
-    return F.from_terms(n_to ** r, terms)
+    return _rename(p, n_to, r, [a if a <= n_to else None
+                                for a in range(1, n_from + 1)], [vec])[0]
 
 
 def truncate_subspace(space, n_from, n_to, r):
-    vecs = [truncate_vector(space.p, n_from, n_to, r, v)
-            for v in space.packed_rows()]
-    return Subspace.from_packed(space.p, n_to ** r, vecs)
+    return Subspace.from_packed(space.p, n_to ** r, [
+        truncate_vector(space.p, n_from, n_to, r, v)
+        for v in space.packed_rows()])
+
+
+def _rename(p, n, r, letters, rows):
+    """Rows of T^r over len(letters) letters with letter a renamed
+    letters[a - 1], a letter of 1..n, or sent to 0 where that is None."""
+    F = field(p)
+    images = [F.zero(n) if a is None else F.unit(n, a - 1) for a in letters]
+    return substitute(p, n, 1, images, r, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -374,27 +373,7 @@ def extend_vector(p, n_from, n_to, r, vec):
     """Re-index a packed vector into the tensor space on a larger alphabet."""
     if n_to < n_from:
         raise ValueError("extension cannot shrink the alphabet")
-    if n_to == n_from:
-        return vec
-    F = field(p)
-    return F.from_terms(n_to ** r, [
-        (word_to_index(index_to_word(i, n_from, r), n_to), c)
-        for i, c in F.terms(vec)])
-
-
-def letter_permutation_map(n, r, images):
-    """Index map on basis words of the substitution sending letter a to
-    images[a-1]."""
-    out = []
-    for i in range(n ** r):
-        w = index_to_word(i, n, r)
-        out.append(word_to_index(tuple(images[a - 1] for a in w), n))
-    return out
-
-
-def apply_letter_permutation(p, n, r, vec, imap):
-    F = field(p)
-    return F.from_terms(n ** r, [(imap[i], c) for i, c in F.terms(vec)])
+    return _rename(p, n_to, r, range(1, n_from + 1), [vec])[0]
 
 
 def symmetrize_extend(space, n_from, n_to, r):
@@ -413,19 +392,15 @@ def symmetrize_extend(space, n_from, n_to, r):
     if n_to >= 2:
         swap[0], swap[1] = swap[1], swap[0]
     cyc = list(range(2, n_to + 1)) + [1]
-    gens = [letter_permutation_map(n_to, r, g) for g in (swap, cyc)]
     sb = SpanBuilder(p, n_to ** r)
-    queue = []
-    for v in space.packed_rows():
-        w = extend_vector(p, n_from, n_to, r, v)
-        if sb.add(w):
-            queue.append(w)
+    queue = [w for w in _rename(p, n_to, r, range(1, n_from + 1),
+                                space.packed_rows()) if sb.add(w)]
     qi = 0
     while qi < len(queue):
         v = queue[qi]
         qi += 1
-        for imap in gens:
-            w = apply_letter_permutation(p, n_to, r, v, imap)
+        for perm in (swap, cyc):
+            w = _rename(p, n_to, r, perm, [v])[0]
             if sb.add(w):
                 queue.append(w)
     return sb.subspace()
@@ -439,6 +414,18 @@ def concat_packed(p, n, r1, v1, r2, v2):
     """Concatenation product on packed vectors: index(uv) = index(u)*n^r2
     + index(v)."""
     return field(p).concat(v1, v2, n ** r2)
+
+
+def concat_all(p, n, pieces):
+    """Concatenation product, in order, of a nonempty list of (degree,
+    packed row) pieces over V_n.  It is formed from the right, so each
+    step spreads one piece over the running product."""
+    F = field(p)
+    deg, out = pieces[-1]
+    for d, row in reversed(pieces[:-1]):
+        out = F.concat(row, out, n ** deg)
+        deg += d
+    return out
 
 
 def bracket_packed(p, n, r1, v1, r2, v2):
@@ -487,7 +474,8 @@ def subalgebra_generated(p, n, generators, max_degree):
     ``generators`` maps degree -> list of packed vectors.  Returns degree
     -> Subspace for every degree up to max_degree where the closure is
     nonzero.  Elements are bracketed pairwise until the spans stop
-    growing.
+    growing.  No package code calls it: it is the tests' oracle for
+    ``decompose._lower_pieces``, and ``bench/tracer.py`` wraps it by name.
     """
     spans = {}
     elements = []

@@ -32,6 +32,8 @@ every word), ``_weight_index`` (the weight space of every index) and
 ``_weight_blocks`` (the indices of each weight space).  Every module
 that grades by letter content reads them.  ``_word_texts`` caches the
 text of every word, which the subspace text format writes and reads.
+``substitute`` is the one letter substitution: the algebra map of T(V)
+that replaces each letter by a given tensor.
 """
 
 from __future__ import annotations
@@ -46,10 +48,11 @@ __all__ = [
     "field",
     "Mat",
     "Subspace",
-    "GroupAction",
     "SpanBuilder",
     "rref",
+    "direct_sum",
     "is_direct_sum",
+    "substitute",
     "solve_equivariant_projection",
     "affine_projection_family",
     "word_to_index",
@@ -884,46 +887,18 @@ class SpanBuilder:
         return Subspace.from_packed(self.p, self.ambient, list(self._piv.values()))
 
 
+def direct_sum(p, ambient, parts):
+    """The sum of the subspaces parts of F_p^ambient and the sum of their
+    dimensions; the sum is direct exactly when the two dimensions agree."""
+    total = Subspace.from_packed(
+        p, ambient, [row for part in parts for row in part.packed_rows()])
+    return total, sum(part.dim for part in parts)
+
+
 def is_direct_sum(parts, whole):
     """True iff the parts are independent and together span the whole."""
-    if not parts:
-        return whole.dim == 0
-    total = 0
-    acc = SpanBuilder(whole.p, whole.ambient)
-    for s in parts:
-        total += s.dim
-        for r in s.packed_rows():
-            acc.add(r)
-    return total == whole.dim and acc.dim == whole.dim and acc.subspace() == whole
-
-
-class GroupAction:
-    """A finite list of invertible generators acting on row vectors of
-    F_p^dim on the right."""
-
-    __slots__ = ("p", "dim", "generators")
-
-    def __init__(self, p, dim, generators):
-        field(p)
-        for g in generators:
-            if g.p != p or g.nrows != dim or g.ncols != dim:
-                raise ValueError("generator shape/modulus mismatch")
-            _, rank = rref(g)
-            if rank != dim:
-                raise ValueError("generators must be invertible")
-        self.p = p
-        self.dim = dim
-        self.generators = list(generators)
-
-    def apply(self, i, vec):
-        return self.generators[i].apply(vec)
-
-    def times(self, i, mat, left=False):
-        """mat @ g for generator g = generators[i], or g @ mat when left.
-        The equivariant solver and the certificate check read every
-        action through this method."""
-        g = self.generators[i]
-        return g @ mat if left else mat @ g
+    total, want = direct_sum(whole.p, whole.ambient, parts)
+    return total.dim == want and total == whole
 
 
 # ---------------------------------------------------------------------------
@@ -1182,6 +1157,38 @@ def affine_projection_family(action, image, domain, labels=None, max_kernel=None
     m0 = _projection_from_x(prob, field(prob["p"]).zero(nunk), index)
     dirs = [_projection_from_x(prob, v, index) - m0 for v in kern]
     return base, dirs
+
+
+# ---------------------------------------------------------------------------
+# letter substitution
+
+
+def substitute(p, n, d, images, r, rows):
+    """Images of rows of T^r(V_b), b = len(images), under the algebra map
+    T(V_b) -> T(V_n) that sends letter a to images[a - 1], a row of
+    T^d(V_n): a word goes to the concatenation of its letters' images, a
+    row of T^(rd)(V_n).  A word's image is its first letter's image
+    followed by that of the rest, so each suffix shared by the words of
+    the rows is built once."""
+    F = field(p)
+    b = len(images)
+    memo = {(0, 0): F.unit(1, 0)}  # (length, index) of a suffix -> image
+
+    def image(length, idx):
+        got = memo.get((length, idx))
+        if got is None:
+            head, tail = divmod(idx, b ** (length - 1))
+            got = memo[length, idx] = F.concat(
+                images[head], image(length - 1, tail), n ** (d * (length - 1)))
+        return got
+
+    out = []
+    for row in rows:
+        acc = F.zero(n ** (d * r))
+        for idx, c in F.terms(row):
+            acc = F.add(acc, F.scale(image(r, idx), c))
+        out.append(acc)
+    return out
 
 
 # ---------------------------------------------------------------------------

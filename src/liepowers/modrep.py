@@ -26,6 +26,7 @@ from .linalg import (
     Subspace,
     field,
     rref,
+    substitute,
 )
 
 __all__ = [
@@ -185,9 +186,8 @@ def gl_generators(n, p):
 class TensorAction:
     """Letter-substitution action of GL(n) generators on T^r(V).
 
-    Duck-types the GroupAction protocol (``apply``, ``times`` and the
-    length of ``generators``); ``generators`` holds the small n x n
-    matrices.  ``times`` multiplies a stack of rows by an induced
+    ``generators`` holds the small n x n matrices; at r = 1 this is their
+    plain action on V.  ``times`` multiplies a stack of rows by an induced
     n^r x n^r generator matrix without forming it; ``induced_matrix``
     forms it, for tests that compare against the dense product.
     """
@@ -246,17 +246,14 @@ class TensorAction:
         code calls it: it is the tests' oracle for ``times``, and
         ``bench/tracer.py`` wraps it by name.
 
-        Row (j, i) of g tensor K is the concatenation of row j of g with
-        row i of K, so the r-th tensor power is built one factor at a time.
+        Row w of the matrix is the image of the word w under the
+        substitution of the rows of g for the letters.
         """
         if self._mats[gi] is None:
             F = self._f
-            grows = self.generators[gi].packed_rows()
-            rows, width = [F.unit(1, 0)], 1
-            for _ in range(self.r):
-                rows = [F.concat(b, a, width) for b in grows for a in rows]
-                width *= self.n
-            self._mats[gi] = Mat.from_packed(self.p, rows, self.dim)
+            self._mats[gi] = Mat.from_packed(self.p, substitute(
+                self.p, self.n, 1, self.generators[gi].packed_rows(), self.r,
+                [F.unit(self.dim, i) for i in range(self.dim)]), self.dim)
         return self._mats[gi]
 
     def __repr__(self):

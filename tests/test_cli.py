@@ -356,6 +356,17 @@ def test_decompose_dimension_cap_exit_2(capsys):
     assert "dense-dimension cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n,r", [("1", "12"), ("2", "8")])
+def test_filtration_degree_bound_exit_2(n, r, capsys):
+    # the descent idempotents of degree 8 take minutes to lift, whatever n
+    start = time.monotonic()
+    assert main(["filtration", "--p", "2", "--n", n, "--r", r]) == 2
+    assert time.monotonic() - start < 1
+    assert "r out of range 1..7" in capsys.readouterr().err
+    # dims needs no lifting and keeps its own bound
+    assert main(["dims", "--p", "2", "--n", n, "--r", r]) == 0
+
+
 @pytest.mark.parametrize("argv", [
     ["filtration", "--p", "2", "--n", "0", "--r", "2"],
     ["filtration", "--p", "2", "--n", "-1", "--r", "2"],
@@ -384,7 +395,8 @@ def test_certify_records_a_cut_lower_basis(tmp_path, capsys):
     capsys.readouterr()
     assert main(["certify", str(out_file), "--format", "json"]) == 1
     rows = json.loads(capsys.readouterr().out)["results"]
-    assert {"degree": 6, "check": "Lie power splits over the lower bases",
+    assert {"degree": 6, "check": "Lie power splits over the lower bases "
+            "(the lower pieces and the basis do not split it)",
             "status": "fail"} in rows
     assert len(rows) == 6
 

@@ -12,9 +12,10 @@ from liepowers.decompose import (
     prop35_check,
     split_tensor_power,
 )
-from liepowers.freelie import lie_power
+from liepowers.freelie import lie_power, subalgebra_generated
 from liepowers.descent import _assemble
-from liepowers.linalg import Mat, Subspace, _invert, _weight_blocks
+from liepowers.linalg import (Mat, Subspace, _invert, _weight_blocks,
+                              is_direct_sum)
 from liepowers.modrep import TensorAction, gl_generators, induce_on_tensor_power
 
 
@@ -142,6 +143,21 @@ def test_family_rejects_zero_modulus():
         construct_B_family(2, 0, 1, 2)
 
 
+def _closure_pieces(q, k, n, p, family):
+    """The lower Lie pieces at degree q as degree-q parts of the bracket
+    closures of the lower bases."""
+    s = q // k
+    out = []
+    for c in (c for c in range(1, s) if s % c == 0):
+        basis = family[c * k].basis
+        piece = Subspace.zero(p, n ** q)
+        if basis.dim:
+            piece = subalgebra_generated(
+                p, n, {c * k: basis.packed_rows()}, q).get(q, piece)
+        out.append((c, piece))
+    return out
+
+
 @pytest.mark.parametrize("n,p,k,top", [(2, 2, 3, 12), (3, 3, 2, 6)])
 def test_certify_derives_the_constructed_lower_pieces(n, p, k, top):
     # certify re-derives the lower Lie pieces at k p^j by the routine the
@@ -155,14 +171,47 @@ def test_certify_derives_the_constructed_lower_pieces(n, p, k, top):
         dims.append(sum(piece.dim for _, piece in lower))
         q *= p
     assert len(dims) >= 2 and any(dims)
+    # the pieces substituted into free Lie powers are the bracket closures
+    for q in range(2 * k, top + 1, k):
+        assert res.degrees[q].lower == _closure_pieces(q, k, n, p,
+                                                       res.degrees)
+
+
+def test_lower_pieces_of_a_full_lower_basis():
+    # B_3 replaced by all of T^3: its pieces are still the bracket
+    # closures, free of the expected dimension but outside L^q, and the
+    # splitting fails either way
+    res = construct_B_family(2, 2, 3, 9)
+    res.degrees[3].basis = Subspace.from_vectors(2, 8, np.eye(8, dtype=int))
+    for q in (6, 9):
+        lower = decompose_module._lower_pieces(q, 3, 2, 2, res.degrees)
+        assert lower == _closure_pieces(q, 3, 2, 2, res.degrees)
+        lie = lie_power(2, 2, q)
+        splits = is_direct_sum([piece for _, piece in lower if piece.dim]
+                               + [res.degrees[q].basis], lie)
+        flaw = decompose_module._splitting_flaw(q, 3, 2, 2, res.degrees, lie)
+        assert not splits
+        assert flaw == "the lower pieces and the basis do not split it"
+
+
+def test_zero_degrees_skip_the_canonical_data(monkeypatch):
+    # for k = 1 the lower pieces fill every L^q with q >= 2, so B_q = 0 is
+    # certified by the zero projection, and no star span is built
+    monkeypatch.setattr(decompose_module, "_canonical_data", _forced_failure)
+    res = construct_B_family(2, 2, 1, 8)
+    assert res.b_dims() == {1: 2, **{q: 0 for q in range(2, 9)}}
+    for q in range(2, 9):
+        assert res.degrees[q].projection == Mat.zeros(2, 2 ** q, 2 ** q)
+    assert certify_decomposition(res)["ok"]
 
 
 def test_certify_records_a_missing_lower_degree():
     res = construct_B_family(2, 2, 3, 6)
     del res.degrees[3]
     rep = certify_decomposition(res)
-    assert rep["degrees"][6][-1] == ("Lie power splits over the lower bases",
-                                     False)
+    assert rep["degrees"][6][-1] == (
+        "Lie power splits over the lower bases (degree 3 is needed for "
+        "degree 6 but is missing from the family)", False)
     assert not rep["ok"]
 
 

@@ -14,6 +14,7 @@ from liepowers.freelie import (
     Tensor,
     bracket_packed,
     bracket_products,
+    concat_all,
     concat_packed,
     dynkin_matrix,
     extend_vector,
@@ -156,6 +157,10 @@ def test_concat_and_bracket_packed_match_tensor_ops():
         got_br = bracket_packed(p, 2, 2, a.to_packed(), 3, b.to_packed())
         assert Tensor.from_packed(p, 2, 5, got_prod) == prod
         assert Tensor.from_packed(p, 2, 5, got_br) == br
+        c = lie_element(p, 2, (1, 2, 2))
+        got_all = concat_all(p, 2, [(2, a.to_packed()), (3, b.to_packed()),
+                                    (3, c.to_packed())])
+        assert Tensor.from_packed(p, 2, 8, got_all) == prod * c
 
 
 def test_pbw_monomials_counts():

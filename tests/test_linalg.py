@@ -10,9 +10,8 @@ from hypothesis import given, settings, strategies as st
 import liepowers
 from liepowers import linalg
 from liepowers.descent import DescentElement
-from liepowers.freelie import Tensor
+from liepowers.freelie import Tensor, concat_packed
 from liepowers.linalg import (
-    GroupAction,
     Mat,
     SpanBuilder,
     Subspace,
@@ -26,6 +25,7 @@ from liepowers.linalg import (
     _solve_linear_system,
     _words_to_rows,
     affine_projection_family,
+    direct_sum,
     field,
     format_subspace,
     format_terms,
@@ -34,10 +34,11 @@ from liepowers.linalg import (
     parse_subspace,
     rref,
     solve_equivariant_projection,
+    substitute,
     word_to_index,
     word_weight,
 )
-from liepowers.modrep import gl_generators
+from liepowers.modrep import gl_generators, induce_on_tensor_power
 
 
 def test_check_prime():
@@ -432,12 +433,48 @@ def test_direct_sum_check():
     overlap = Subspace.from_vectors(2, 4, [[1, 0, 0, 0], [0, 1, 1, 0]])
     assert not is_direct_sum([a, overlap], whole)
     assert not is_direct_sum([a, b], whole)
+    # the dimensions of a and overlap add up to dim whole, but they meet
+    # in a, so their sum is only overlap
+    assert direct_sum(2, 4, [a, overlap]) == (overlap, 3)
+    assert direct_sum(2, 4, [a, b, c]) == (whole, 3)
+    assert direct_sum(2, 4, []) == (Subspace.zero(2, 4), 0)
 
 
-def test_group_action_validates_generators():
-    sing = Mat.from_rows(2, [[1, 1], [1, 1]])
-    with pytest.raises(ValueError):
-        GroupAction(2, 2, [sing])
+def _substitute_oracle(p, n, d, images, r, row):
+    """substitute, one word at a time: the chained concatenation of the
+    images of its letters, scaled and summed."""
+    F = field(p)
+    acc = F.zero(n ** (d * r))
+    for idx, c in F.terms(row):
+        img = F.unit(1, 0)
+        for a in index_to_word(idx, len(images), r):
+            img = concat_packed(p, n, 0, img, d, images[a - 1])
+        acc = F.add(acc, F.scale(img, c))
+    return acc
+
+
+def test_substitute_matches_word_by_word_oracle():
+    rng = np.random.default_rng(11)
+    for p in (2, 3):
+        F = field(p)
+        for trial in range(12):
+            n = int(rng.integers(1, 4))
+            d = int(rng.integers(0, 3))
+            b = int(rng.integers(1, 4))
+            # random rows, with zero rows and unit rows among them
+            images = [F.from_array(rng.integers(0, p, size=(1, n ** d)))[0]
+                      for _ in range(b)]
+            images[int(rng.integers(b))] = F.zero(n ** d)
+            images[int(rng.integers(b))] = F.unit(n ** d, int(
+                rng.integers(n ** d)))
+            for r in range(4):
+                rows = list(F.from_array(
+                    rng.integers(0, p, size=(3, b ** r))))
+                rows.append(F.unit(b ** r, int(rng.integers(b ** r))))
+                got = substitute(p, n, d, images, r, rows)
+                want = [_substitute_oracle(p, n, d, images, r, row)
+                        for row in rows]
+                assert [F.key(v) for v in got] == [F.key(v) for v in want]
 
 
 def test_equivariant_projection_infeasible_swap_gf2():
@@ -446,7 +483,7 @@ def test_equivariant_projection_infeasible_swap_gf2():
     # idempotence and equivariance cannot both hold, and the solver's linear
     # system is inconsistent.
     swap = Mat.from_rows(2, [[0, 1], [1, 0]])
-    act = GroupAction(2, 2, [swap])
+    act = induce_on_tensor_power([swap], 1)
     dom = Subspace.from_vectors(2, 2, [[1, 0], [0, 1]])
     img = Subspace.from_vectors(2, 2, [[1, 1]])
     assert solve_equivariant_projection(act, img, dom) is None
@@ -456,7 +493,7 @@ def test_equivariant_projection_infeasible_swap_gf2():
 def test_equivariant_projection_swap_gf3():
     # same setup over F_3 succeeds: pi = [[2,2],[2,2]]
     swap = Mat.from_rows(3, [[0, 1], [1, 0]])
-    act = GroupAction(3, 2, [swap])
+    act = induce_on_tensor_power([swap], 1)
     dom = Subspace.from_vectors(3, 2, [[1, 0], [0, 1]])
     img = Subspace.from_vectors(3, 2, [[1, 1]])
     pi = solve_equivariant_projection(act, img, dom)
@@ -470,7 +507,7 @@ def test_equivariant_projection_swap_gf3():
 
 def test_equivariant_projection_respects_preconditions():
     swap = Mat.from_rows(3, [[0, 1], [1, 0]])
-    act = GroupAction(3, 2, [swap])
+    act = induce_on_tensor_power([swap], 1)
     dom = Subspace.from_vectors(3, 2, [[1, 1]])
     img = Subspace.from_vectors(3, 2, [[1, 0]])
     with pytest.raises(ValueError):
@@ -484,7 +521,7 @@ def test_equivariant_projection_block_diagonal_action():
     # direct sum of a 2-dim swap module and a fixed line over F_5;
     # projecting onto the fixed line must kill the swap summand
     g = Mat.from_rows(5, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    act = GroupAction(5, 3, [g])
+    act = induce_on_tensor_power([g], 1)
     dom = Subspace.from_vectors(5, 3, np.eye(3, dtype=int).tolist())
     img = Subspace.from_vectors(5, 3, [[0, 0, 1]])
     pi = solve_equivariant_projection(act, img, dom)
@@ -501,7 +538,7 @@ def test_projection_with_weight_labels():
     # two one-dimensional label blocks; the labelled solve pins the
     # off-block entries to zero
     g = Mat.from_rows(3, [[2, 0], [0, 1]])
-    act = GroupAction(3, 2, [g])
+    act = induce_on_tensor_power([g], 1)
     dom = Subspace.from_vectors(3, 2, [[1, 0], [0, 1]])
     img = Subspace.from_vectors(3, 2, [[1, 0]])
     pi = solve_equivariant_projection(act, img, dom, labels=["a", "b"])
@@ -514,7 +551,7 @@ def test_graded_system_is_solved_alone():
     # span{e1} is span{e1 + e2}, which crosses the grades "a" and "b", so
     # the equivariant projection exists but no weight-preserving one does
     g = Mat.from_rows(3, [[1, 0], [1, 2]])
-    act = GroupAction(3, 2, [g])
+    act = induce_on_tensor_power([g], 1)
     dom = Subspace.from_vectors(3, 2, [[1, 0], [0, 1]])
     img = Subspace.from_vectors(3, 2, [[1, 0]])
     assert solve_equivariant_projection(act, img, dom).to_lists() == \
@@ -527,7 +564,7 @@ def test_affine_family_spans_all_solutions():
     # trivial action: every idempotent with the given image solves the
     # system; family dimension = dim(image) * codim
     ident = Mat.identity(2, 3)
-    act = GroupAction(2, 3, [ident])
+    act = induce_on_tensor_power([ident], 1)
     dom = Subspace.from_vectors(2, 3, np.eye(3, dtype=int).tolist())
     img = Subspace.from_vectors(2, 3, [[1, 0, 0]])
     base, dirs = affine_projection_family(act, img, dom)
@@ -770,7 +807,7 @@ def _random_projection_case(rng, p, d, m, split):
             g[m:, :m] = rng.integers(0, p, size=(d - m, m))
         gens.append(_invert(P) @ Mat.from_array(p, g) @ P)
     domain = Subspace.from_vectors(p, d, np.eye(d, dtype=np.int64))
-    return GroupAction(p, d, gens), image, domain, labels
+    return induce_on_tensor_power(gens, 1), image, domain, labels
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

@@ -156,6 +156,8 @@ def test_batched_action_matches_induced_matrix(n, p):
 
 
 def test_batched_action_rejects_a_wrong_shape():
+    with pytest.raises(ValueError, match="invertible"):
+        induce_on_tensor_power([Mat.from_rows(2, [[1, 1], [1, 1]])], 1)
     act = induce_on_tensor_power(gl_generators(2, 3), 2)
     with pytest.raises(ValueError, match="shape/modulus"):
         act.times(0, Mat.identity(3, 3))
