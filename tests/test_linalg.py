@@ -440,6 +440,16 @@ def test_direct_sum_check():
     assert direct_sum(2, 4, []) == (Subspace.zero(2, 4), 0)
 
 
+def test_group_action_validates_generators():
+    # the projection solver's group action refuses a singular generator
+    # and a generator over another field
+    sing = Mat.from_rows(2, [[1, 1], [1, 1]])
+    with pytest.raises(ValueError, match="invertible"):
+        induce_on_tensor_power([sing], 1)
+    with pytest.raises(ValueError, match="shape/modulus"):
+        induce_on_tensor_power([Mat.identity(2, 2), Mat.identity(3, 2)], 1)
+
+
 def _substitute_oracle(p, n, d, images, r, row):
     """substitute, one word at a time: the chained concatenation of the
     images of its letters, scaled and summed."""
