@@ -32,6 +32,13 @@ not graded, and raises ComplementSearchExhausted.  Generators act
 through the action's ``times``, so the only n^q x n^q matrix formed is
 the reported P.
 
+At each degree that needs them, the class projector, its kernel and the
+star span read only the family below q, and the equivariant solve only
+the action, the settled part and L^q, so one forked worker process
+builds the former while this process runs the solve.  The results, the
+checks and their order are those of building both in this process, and
+no option switches the worker off.
+
 A certificate P (N x N) for a basis B (r x N, canonical, pivot columns
 pi) is checked through C = P[:, pi] without any N x N x N product:
 
@@ -42,6 +49,10 @@ pi) is checked through C = P[:, pi] without any N x N x N product:
      M = (B g)[:, pi] (span B is g-invariant) and C M = g C.
 """
 
+import os
+import pickle
+import signal
+from contextlib import contextmanager
 from functools import partial
 from itertools import product as iter_product
 
@@ -111,6 +122,10 @@ class ComplementSearchExhausted(ArithmeticError):
     def __init__(self, degree, reason):
         super().__init__("degree %d: %s" % (degree, reason))
         self.degree = degree
+        self.reason = reason
+
+    def __reduce__(self):
+        return type(self), (self.degree, self.reason)
 
 
 def _check_dense_dim(n, q):
@@ -502,6 +517,68 @@ def _projection_flaw(proj, basis, action):
     return None
 
 
+@contextmanager
+def _canonical_worker(q, k, n, p, family):
+    """Build ``_canonical_data(q, k, n, p, family)`` in a forked worker
+    while the with-block runs; yields a function that waits for the
+    worker and returns the data, or raises what the build raised.
+
+    The worker sends its pickled outcome through a pipe and always leaves
+    through os._exit, so it runs no atexit handler and flushes none of
+    the parent's streams.  A worker that dies without an outcome raises
+    ComplementSearchExhausted naming its exit status (minus the signal
+    number when a signal ended it).  On every way out
+    of the block the worker is reaped, and killed first if it has not
+    been joined.
+    """
+    rfd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(rfd)
+            try:
+                outcome = (True, _canonical_data(q, k, n, p, family))
+            except Exception as exc:
+                outcome = (False, exc)
+            with os.fdopen(wfd, "wb") as pipe:
+                pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(wfd)
+    pipe = os.fdopen(rfd, "rb")
+    reaped = False
+
+    def join():
+        nonlocal reaped
+        # read to the end before waiting: the worker blocks on a full pipe
+        data = pipe.read()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        reaped = True
+        if status or not data:
+            raise ComplementSearchExhausted(
+                q, "canonical-data worker exited with status %d and no "
+                "result" % status)
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    try:
+        yield join
+    finally:
+        pipe.close()
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def _split_off(q, k, n, p, action, lie, lower_sum, elim, family):
     """Find W complementing the settled part of L^q and certify
     B = elim + W as a direct summand of T^q by the projection along the
@@ -520,9 +597,14 @@ def _split_off(q, k, n, p, action, lie, lower_sum, elim, family):
         if flaw is not None:
             raise ComplementSearchExhausted(q, flaw)
         return basis, basis, proj
-    # the canonical data need only the family below q; building them
-    # before the solve also keeps the heap peak lower
-    canon = _canonical_data(q, k, n, p, family)
+    # the canonical data need only the family below q, and the solve only
+    # the action, the settled part and L^q, so the two run side by side
+    with _canonical_worker(q, k, n, p, family) as canonical:
+        sol = None
+        if known.dim != lie.dim:
+            sol = solve_equivariant_projection(
+                action, known, lie, labels=_weight_index(n, q)[lie.pivots])
+        canon = canonical()
     star = canon["star"]
     # the star span must meet the Lie power exactly in the lower Lie
     # pieces, and must stack with it to the full class summand
@@ -544,13 +626,11 @@ def _split_off(q, k, n, p, action, lie, lower_sum, elim, family):
 
     if known.dim == lie.dim:
         wnew = Subspace.zero(p, N)
+    elif sol is None:
+        raise ComplementSearchExhausted(
+            q, "no weight-preserving equivariant projection of the Lie "
+            "power onto the settled part exists")
     else:
-        sol = solve_equivariant_projection(
-            action, known, lie, labels=_weight_index(n, q)[lie.pivots])
-        if sol is None:
-            raise ComplementSearchExhausted(
-                q, "no weight-preserving equivariant projection of the Lie "
-                "power onto the settled part exists")
         wnew = _complement_from(lie, sol)
 
     basis, want = direct_sum(p, N, [elim, wnew])

@@ -285,7 +285,6 @@ def _assemble(p, n, r, blocks):
 def _unshuffle_blocks(p, n, r, c):
     """Weight blocks of the first-block unshuffle of size c, the map
     w -> sum over position sets S of size c of w_S . w_rest."""
-    D = _digit_table(n, r)
     blocks = _weight_blocks(n, r)
     pos = np.empty(n ** r, dtype=np.intp)
     for idx in blocks.values():
@@ -297,10 +296,17 @@ def _unshuffle_blocks(p, n, r, c):
     for j, S in enumerate(subsets):
         order = S + tuple(i for i in range(r) if i not in S)
         place[list(order), j] = n ** np.arange(r - 1, -1, -1)
+    # the image index is linear in the letters, so it is the sum of the
+    # parts of the first h and of the last r - h letters, read from two
+    # tables of n^h and n^(r - h) rows
+    h = r // 2
+    m = n ** (r - h)
+    H = _digit_table(n, h) @ place[:h]
+    L = _digit_table(n, r - h) @ place[h:]
     out = {}
     for alpha, idx in blocks.items():
         d = len(idx)
-        cells = np.arange(d)[:, None] * d + pos[D[idx] @ place]
+        cells = np.arange(d)[:, None] * d + pos[H[idx // m] + L[idx % m]]
         counts = np.bincount(cells.ravel(), minlength=d * d)
         out[alpha] = Mat.from_array(p, counts.reshape(d, d))
     return out

@@ -1,5 +1,6 @@
 import copy
 import json
+import os
 import time
 
 import pytest
@@ -435,6 +436,17 @@ def test_decompose_stage_one_failure_exit_1(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "invariant failed: degree 6: projector lifting failed: forced" \
         in err
+
+
+def test_decompose_worker_death_exit_1(monkeypatch, capsys):
+    monkeypatch.setattr(decompose_module, "_canonical_data",
+                        lambda *args: os._exit(3))
+    assert main(["decompose", "--p", "2", "--n", "2", "--k", "3",
+                 "--max-degree", "6"]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "invariant failed: degree 6: canonical-data worker exited with "
+        "status 3 and no result"]
 
 
 def test_usage_error_exit_2():

@@ -1,3 +1,7 @@
+import os
+import pickle
+import time
+
 import numpy as np
 import pytest
 
@@ -121,12 +125,58 @@ def _forced_failure(*args):
     raise ArithmeticError("forced")
 
 
+def _assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_stage_one_failure_is_loud(monkeypatch):
+    # the class projector is built in the worker, whose failure reaches
+    # the parent with its type, degree and text
     monkeypatch.setattr(decompose_module, "class_projector", _forced_failure)
     with pytest.raises(ComplementSearchExhausted) as exc:
         construct_B_family(2, 2, 3, 6)
     assert exc.value.degree == 6
     assert str(exc.value) == "degree 6: projector lifting failed: forced"
+    _assert_no_child_process()
+
+
+def test_complement_search_exhausted_pickles():
+    exc = pickle.loads(pickle.dumps(ComplementSearchExhausted(6, "x")))
+    assert type(exc) is ComplementSearchExhausted
+    assert exc.degree == 6 and exc.reason == "x"
+    assert str(exc) == "degree 6: x"
+
+
+def test_worker_leaves_no_process():
+    assert construct_B_family(2, 2, 3, 9).b_dims() == {3: 2, 6: 8, 9: 54}
+    _assert_no_child_process()
+
+
+def test_worker_death_names_its_status(monkeypatch):
+    monkeypatch.setattr(decompose_module, "_canonical_data",
+                        lambda *args: os._exit(3))
+    with pytest.raises(ComplementSearchExhausted,
+                       match="^degree 6: canonical-data worker exited "
+                       "with status 3 and no result$"):
+        construct_B_family(2, 2, 3, 6)
+    _assert_no_child_process()
+
+
+def test_worker_is_killed_when_the_parent_leaves(monkeypatch):
+    # a solve that fails while the worker still runs kills and reaps it
+    def forced_solve(*args, **kwargs):
+        raise RuntimeError("forced solve")
+
+    monkeypatch.setattr(decompose_module, "_canonical_data",
+                        lambda *args: time.sleep(60))
+    monkeypatch.setattr(decompose_module, "solve_equivariant_projection",
+                        forced_solve)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="forced solve"):
+        construct_B_family(2, 2, 3, 6)
+    assert time.monotonic() - start < 30
+    _assert_no_child_process()
 
 
 def test_projection_flaw_reaches_the_failure(monkeypatch):
@@ -447,6 +497,13 @@ def test_construction_forms_no_dense_operator(monkeypatch):
     assert res.b_dims() == {3: 2, 6: 8, 9: 54}
     assert dense == [8, 64, 512] and induced == []
     assert {s[-1] for s in shapes} == {8, 64, 512}
+    # the class projector, its kernel and the star span are built in a
+    # worker process, out of this counter's sight, so build them here too
+    built = len(shapes)
+    for q in (6, 9):
+        dense.append(2 ** q)
+        decompose_module._canonical_data(q, 3, 2, 2, res.degrees)
+    assert len(shapes) > built
     assert not [s for s in shapes if s[0] == s[1] == s[3]
                 or s[1] == s[2] == s[3]]
 
