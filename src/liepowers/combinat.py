@@ -20,7 +20,6 @@ __all__ = [
     "witt_dim",
     "higher_lie_dim",
     "graded_witt_dims",
-    "count_block_assignments",
     "young_character",
     "ClassFunction",
     "stabilized_type",
@@ -157,49 +156,40 @@ def graded_witt_dims(generator_counts, max_degree):
 
 
 @lru_cache(maxsize=None)
-def count_block_assignments(nu, mu):
-    """Number of ways to deal the parts of mu (equal parts distinguishable)
-    onto ordered blocks with prescribed sums nu.
-
-    This is the Young character ind-from-Young-subgroup value at cycle
-    type mu.
-    """
-    nu = tuple(nu)
-    mu = tuple(sorted(mu, reverse=True))
-    if not nu:
-        return 1 if not mu else 0
-    if sum(nu) != sum(mu):
-        return 0
-    target = nu[0]
-    mult = Counter(mu)
-    sizes = sorted(mult)
-    total = 0
-
-    def choose(i, remaining, ways, taken):
-        nonlocal total
-        if remaining == 0:
-            rest = []
-            for s in sizes:
-                rest.extend([s] * (mult[s] - taken.get(s, 0)))
-            total += ways * count_block_assignments(nu[1:], tuple(sorted(rest, reverse=True)))
-            return
-        if i == len(sizes):
-            return
-        s = sizes[i]
-        maxk = min(mult[s], remaining // s)
-        for k in range(maxk + 1):
-            taken[s] = k
-            choose(i + 1, remaining - k * s, ways * math.comb(mult[s], k), taken)
-        taken.pop(s, None)
-
-    choose(0, target, 1, {})
-    return total
+def _power_sum(lam):
+    """The power sum p_lam = prod_i (x_1^lam_i + x_2^lam_i + ...) in the
+    monomial basis, for a partition lam: partition mu -> coefficient of
+    x^mu.  Built from the table of lam without its last part by
+    multiplying in that part's power sum."""
+    if not lam:
+        return {(): 1}
+    k = lam[-1]
+    out = Counter()
+    for mu, c in _power_sum(lam[:-1]).items():
+        # m_mu p_k: raising a part b of mu by k, or adding a new part k,
+        # gives m_nu with coefficient the number of parts of nu equal to
+        # b + k, or to k
+        for part in set(mu):
+            nu = list(mu)
+            nu.remove(part)
+            nu = tuple(sorted(nu + [part + k], reverse=True))
+            out[nu] += c * nu.count(part + k)
+        nu = tuple(sorted(mu + (k,), reverse=True))
+        out[nu] += c * nu.count(k)
+    return dict(out)
 
 
 def young_character(nu, lam):
     """Value at cycle type lam of the permutation character on cosets of
-    the Young subgroup of shape nu."""
-    return count_block_assignments(tuple(nu), tuple(sorted(lam, reverse=True)))
+    the Young subgroup of shape nu (zero parts allowed).
+
+    It counts the ways to deal the cycles of lam onto ordered blocks with
+    sizes nu, which is the coefficient of x^nu in the power sum p_lam;
+    that coefficient depends only on the multiset of parts of nu and is
+    read from the cached table of p_lam.
+    """
+    key = tuple(sorted((part for part in nu if part), reverse=True))
+    return _power_sum(tuple(sorted(lam, reverse=True))).get(key, 0)
 
 
 class ClassFunction:

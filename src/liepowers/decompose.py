@@ -345,7 +345,8 @@ def _multisets_with_slot_sum(elems, total):
 
 def _canonical_data(q, k, n, p, family):
     """Class projector, its kernel, and the star span at degree q; the
-    projector and its kernel are kept per weight space.
+    projector and its kernel are kept per weight space, the kernel as
+    basis rows that need not be in echelon form (``class_projector``).
 
     The star span is built from products of lower-degree basis elements:
     for each proper divisor degree d, Lie elements over the degree-d
@@ -367,17 +368,13 @@ def _canonical_data(q, k, n, p, family):
 
     e0 = solve_class_indicator(q, p, members)
     try:
-        E = class_projector(n, e0)
+        E, kernel = class_projector(n, e0)
     except ArithmeticError as exc:
         raise ComplementSearchExhausted(
             q, "projector lifting failed: %s" % exc)
     # E is block diagonal over the weight spaces, so its kernel is the sum
-    # of those of its blocks; each block is idempotent (the lift returns
-    # only then), so its rank is its size less the rank of I - E_alpha
-    kernel = {alpha: _rowspace(Mat.identity(p, block.nrows) - block,
-                               block.nrows)
-              for alpha, block in E.items()}
-    rank = N - sum(space.dim for space in kernel.values())
+    # of those of its blocks, and its rank is N less their dimensions
+    rank = N - sum(rows.nrows for rows in kernel.values())
     if rank != expect:
         raise ComplementSearchExhausted(
             q, "class projector rank %d, expected %d" % (rank, expect))
@@ -469,10 +466,11 @@ def _by_weight(space, n, q, what):
 def _assemble_certificate(p, n, q, basis, star, kernel):
     """Projection onto basis along star + kernel, or None if the three
     do not stack to a basis of the tensor power.  basis and star map each
-    weight to their rows in it (see ``_by_weight``), and kernel to a
-    Subspace of it; the projection is assembled from one per weight
-    space, as the stacked rows are a basis exactly when they are one in
-    every weight space."""
+    weight to their rows in it (see ``_by_weight``), and kernel to basis
+    rows of the class projector's kernel in it; the projection is
+    assembled from one per weight space, as the stacked rows are a basis
+    exactly when they are one in every weight space, and it does not
+    depend on which basis of the kernel is stacked."""
     pieces = {}
     for alpha, b in basis.items():
         d = b.ncols

@@ -124,6 +124,14 @@ def _induced_character_oracle(nu, lam):
     return count
 
 
+def test_young_character_matches_induced_character_rank_7():
+    # criterion 3 below covers the ranks up to 6
+    for nu in compositions(7):
+        for lam in partitions(7):
+            assert young_character(nu, lam) == \
+                _induced_character_oracle(nu, lam), (nu, lam)
+
+
 def test_criterion_03_young_characters():
     """Block-assignment counts equal the induced-character oracle, and
     are constant mod p on p-classes."""

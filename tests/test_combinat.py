@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from functools import lru_cache
 from itertools import product
 
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,6 @@ from liepowers.combinat import (
     ClassFunction,
     class_of_partition,
     compositions,
-    count_block_assignments,
     higher_lie_dim,
     mobius,
     next_partition,
@@ -119,10 +120,58 @@ def test_young_character_order_insensitive_in_nu():
 
 
 def test_count_block_assignments_edge_cases():
-    assert count_block_assignments((), ()) == 1
-    assert count_block_assignments((2,), (1, 1)) == 1
-    assert count_block_assignments((1, 1), (2,)) == 0
-    assert count_block_assignments((4, 2), (2, 2, 2)) == 3
+    # the block-assignment counts are read through young_character
+    assert young_character((), ()) == 1
+    assert young_character((2,), (1, 1)) == 1
+    assert young_character((1, 1), (2,)) == 0
+    assert young_character((4, 2), (2, 2, 2)) == 3
+    # zero parts, empty shapes and mismatched sizes
+    assert young_character((0, 2), (2,)) == 1
+    assert young_character((), (1,)) == 0
+    assert young_character((3,), (1, 1)) == 0
+
+
+@lru_cache(maxsize=None)
+def _count_block_assignments(nu, mu):
+    """Number of ways to deal the parts of mu (equal parts
+    distinguishable) onto ordered blocks with sums nu, by recursion on
+    the first block."""
+    mu = tuple(sorted(mu, reverse=True))
+    if not nu:
+        return 1 if not mu else 0
+    if sum(nu) != sum(mu):
+        return 0
+    mult = Counter(mu)
+    sizes = sorted(mult)
+    total = 0
+
+    def choose(i, remaining, ways, taken):
+        nonlocal total
+        if remaining == 0:
+            rest = []
+            for s in sizes:
+                rest.extend([s] * (mult[s] - taken.get(s, 0)))
+            total += ways * _count_block_assignments(nu[1:], tuple(rest))
+            return
+        if i == len(sizes):
+            return
+        s = sizes[i]
+        for k in range(min(mult[s], remaining // s) + 1):
+            taken[s] = k
+            choose(i + 1, remaining - k * s, ways * math.comb(mult[s], k),
+                   taken)
+        taken.pop(s, None)
+
+    choose(0, nu[0], 1, {})
+    return total
+
+
+def test_young_character_matches_block_assignment_recursion():
+    for r in range(11):
+        for nu in partitions(r):
+            for lam in partitions(r):
+                assert young_character(nu, lam) == \
+                    _count_block_assignments(nu, lam), (nu, lam)
 
 
 @settings(max_examples=40, deadline=None)

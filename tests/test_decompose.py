@@ -436,10 +436,11 @@ def test_graded_stage_one_matches_the_dense_route(n, p, k, top):
         E = _assemble(p, n, q, canon["projector"])
         kernel = decompose_module._rowspace(Mat.identity(p, N) - E, N)
         blocks = _weight_blocks(n, q)
-        spread = [row for alpha, space in canon["kernel"].items()
-                  for row in space.basis_matrix().spread(
-                      blocks[alpha], N).packed_rows()]
+        # the kernel is kept as basis rows per weight space
+        spread = [row for alpha, rows in canon["kernel"].items()
+                  for row in rows.spread(blocks[alpha], N).packed_rows()]
         assert Subspace.from_packed(p, N, spread) == kernel
+        assert len(spread) == kernel.dim
         basis, star = res.degrees[q].basis, canon["star"]
         graded = decompose_module._assemble_certificate(
             p, n, q, decompose_module._by_weight(basis, n, q, "basis"),

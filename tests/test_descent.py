@@ -223,7 +223,61 @@ def test_matrix_lift_agrees_with_algebra_lift():
         got = lift_matrix_idempotent(element_action_matrix(n, y), p)
         want = element_action_matrix(n, e)
         assert got == want, (n, p, r)
-        assert _assemble(p, n, r, class_projector(n, y)) == want, (n, p, r)
+        assert _assemble(p, n, r, class_projector(n, y)[0]) == want, (n, p, r)
+
+
+def _expanded_action_matrix(n, elem):
+    """The action matrix of a descent element summed over its permutation
+    expansion, one place permutation of all words at a time."""
+    from liepowers.linalg import _digit_table
+    r = elem.r
+    D = _digit_table(n, r)
+    powers = n ** np.arange(r - 1, -1, -1)
+    out = np.zeros((n ** r, n ** r), dtype=np.int64)
+    for sigma, v in elem.as_permutation_counter().items():
+        out[np.arange(n ** r), D[:, [s - 1 for s in sigma]] @ powers] += v
+    return Mat.from_array(elem.p, out)
+
+
+@pytest.mark.parametrize("n,p,r", [(2, 2, 6), (3, 2, 4), (3, 3, 4),
+                                   (4, 2, 3)])
+def test_class_projector_blocks_follow_letter_permutations(n, p, r,
+                                                           monkeypatch):
+    # the blocks at weights out of non-increasing order are spread from
+    # the non-increasing ones, and must still be those of the lift of the
+    # matrix summed over the permutation expansion
+    from liepowers import descent
+    from liepowers.linalg import _weight_blocks, rref
+    unshuffle = descent._unshuffle_blocks
+    top = []
+
+    def counted(p_, n_, r_, c):
+        out = unshuffle(p_, n_, r_, c)
+        if r_ == r:
+            top.append(sorted(out))
+        return out
+
+    monkeypatch.setattr(descent, "_unshuffle_blocks", counted)
+    N = n ** r
+    blocks = _weight_blocks(n, r)
+    reps = sorted(alpha for alpha in blocks if list(alpha) == sorted(
+        alpha, reverse=True))
+    assert len(reps) < len(blocks)
+    for cls in p_equivalence_classes(r, p):
+        y = solve_class_indicator(r, p, sorted(cls.members))
+        E, K = class_projector(n, y)
+        dense = _expanded_action_matrix(n, y)
+        assert element_action_matrix(n, y) == dense, cls
+        assert _assemble(p, n, r, E) == lift_matrix_idempotent(dense, p), cls
+        assert set(E) == set(K) == set(blocks)
+        for alpha, rows in K.items():
+            d = len(blocks[alpha])
+            assert rows.ncols == d
+            assert rref(rows)[1] == rows.nrows
+            assert rows @ E[alpha] == Mat.zeros(p, rows.nrows, d)
+        rank = rref(_assemble(p, n, r, E))[1]
+        assert sum(rows.nrows for rows in K.values()) == N - rank
+    assert top and all(keys == reps for keys in top)
 
 
 def test_lift_idempotents_is_cached():
@@ -238,7 +292,7 @@ def test_descent_operators_make_no_full_size_products(monkeypatch):
     # no product is larger than the largest one, C(10, 5) = 252 for n = 2
     from liepowers import descent, linalg
     for cached in (linalg._weight_blocks, descent._unshuffle_blocks,
-                   descent._x_blocks):
+                   descent._weight_orbits):
         cached.cache_clear()
     shapes = []
     matmul = Mat.__matmul__
@@ -250,7 +304,7 @@ def test_descent_operators_make_no_full_size_products(monkeypatch):
     monkeypatch.setattr(Mat, "__matmul__", counted)
     cls = next(c for c in p_equivalence_classes(10, 2) if (10,) in c)
     y = solve_class_indicator(10, 2, sorted(cls.members))
-    E = _assemble(2, 2, 10, class_projector(2, y))
+    E = _assemble(2, 2, 10, class_projector(2, y)[0])
     assert E.nrows == E.ncols == 2 ** 10
     assert shapes and max(max(shape) for shape in shapes) <= 252
 
