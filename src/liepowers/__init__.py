@@ -47,7 +47,6 @@ from .freelie import (
 from .descent import (
     DescentElement,
     IdempotentFamily,
-    act_on_tensor,
     element_action_matrix,
     gr_action_check,
     lift_idempotents,
@@ -56,15 +55,12 @@ from .descent import (
 from .modrep import (
     TensorAction,
     gl_generators,
-    induce_on_tensor_power,
-    is_invariant,
     module_closure,
 )
 from .decompose import (
     ComplementSearchExhausted,
     DecompositionResult,
     FiltrationReport,
-    canonical_complement,
     certify_decomposition,
     construct_B_family,
     prop35_check,
@@ -107,20 +103,16 @@ __all__ = [
     "truncate_subspace",
     "DescentElement",
     "IdempotentFamily",
-    "act_on_tensor",
     "element_action_matrix",
     "gr_action_check",
     "lift_idempotents",
     "lift_matrix_idempotent",
     "TensorAction",
     "gl_generators",
-    "induce_on_tensor_power",
-    "is_invariant",
     "module_closure",
     "ComplementSearchExhausted",
     "DecompositionResult",
     "FiltrationReport",
-    "canonical_complement",
     "certify_decomposition",
     "construct_B_family",
     "prop35_check",

@@ -298,9 +298,6 @@ class PClass:
     def __contains__(self, lam):
         return tuple(sorted(lam, reverse=True)) in set(self.members)
 
-    def indicator(self):
-        return ClassFunction(self.r, {m: 1 for m in self.members})
-
     def __eq__(self, other):
         return isinstance(other, PClass) and \
             (self.r, self.p, self.members) == (other.r, other.p, other.members)
@@ -325,9 +322,12 @@ def p_equivalence_classes(r, p):
 
 
 def class_of_partition(lam, p):
-    r = sum(lam)
+    """The p-equivalence class of the partition lam, whose parts may come
+    in any order.  ValueError unless lam is a nonempty tuple of ints >= 1.
+    """
+    if not lam or any(not isinstance(x, int) or x < 1 for x in lam):
+        raise ValueError("%r is not a partition of a positive integer"
+                         % (lam,))
     key = stabilized_type(lam, p)
-    for c in p_equivalence_classes(r, p):
-        if c.stable == key:
-            return c
-    raise AssertionError("every partition lies in a class")
+    return next(c for c in p_equivalence_classes(sum(lam), p)
+                if c.stable == key)

@@ -57,8 +57,8 @@ from functools import partial
 from itertools import product as iter_product
 
 from .combinat import (
+    class_of_partition,
     higher_lie_dim,
-    p_equivalence_classes,
     partitions,
     witt_dim,
 )
@@ -93,7 +93,7 @@ from .linalg import (
     solve_equivariant_projection,
     substitute,
 )
-from .modrep import gl_generators, induce_on_tensor_power
+from .modrep import TensorAction, gl_generators
 
 __all__ = [
     "ClassSummand",
@@ -104,7 +104,6 @@ __all__ = [
     "DecompositionResult",
     "ComplementSearchExhausted",
     "construct_B_family",
-    "canonical_complement",
     "certify_decomposition",
 ]
 
@@ -358,12 +357,7 @@ def _canonical_data(q, k, n, p, family):
     """
     N = n ** q
     m, q1 = _p_part(q, p)
-    J = None
-    for cls in p_equivalence_classes(q, p):
-        if (q,) in cls:
-            J = cls
-            break
-    members = sorted(J.members)
+    members = sorted(class_of_partition((q,), p).members)
     expect = sum(higher_lie_dim(n, lam) for lam in members)
 
     e0 = solve_class_indicator(q, p, members)
@@ -805,7 +799,7 @@ def construct_B_family(n, p, k, max_degree):
     degrees = {}
     for s in range(1, max_degree // k + 1):
         q = s * k
-        action = induce_on_tensor_power(gens, q)
+        action = TensorAction(gens, q)
         lie = lie_power(p, n, q)
         if s == 1:
             inv_k = pow(q % p, p - 2, p)
@@ -819,23 +813,6 @@ def construct_B_family(n, p, k, max_degree):
             continue
         degrees[q] = _build_degree(q, k, n, p, action, lie, degrees)
     return DecompositionResult(p, n, k, max_degree, degrees)
-
-
-def canonical_complement(q, k, n, p, family):
-    """The new complement W at degree q, given the family data below q.
-
-    family maps constructed degrees to DegreeData.  Recomputes the
-    settled part of L^q from the family, solves for an equivariant
-    complement, and verifies its certificate and the splitting of L^q.
-    Raises ComplementSearchExhausted when the certificate fails, and
-    ValueError when a degree below q that the settled part needs is
-    missing from family.
-    """
-    if q % k or q // k < 2:
-        raise ValueError("degree must be a multiple of k of weight >= 2")
-    action = induce_on_tensor_power(gl_generators(n, p), q)
-    lie = lie_power(p, n, q)
-    return _build_degree(q, k, n, p, action, lie, family).complement
 
 
 def certify_decomposition(result, companion=None):
@@ -873,7 +850,7 @@ def certify_decomposition(result, companion=None):
     splitting = set(_splitting_degrees(k, p, result.max_degree))
     for q in sorted(result.degrees):
         data = result.degrees[q]
-        action = induce_on_tensor_power(gens, q)
+        action = TensorAction(gens, q)
         lie = lie_power(p, n, q)
         check(q, "projection certificate",
               _projection_flaw(data.projection, data.basis, action))

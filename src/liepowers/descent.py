@@ -35,6 +35,7 @@ n^q x n^q matrix is assembled only when a caller asks for it;
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations
+import operator
 import random
 
 import numpy as np
@@ -64,7 +65,6 @@ __all__ = [
     "x_action_matrix",
     "element_action_matrix",
     "class_projector",
-    "act_on_tensor",
     "lift_idempotents",
     "lift_matrix_idempotent",
     "IdempotentFamily",
@@ -464,11 +464,6 @@ def class_projector(n, elem):
         for alpha, (rep, perm) in _weight_orbits(n, elem.r).items()}
 
 
-def act_on_tensor(elem, n, vec):
-    """Apply a descent element to one packed tensor."""
-    return element_action_matrix(n, elem).apply(vec)
-
-
 # ---------------------------------------------------------------------------
 # idempotent lifting
 
@@ -500,14 +495,15 @@ class IdempotentFamily:
         return iter(zip(self.classes, self.idempotents))
 
 
-def _lift_in_algebra(y, max_rounds=12):
-    """Newton lifting e <- 3e^2 - 2e^3 until e is idempotent."""
-    e = y
-    for _ in range(max_rounds):
-        s = e * e
+def _newton_lift(e, p, mul):
+    """Newton lifting e <- 3e^2 - 2e^3 until e is idempotent, products
+    taken by mul: a descent element or an action matrix.  Mod 2 a round
+    is e^2, so the cube, which vanishes there, is not computed."""
+    for _ in range(12):
+        s = mul(e, e)
         if s == e:
             return e
-        e = s.scale(3) - (s * e).scale(2)
+        e = s.scale(3) - mul(s, e).scale(2) if 2 % p else s
     raise ArithmeticError("idempotent lifting did not converge")
 
 
@@ -546,10 +542,10 @@ def lift_idempotents(r, p):
     partial = DescentElement(r, p, {})
     for cl in classes:
         y = solve_class_indicator(r, p, cl.members)
-        e = _lift_in_algebra(y)
+        e = _newton_lift(y, p, operator.mul)
         if done:
             resid = one - partial
-            e = _lift_in_algebra(resid * e * resid)
+            e = _newton_lift(resid * e * resid, p, operator.mul)
         done.append(e)
         partial = partial + e
     fam = IdempotentFamily(r, p, classes, done)
@@ -576,19 +572,9 @@ def _verify_family(fam):
                 raise ArithmeticError("idempotents are not orthogonal")
 
 
-def lift_matrix_idempotent(mat, p, max_rounds=12):
-    """Newton lifting at the level of an action matrix.
-
-    Each round maps e to 3e^2 - 2e^3.  Mod 2 that is e^2, so the cube,
-    which vanishes there, is not computed.
-    """
-    e = mat
-    for _ in range(max_rounds):
-        s = e @ e
-        if s == e:
-            return e
-        e = s.scale(3) - (s @ e).scale(2) if 2 % p else s
-    raise ArithmeticError("matrix idempotent lifting did not converge")
+def lift_matrix_idempotent(mat, p):
+    """Newton lifting at the level of an action matrix."""
+    return _newton_lift(mat, p, operator.matmul)
 
 
 # ---------------------------------------------------------------------------

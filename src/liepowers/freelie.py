@@ -14,18 +14,18 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
-from .combinat import higher_lie_dim, partitions, witt_dim
+from .combinat import partitions, witt_dim
 from .linalg import (
     Mat,
     SpanBuilder,
     Subspace,
-    _weight_blocks,
-    _weight_index,
+    _digit_table,
     field,
     index_to_word,
     substitute,
     word_to_index,
 )
+from .modrep import TensorAction, module_closure
 
 __all__ = [
     "Tensor",
@@ -38,12 +38,8 @@ __all__ = [
     "pbw_monomials",
     "pbw_monomial_vector",
     "filtration_subspace",
-    "weight_columns",
-    "weight_component",
-    "weight_labels",
     "truncate_vector",
     "truncate_subspace",
-    "extend_vector",
     "symmetrize_extend",
     "concat_packed",
     "concat_all",
@@ -186,37 +182,26 @@ def standard_factorization(w):
     return w[: len(w) - len(v)], v
 
 
-_expansion_cache = {}
-
-
+@lru_cache(maxsize=None)
 def lyndon_expansion(n, w):
-    """Integer expansion of the bracketed Lyndon word w in the word basis.
+    """Integer expansion of the bracketed Lyndon word w (a tuple) in the
+    word basis.
 
     Bracketing follows the standard factorization recursively; the result
     is cached per (n, w) and shared by every modulus.
     """
-    w = tuple(w)
-    key = (n, w)
-    hit = _expansion_cache.get(key)
-    if hit is not None:
-        return hit
     if len(w) == 1:
-        out = {w: 1}
-    else:
-        u, v = standard_factorization(w)
-        a = lyndon_expansion(n, u)
-        b = lyndon_expansion(n, v)
-        out = {}
-        for wa, ca in a.items():
-            for wb, cb in b.items():
-                c = ca * cb
-                k1 = wa + wb
-                k2 = wb + wa
-                out[k1] = out.get(k1, 0) + c
-                out[k2] = out.get(k2, 0) - c
-        out = {k: c for k, c in out.items() if c}
-    _expansion_cache[key] = out
-    return out
+        return {w: 1}
+    u, v = standard_factorization(w)
+    out = {}
+    for wa, ca in lyndon_expansion(n, u).items():
+        for wb, cb in lyndon_expansion(n, v).items():
+            c = ca * cb
+            k1 = wa + wb
+            k2 = wb + wa
+            out[k1] = out.get(k1, 0) + c
+            out[k2] = out.get(k2, 0) - c
+    return {k: c for k, c in out.items() if c}
 
 
 def lie_element(p, n, w):
@@ -304,42 +289,7 @@ def filtration_subspace(p, n, r, lam):
 
 
 # ---------------------------------------------------------------------------
-# weights (multidegrees) and alphabet truncation
-
-
-def weight_columns(n, r, weight):
-    """The columns of T^r(V_n) of one multidegree, ascending."""
-    idx = _weight_blocks(n, r).get(tuple(weight))
-    return () if idx is None else tuple(idx.tolist())
-
-
-def weight_labels(n, r):
-    """Multidegree of every column of T^r(V_n), in column order."""
-    weights = list(_weight_blocks(n, r))
-    return [weights[t] for t in _weight_index(n, r).tolist()]
-
-
-def weight_component(space, n, r, weight):
-    """Intersection of a subspace with one multidegree block.
-
-    Canonical bases of graded subspaces are themselves homogeneous, so the
-    usual case is a cheap row filter; a genuine intersection covers the
-    rest.
-    """
-    F = field(space.p)
-    cols = set(weight_columns(n, r, tuple(weight)))
-    keep, mixed = [], False
-    for row, piv in zip(space.packed_rows(), space.pivots):
-        if all(i in cols for i, _ in F.terms(row)):
-            keep.append(row)
-        elif piv in cols:
-            mixed = True
-            break
-    if not mixed:
-        return Subspace.from_packed(space.p, space.ambient, keep)
-    block = Subspace.from_packed(
-        space.p, space.ambient, [F.unit(space.ambient, c) for c in cols])
-    return space.intersect(block)
+# alphabet truncation and letter symmetrization
 
 
 def truncate_vector(p, n_from, n_to, r, vec):
@@ -365,17 +315,6 @@ def _rename(p, n, r, letters, rows):
     return substitute(p, n, 1, images, r, rows)
 
 
-# ---------------------------------------------------------------------------
-# alphabet extension and letter symmetrization
-
-
-def extend_vector(p, n_from, n_to, r, vec):
-    """Re-index a packed vector into the tensor space on a larger alphabet."""
-    if n_to < n_from:
-        raise ValueError("extension cannot shrink the alphabet")
-    return _rename(p, n_to, r, range(1, n_from + 1), [vec])[0]
-
-
 def symmetrize_extend(space, n_from, n_to, r):
     """Sum of all letter-permutation images of ``space`` inside
     T^r(V_{n_to}).
@@ -388,22 +327,16 @@ def symmetrize_extend(space, n_from, n_to, r):
     space.
     """
     p = space.p
-    swap = list(range(1, n_to + 1))
+    F = field(p)
+    swap = list(range(n_to))
     if n_to >= 2:
         swap[0], swap[1] = swap[1], swap[0]
-    cyc = list(range(2, n_to + 1)) + [1]
-    sb = SpanBuilder(p, n_to ** r)
-    queue = [w for w in _rename(p, n_to, r, range(1, n_from + 1),
-                                space.packed_rows()) if sb.add(w)]
-    qi = 0
-    while qi < len(queue):
-        v = queue[qi]
-        qi += 1
-        for perm in (swap, cyc):
-            w = _rename(p, n_to, r, perm, [v])[0]
-            if sb.add(w):
-                queue.append(w)
-    return sb.subspace()
+    cyc = list(range(1, n_to)) + [0]
+    gens = [Mat.from_packed(p, [F.unit(n_to, j) for j in perm], n_to)
+            for perm in (swap, cyc)]
+    seed = Subspace.from_packed(p, n_to ** r, _rename(
+        p, n_to, r, range(1, n_from + 1), space.packed_rows()))
+    return module_closure(seed, TensorAction(gens, r))
 
 
 # ---------------------------------------------------------------------------
@@ -447,21 +380,14 @@ def dynkin_matrix(p, n, r):
     dividing by r (possible when p does not divide r) yields a projection
     certifying the Lie power as a direct summand.
     """
-    N = n ** r
+    F = field(p)
     rows = []
-    for i in range(N):
-        w = index_to_word(i, n, r)
-        cur = {(w[0],): 1}
-        for a in w[1:]:
-            nxt = {}
-            for u, c in cur.items():
-                k1 = u + (a,)
-                k2 = (a,) + u
-                nxt[k1] = nxt.get(k1, 0) + c
-                nxt[k2] = nxt.get(k2, 0) - c
-            cur = {k: v % p for k, v in nxt.items() if v % p}
-        rows.append(pack_tensor(p, n, r, cur))
-    return Mat.from_packed(p, rows, N)
+    for w in _digit_table(n, r).tolist():
+        cur = F.unit(n, w[0])
+        for deg, a in enumerate(w[1:], 1):
+            cur = bracket_packed(p, n, deg, cur, 1, F.unit(n, a))
+        rows.append(cur)
+    return Mat.from_packed(p, rows, n ** r)
 
 
 # ---------------------------------------------------------------------------

@@ -809,17 +809,6 @@ class Subspace:
         F = self._f
         return all(map(F.is_zero, F.reduce(self._rows, self._pivots, other._rows)))
 
-    def coords(self, vec):
-        """Coordinates of vec in the canonical basis, or None if outside:
-        vec's entries at the pivots, as each basis row is 1 at its own
-        pivot and 0 at the others."""
-        F = self._f
-        x = F.coerce(vec)
-        co = F.take([x], self.ambient, self._pivots)[0]
-        if F.key(F.vecmat(co, self._rows)) != F.key(x):
-            return None
-        return F.to_array([co], self.dim)[0].tolist()
-
     def sum(self, other):
         self._check_compat(other)
         return Subspace.from_packed(self.p, self.ambient,
@@ -911,9 +900,10 @@ _CHUNK = 1 << 18
 
 def _restrict(space, times):
     """Matrix of a map g on the canonical basis B of space, or None when
-    space is not g-invariant; times(X) is X @ g.  M = (B g)[:, pivots]
-    (see ``Subspace.coords``), and B g lies in the span exactly when
-    M B = B g."""
+    space is not g-invariant; times(X) is X @ g.  Each row of B is 1 at
+    its own pivot and 0 at the others, so a vector of the span has its
+    entries at the pivots as coordinates: M = (B g)[:, pivots], and B g
+    lies in the span exactly when M B = B g."""
     B = space.basis_matrix()
     img = times(B)
     co = img.columns(space.pivots)
@@ -1037,13 +1027,13 @@ def _csr_gather(ptr, rows):
     return owner, np.arange(len(owner)) + shift
 
 
-def _assemble_projection_system(prob, graded=None):
+def _assemble_projection_system(prob):
     """Equations X*A - D*X = C per generator over the unknowns X[u, v],
     v an image coordinate, u a complement one; equation (i, j) has
     coefficient A[v, j] at X[i, v] and -D[i, u] at X[u, j].
 
-    ``graded`` masks the unknowns kept (k x m); the others are pinned to
-    zero.  Returns (index, nunk, rows, rhs): index[u, v] numbers X[u, v]
+    ``prob["graded"]``, when not None, masks the unknowns kept (k x m);
+    the others are pinned to zero.  Returns (index, nunk, rows, rhs): index[u, v] numbers X[u, v]
     (-1 when pinned); rows/rhs are the distinct nonzero equations in
     first-occurrence order.  Equations are formed and deduplicated as
     sorted (unknown, coefficient) terms, in chunks of about _CHUNK
@@ -1052,6 +1042,7 @@ def _assemble_projection_system(prob, graded=None):
     p, d, m = prob["p"], prob["d"], prob["m"]
     F = field(p)
     k = d - m
+    graded = prob["graded"]
     keep = np.ones((k, m), dtype=bool) if graded is None else graded
     nunk = int(np.count_nonzero(keep))
     index = np.full((k, m), -1, dtype=np.intp)
@@ -1131,28 +1122,27 @@ def solve_equivariant_projection(action, image, domain, labels=None):
     prob = _projection_problem(action, image, domain, labels=labels)
     if prob is None:
         return None
-    index, nunk, rows, rhs = _assemble_projection_system(prob, prob["graded"])
+    index, nunk, rows, rhs = _assemble_projection_system(prob)
     sol = _solve_linear_system(prob["p"], rows, rhs, nunk)
     return None if sol is None else _projection_from_x(prob, sol[0], index)
 
 
-def affine_projection_family(action, image, domain, labels=None, max_kernel=None):
-    """The full affine family of solutions of the projection system.
+def affine_projection_family(action, image, domain, labels=None):
+    """The full affine family of solutions of the projection system that
+    ``solve_equivariant_projection`` solves, labels included.
 
     Returns (particular Mat, [kernel-direction Mats]) or None if
-    infeasible; ``max_kernel`` truncates the direction list.  No package
-    code calls it; it stays while ``bench/tracer.py`` wraps it by name.
+    infeasible.  No package code calls it; it stays while
+    ``bench/tracer.py`` wraps it by name.
     """
     prob = _projection_problem(action, image, domain, labels=labels)
     if prob is None:
         return None
-    index, nunk, rows, rhs = _assemble_projection_system(prob, None)
+    index, nunk, rows, rhs = _assemble_projection_system(prob)
     sol = _solve_linear_system(prob["p"], rows, rhs, nunk)
     if sol is None:
         return None
     part, kern = sol
-    if max_kernel is not None:
-        kern = kern[:max_kernel]
     base = _projection_from_x(prob, part, index)
     m0 = _projection_from_x(prob, field(prob["p"]).zero(nunk), index)
     dirs = [_projection_from_x(prob, v, index) - m0 for v in kern]

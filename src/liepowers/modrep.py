@@ -23,7 +23,6 @@ import numpy as np
 from .linalg import (
     Mat,
     SpanBuilder,
-    Subspace,
     field,
     rref,
     substitute,
@@ -35,9 +34,7 @@ __all__ = [
     "generated_group_order",
     "gl_generators",
     "TensorAction",
-    "induce_on_tensor_power",
     "module_closure",
-    "is_invariant",
 ]
 
 # enumerating beyond this is pointless for a sanity check and slow in Python
@@ -261,11 +258,6 @@ class TensorAction:
             self.p, self.n, self.r, len(self.generators))
 
 
-def induce_on_tensor_power(gens, r):
-    """Extend generator matrices on V to the degree-r tensor power."""
-    return TensorAction(gens, r)
-
-
 def module_closure(seed, action):
     """Smallest action-invariant subspace containing the seed."""
     sb = SpanBuilder(seed.p, seed.ambient)
@@ -281,11 +273,3 @@ def module_closure(seed, action):
                 queue.append(w)
     return sb.subspace()
 
-
-def is_invariant(space, action):
-    """True iff every generator maps the subspace into itself."""
-    for gi in range(len(action.generators)):
-        for row in space.packed_rows():
-            if not space.contains(action.apply(gi, row)):
-                return False
-    return True

@@ -3,6 +3,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from liepowers.combinat import (
@@ -231,6 +232,14 @@ def test_class_of_nine_p2_is_singleton():
     assert class_of_partition((9,), 2).members == ((9,),)
 
 
+@pytest.mark.parametrize("lam", [(), (0,), (3, -1), (2.0,), ("2",)])
+def test_class_of_partition_rejects_a_non_partition(lam):
+    # no p-class holds these; a zero part would keep stabilized_type
+    # dividing by p forever
+    with pytest.raises(ValueError, match="not a partition"):
+        class_of_partition(lam, 2)
+
+
 def test_classes_partition_the_partitions():
     for r, p in ((5, 2), (6, 2), (6, 3), (7, 5)):
         cls = p_equivalence_classes(r, p)
@@ -245,7 +254,7 @@ def test_classes_partition_the_partitions():
 
 def test_class_indicator():
     c = p_equivalence_classes(4, 2)[0]
-    ind = c.indicator()
+    ind = ClassFunction(c.r, dict.fromkeys(c.members, 1))
     assert ind.is_indicator(c.members)
     assert ind((3, 1)) == 0
     assert ind((2, 2)) == 1

@@ -10,7 +10,6 @@ from liepowers.combinat import higher_lie_dim, p_equivalence_classes
 from liepowers.decompose import (
     ComplementSearchExhausted,
     _projection_flaw,
-    canonical_complement,
     certify_decomposition,
     construct_B_family,
     prop35_check,
@@ -20,7 +19,15 @@ from liepowers.freelie import lie_power, subalgebra_generated
 from liepowers.descent import _assemble
 from liepowers.linalg import (Mat, Subspace, _invert, _weight_blocks,
                               is_direct_sum)
-from liepowers.modrep import TensorAction, gl_generators, induce_on_tensor_power
+from liepowers.modrep import TensorAction, gl_generators
+
+
+def _build_degree(q, k, n, p, family):
+    """The degree-q data from the family below q, as construct_B_family
+    builds it."""
+    return decompose_module._build_degree(
+        q, k, n, p, TensorAction(gl_generators(n, p), q), lie_power(p, n, q),
+        family)
 
 
 def test_split_one_class_p2_r2():
@@ -185,7 +192,7 @@ def test_projection_flaw_reaches_the_failure(monkeypatch):
                         lambda proj, basis, action: "forced flaw")
     with pytest.raises(ComplementSearchExhausted,
                        match="^degree 6: forced flaw$"):
-        canonical_complement(6, 3, 2, 2, res.degrees)
+        _build_degree(6, 3, 2, 2, res.degrees)
 
 
 def test_family_rejects_zero_modulus():
@@ -287,8 +294,7 @@ def test_tampered_projection_detected():
 
 
 def test_canonical_complement_public():
-    res = construct_B_family(2, 2, 3, 3)
-    w = canonical_complement(6, 3, 2, 2, res.degrees)
+    w = construct_B_family(2, 2, 3, 6).degrees[6].complement
     assert w.dim == 8
     lie = lie_power(2, 2, 6)
     assert lie.contains_space(w)
@@ -296,7 +302,7 @@ def test_canonical_complement_public():
 
 def test_canonical_complement_needs_lower_degrees():
     with pytest.raises(ValueError, match="degree 3"):
-        canonical_complement(6, 3, 2, 2, {})
+        _build_degree(6, 3, 2, 2, {})
 
 
 def test_truncation_companion():
@@ -361,7 +367,7 @@ def test_projection_flaw_agrees_with_dense_definition(n, p, k, top):
     rng = np.random.default_rng(17 * p + top)
     verdicts = []
     for q, data in sorted(res.degrees.items()):
-        action = induce_on_tensor_power(gl_generators(n, p), q)
+        action = TensorAction(gl_generators(n, p), q)
         for proj, basis in _candidate_projections(data.projection, data.basis,
                                                   action, rng):
             new = _projection_flaw(proj, basis, action)
@@ -373,7 +379,7 @@ def test_projection_flaw_agrees_with_dense_definition(n, p, k, top):
 
 def _flaw_case(vecs, proj_rows):
     # T^2(V) for n = 2 over GF(2): words 11, 12, 21, 22 are indices 0..3
-    action = induce_on_tensor_power(gl_generators(2, 2), 2)
+    action = TensorAction(gl_generators(2, 2), 2)
     basis = Subspace.from_vectors(2, 4, vecs)
     proj = Mat.from_rows(2, proj_rows)
     return proj, basis, action
@@ -402,7 +408,7 @@ def test_projection_flaw_makes_no_full_size_products(monkeypatch):
     res = construct_B_family(2, 2, 3, 9)
     data = res.degrees[9]
     N = 2 ** 9
-    action = induce_on_tensor_power(gl_generators(2, 2), 9)
+    action = TensorAction(gl_generators(2, 2), 9)
     for gi in range(len(action.generators)):
         action.induced_matrix(gi)  # built by concatenation, not products
     shapes = []
@@ -471,7 +477,7 @@ def test_weight_crossing_row_is_loud(monkeypatch):
     with pytest.raises(ComplementSearchExhausted,
                        match="^degree 6: a row of the basis crosses weight "
                              "spaces$"):
-        canonical_complement(6, 3, 2, 2, res.degrees)
+        _build_degree(6, 3, 2, 2, res.degrees)
 
 
 def test_construction_forms_no_dense_operator(monkeypatch):
@@ -479,18 +485,17 @@ def test_construction_forms_no_dense_operator(monkeypatch):
     # without their induced matrices: no product has an N x N factor
     dense, shapes, induced = [], [], []
     matmul = Mat.__matmul__
-    induce = decompose_module.induce_on_tensor_power
 
     def degree(gens, q):
         dense.append(2 ** q)  # the degree now under construction
-        return induce(gens, q)
+        return TensorAction(gens, q)
 
     def counted(a, b):
         N = dense[-1]
         shapes.append((a.nrows, a.ncols, b.ncols, N))
         return matmul(a, b)
 
-    monkeypatch.setattr(decompose_module, "induce_on_tensor_power", degree)
+    monkeypatch.setattr(decompose_module, "TensorAction", degree)
     monkeypatch.setattr(Mat, "__matmul__", counted)
     monkeypatch.setattr(TensorAction, "induced_matrix",
                         lambda self, gi: induced.append(self.r))

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from collections import Counter
 from itertools import product as iter_product
@@ -16,7 +17,7 @@ from liepowers.combinat import (
 from liepowers.descent import (
     DescentElement,
     _assemble,
-    act_on_tensor,
+    _newton_lift,
     apply_place_permutation,
     class_projector,
     element_action_matrix,
@@ -166,8 +167,9 @@ def test_action_is_module_action():
         y = DescentElement.x_basis(r, p, cb)
         v = np.array([rng.randrange(p) for _ in range(n ** r)],
                      dtype=np.int64)
-        step = act_on_tensor(y, n, act_on_tensor(x, n, v))
-        direct = act_on_tensor(x * y, n, v)
+        step = element_action_matrix(n, y).apply(
+            element_action_matrix(n, x).apply(v))
+        direct = element_action_matrix(n, x * y).apply(v)
         assert np.array_equal(step, direct)
 
 
@@ -215,11 +217,10 @@ def test_matrix_lift_agrees_with_algebra_lift():
     # the idempotent part of y is a polynomial in y, so lifting the
     # action matrix of y lands exactly on the action matrix of the lifted
     # element, and so does lifting it one weight space at a time
-    from liepowers.descent import _lift_in_algebra
     for n, p, r in ((2, 2, 4), (3, 3, 4)):
         classes = p_equivalence_classes(r, p)
         y = solve_class_indicator(r, p, classes[0].members)
-        e = _lift_in_algebra(y)
+        e = _newton_lift(y, p, operator.mul)
         got = lift_matrix_idempotent(element_action_matrix(n, y), p)
         want = element_action_matrix(n, e)
         assert got == want, (n, p, r)

@@ -12,12 +12,12 @@ from liepowers.combinat import (
 )
 from liepowers.freelie import (
     Tensor,
+    _rename,
     bracket_packed,
     bracket_products,
     concat_all,
     concat_packed,
     dynkin_matrix,
-    extend_vector,
     filtration_subspace,
     lazard_pieces,
     lie_element,
@@ -33,10 +33,8 @@ from liepowers.freelie import (
     symmetrize_extend,
     truncate_subspace,
     truncate_vector,
-    weight_columns,
-    weight_component,
-    weight_labels,
 )
+from liepowers.decompose import _by_weight
 from liepowers.linalg import (
     Subspace,
     field,
@@ -234,32 +232,28 @@ def test_weight_component_dims_of_lie_power():
     # weights of L^4 over n=2: (3,1) and (1,3) give 1 each, (2,2) gives 1
     p, n, r = 2, 2, 4
     l4 = lie_power(p, n, r)
-    assert weight_component(l4, n, r, (3, 1)).dim == 1
-    assert weight_component(l4, n, r, (2, 2)).dim == 1
-    assert weight_component(l4, n, r, (1, 3)).dim == 1
+    parts = _by_weight(l4, n, r, "Lie power")
+    assert parts[(3, 1)].nrows == 1
+    assert parts[(2, 2)].nrows == 1
+    assert parts[(1, 3)].nrows == 1
     assert l4.dim == 3
 
 
 def test_weight_component_sums_to_space():
     p, n, r = 3, 2, 4
     s = lie_power(p, n, r)
-    total = 0
-    for a in range(r + 1):
-        total += weight_component(s, n, r, (a, r - a)).dim
-    assert total == s.dim
+    parts = _by_weight(s, n, r, "Lie power")
+    assert sorted(parts) == [(a, r - a) for a in range(r + 1)]
+    assert sum(rows.nrows for rows in parts.values()) == s.dim
 
 
-def test_weight_component_non_graded_fallback():
-    # a line spanned by a mixed-weight vector meets each block in 0
-    n, r = 2, 2
-    v = [1, 1, 0, 0]  # word 11 (weight (2,0)) + word 12 (weight (1,1))
-    s = Subspace.from_vectors(2, 4, [v])
-    assert weight_component(s, n, r, (2, 0)).dim == 0
-    assert weight_component(s, n, r, (1, 1)).dim == 0
+def _labels(n, r):
+    weights = list(_weight_blocks(n, r))
+    return [weights[t] for t in _weight_index(n, r).tolist()]
 
 
 def test_weight_labels_shape():
-    labs = weight_labels(2, 3)
+    labs = _labels(2, 3)
     assert len(labs) == 8
     assert labs[word_to_index((1, 1, 1), 2)] == (3, 0)
     assert labs[word_to_index((2, 1, 2), 2)] == (1, 2)
@@ -269,14 +263,12 @@ def test_weight_labels_shape():
 @pytest.mark.parametrize("r", [0, 1, 2, 3, 4, 5])
 def test_weight_tables_match_word_weight(n, r):
     want = [word_weight(index_to_word(i, n, r), n) for i in range(n ** r)]
-    assert weight_labels(n, r) == want
-    weights = list(_weight_blocks(n, r))
-    assert weights == sorted(set(want))
-    assert [weights[t] for t in _weight_index(n, r)] == want
-    for alpha in weights:
-        assert weight_columns(n, r, alpha) == tuple(
-            i for i, w in enumerate(want) if w == alpha)
-    assert weight_columns(n, r, (r + 1,) + (0,) * (n - 1)) == ()
+    assert _labels(n, r) == want
+    blocks = _weight_blocks(n, r)
+    assert list(blocks) == sorted(set(want))
+    for alpha, idx in blocks.items():
+        assert idx.tolist() == [i for i, w in enumerate(want) if w == alpha]
+    assert (r + 1,) + (0,) * (n - 1) not in blocks
 
 
 def test_lyndon_words_need_a_letter():
@@ -363,7 +355,7 @@ def test_subalgebra_generated_single_element():
 def test_extend_then_truncate_roundtrip():
     p, r = 2, 3
     v = lie_element(p, 2, (1, 1, 2)).to_packed()
-    w = extend_vector(p, 2, 3, r, v)
+    w = _rename(p, 3, r, (1, 2), [v])[0]
     assert truncate_vector(p, 3, 2, r, w) == v
     # the extended vector lives on the same words, just re-indexed
     assert bin(w).count("1") == bin(v).count("1")

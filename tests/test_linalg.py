@@ -38,7 +38,7 @@ from liepowers.linalg import (
     word_to_index,
     word_weight,
 )
-from liepowers.modrep import gl_generators, induce_on_tensor_power
+from liepowers.modrep import TensorAction, gl_generators
 
 
 def test_check_prime():
@@ -339,21 +339,6 @@ def test_subspace_equality_is_presentation_free():
     assert hash(s1) == hash(s2)
 
 
-def test_subspace_coords_roundtrip():
-    s = Subspace.from_vectors(5, 4, [[1, 2, 3, 4], [0, 1, 1, 1]])
-    for co in itertools.product(range(5), repeat=2):
-        v = np.zeros(4, dtype=np.int64)
-        for c, row in zip(co, s.packed_rows()):
-            v = (v + c * row) % 5
-        got = s.coords(v)
-        assert got is not None
-        back = np.zeros(4, dtype=np.int64)
-        for c, row in zip(got, s.packed_rows()):
-            back = (back + c * row) % 5
-        assert np.array_equal(back, v)
-    assert s.coords([0, 0, 0, 1]) is None
-
-
 def _brute_intersection(p, amb, s1, s2):
     # enumerate all of F_p^amb; fine for tiny ambients
     pts = []
@@ -445,9 +430,9 @@ def test_group_action_validates_generators():
     # and a generator over another field
     sing = Mat.from_rows(2, [[1, 1], [1, 1]])
     with pytest.raises(ValueError, match="invertible"):
-        induce_on_tensor_power([sing], 1)
+        TensorAction([sing], 1)
     with pytest.raises(ValueError, match="shape/modulus"):
-        induce_on_tensor_power([Mat.identity(2, 2), Mat.identity(3, 2)], 1)
+        TensorAction([Mat.identity(2, 2), Mat.identity(3, 2)], 1)
 
 
 def _substitute_oracle(p, n, d, images, r, row):
@@ -493,7 +478,7 @@ def test_equivariant_projection_infeasible_swap_gf2():
     # idempotence and equivariance cannot both hold, and the solver's linear
     # system is inconsistent.
     swap = Mat.from_rows(2, [[0, 1], [1, 0]])
-    act = induce_on_tensor_power([swap], 1)
+    act = TensorAction([swap], 1)
     dom = Subspace.from_vectors(2, 2, [[1, 0], [0, 1]])
     img = Subspace.from_vectors(2, 2, [[1, 1]])
     assert solve_equivariant_projection(act, img, dom) is None
@@ -503,7 +488,7 @@ def test_equivariant_projection_infeasible_swap_gf2():
 def test_equivariant_projection_swap_gf3():
     # same setup over F_3 succeeds: pi = [[2,2],[2,2]]
     swap = Mat.from_rows(3, [[0, 1], [1, 0]])
-    act = induce_on_tensor_power([swap], 1)
+    act = TensorAction([swap], 1)
     dom = Subspace.from_vectors(3, 2, [[1, 0], [0, 1]])
     img = Subspace.from_vectors(3, 2, [[1, 1]])
     pi = solve_equivariant_projection(act, img, dom)
@@ -517,7 +502,7 @@ def test_equivariant_projection_swap_gf3():
 
 def test_equivariant_projection_respects_preconditions():
     swap = Mat.from_rows(3, [[0, 1], [1, 0]])
-    act = induce_on_tensor_power([swap], 1)
+    act = TensorAction([swap], 1)
     dom = Subspace.from_vectors(3, 2, [[1, 1]])
     img = Subspace.from_vectors(3, 2, [[1, 0]])
     with pytest.raises(ValueError):
@@ -531,7 +516,7 @@ def test_equivariant_projection_block_diagonal_action():
     # direct sum of a 2-dim swap module and a fixed line over F_5;
     # projecting onto the fixed line must kill the swap summand
     g = Mat.from_rows(5, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    act = induce_on_tensor_power([g], 1)
+    act = TensorAction([g], 1)
     dom = Subspace.from_vectors(5, 3, np.eye(3, dtype=int).tolist())
     img = Subspace.from_vectors(5, 3, [[0, 0, 1]])
     pi = solve_equivariant_projection(act, img, dom)
@@ -548,7 +533,7 @@ def test_projection_with_weight_labels():
     # two one-dimensional label blocks; the labelled solve pins the
     # off-block entries to zero
     g = Mat.from_rows(3, [[2, 0], [0, 1]])
-    act = induce_on_tensor_power([g], 1)
+    act = TensorAction([g], 1)
     dom = Subspace.from_vectors(3, 2, [[1, 0], [0, 1]])
     img = Subspace.from_vectors(3, 2, [[1, 0]])
     pi = solve_equivariant_projection(act, img, dom, labels=["a", "b"])
@@ -561,20 +546,24 @@ def test_graded_system_is_solved_alone():
     # span{e1} is span{e1 + e2}, which crosses the grades "a" and "b", so
     # the equivariant projection exists but no weight-preserving one does
     g = Mat.from_rows(3, [[1, 0], [1, 2]])
-    act = induce_on_tensor_power([g], 1)
+    act = TensorAction([g], 1)
     dom = Subspace.from_vectors(3, 2, [[1, 0], [0, 1]])
     img = Subspace.from_vectors(3, 2, [[1, 0]])
     assert solve_equivariant_projection(act, img, dom).to_lists() == \
         [[1, 0], [2, 0]]
     assert solve_equivariant_projection(act, img, dom,
                                         labels=["a", "b"]) is None
+    # the affine family solves the same system, labels included
+    base, dirs = affine_projection_family(act, img, dom)
+    assert base.to_lists() == [[1, 0], [2, 0]] and dirs == []
+    assert affine_projection_family(act, img, dom, labels=["a", "b"]) is None
 
 
 def test_affine_family_spans_all_solutions():
     # trivial action: every idempotent with the given image solves the
     # system; family dimension = dim(image) * codim
     ident = Mat.identity(2, 3)
-    act = induce_on_tensor_power([ident], 1)
+    act = TensorAction([ident], 1)
     dom = Subspace.from_vectors(2, 3, np.eye(3, dtype=int).tolist())
     img = Subspace.from_vectors(2, 3, [[1, 0, 0]])
     base, dirs = affine_projection_family(act, img, dom)
@@ -817,7 +806,7 @@ def _random_projection_case(rng, p, d, m, split):
             g[m:, :m] = rng.integers(0, p, size=(d - m, m))
         gens.append(_invert(P) @ Mat.from_array(p, g) @ P)
     domain = Subspace.from_vectors(p, d, np.eye(d, dtype=np.int64))
-    return induce_on_tensor_power(gens, 1), image, domain, labels
+    return TensorAction(gens, 1), image, domain, labels
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -839,8 +828,8 @@ def test_projection_system_matches_dict_loop_reference(p):
                 attempts.append((prob["graded"], allowed))
                 graded += 1
             for mask, ref in attempts:
-                index, nunk, rows, rhs = _assemble_projection_system(prob,
-                                                                     mask)
+                index, nunk, rows, rhs = _assemble_projection_system(
+                    dict(prob, graded=mask))
                 unk, ref_rows, ref_rhs = _reference_system(prob, ref)
                 assert nunk == len(unk)
                 assert {(int(u), int(v)): int(index[u, v])
