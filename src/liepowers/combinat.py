@@ -12,6 +12,8 @@ import math
 from collections import Counter
 from functools import lru_cache
 
+from .linalg import field
+
 __all__ = [
     "partitions",
     "compositions",
@@ -269,7 +271,9 @@ class ClassFunction:
 def stabilized_type(lam, p):
     """Replace each part l = p^a * l' (p not dividing l') by p^a copies of
     l'.  Iterating changes nothing more, and two types are p-equivalent
-    exactly when their stabilizations agree."""
+    exactly when their stabilizations agree.  ValueError unless p is a
+    prime that ``field`` accepts."""
+    field(p)
     out = []
     for part in lam:
         a = 0

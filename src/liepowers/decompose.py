@@ -53,8 +53,8 @@ import os
 import pickle
 import signal
 from contextlib import contextmanager
-from functools import partial
-from itertools import product as iter_product
+from functools import lru_cache, partial
+from itertools import combinations_with_replacement, product as iter_product
 
 from .combinat import (
     class_of_partition,
@@ -325,21 +325,18 @@ def _complement_from(space, proj):
 
 def _multisets_with_slot_sum(elems, total):
     """Non-decreasing index tuples into elems with slot counts summing
-    to total; elems is a list of (slots, vector)."""
-    out = []
+    to total; elems is a list of (slots, vector) with slots >= 1."""
+    return [multi for size in range(1, total + 1)
+            for multi in combinations_with_replacement(range(len(elems)), size)
+            if sum(elems[j][0] for j in multi) == total]
 
-    def rec(start, remaining, acc):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for j in range(start, len(elems)):
-            if elems[j][0] <= remaining:
-                acc.append(j)
-                rec(j, remaining - elems[j][0], acc)
-                acc.pop()
 
-    rec(0, total, [])
-    return out
+@lru_cache(maxsize=None)
+def _star_matrix(p, b, c_d, step):
+    """The class idempotent of a slot pattern of c_d // step slots of
+    width step, acting on T^c_d over a b-letter alphabet."""
+    idem = lift_idempotents(c_d, p).idempotent_for((step,) * (c_d // step))
+    return element_action_matrix(b, idem)
 
 
 def _canonical_data(q, k, n, p, family):
@@ -397,27 +394,13 @@ def _canonical_data(q, k, n, p, family):
         *(range(0, q // d + 1, step) for d, step, *_ in ds))
         if sum(c * d for c, (d, *_) in zip(sigma, ds)) == q]
 
-    star_matrix_memo = {}
-
-    def star_matrix(b, c_d, step):
-        # the class idempotent of the slot pattern, acting on T^c_d over
-        # the degree-d basis
-        key = (b, c_d, step)
-        got = star_matrix_memo.get(key)
-        if got is None:
-            fam_c = lift_idempotents(c_d, p)
-            got = element_action_matrix(
-                b, fam_c.idempotent_for((step,) * (c_d // step)))
-            star_matrix_memo[key] = got
-        return got
-
     star_rows = []
     for sigma in sigmas:
         per_d = []
         for (d, step, b, brows, elems), c_d in zip(ds, sigma):
             if c_d == 0:
                 continue
-            idem = star_matrix(b, c_d, step)
+            idem = _star_matrix(p, b, c_d, step)
             starred = [idem.apply(concat_all(p, b, [elems[j] for j in multi]))
                        for multi in _multisets_with_slot_sum(elems, c_d)]
             per_d.append([(c_d * d, row) for row in substitute(

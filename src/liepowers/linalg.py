@@ -958,47 +958,53 @@ def _projection_problem(action, image, domain, labels=None):
 
     Returns None if the image is not an invariant subspace (then no
     projection with that image can commute with the action), otherwise a
-    dict of the adapted-coordinate data.  With labels, ``graded`` masks
-    the unknowns that keep the grading when every image row is
-    homogeneous, and is None otherwise.
+    dict of the data in echelon coordinates.  In domain coordinates the
+    image is its canonical echelon basis ``image``, I at its pivot columns
+    and R at its ``free`` columns.  Per generator g, ``blocks`` holds
+
+    * A, the action of g on the image basis (``_restrict``);
+    * C = G[:, pivots] and D = G[:, free] - C R, where G is the rows of g
+      at the free columns.
+
+    Together they are g, [[A, 0], [C, D]], in the basis of the image rows
+    and the unit rows at the free columns.  That basis has the inverse
+    [[I, -R], [0, I]] in closed form, so neither is formed.  With labels (one int or string per domain coordinate),
+    ``graded`` masks the unknowns that keep the grading when every image
+    row is homogeneous, and is None otherwise.
     """
     p = domain.p
-    F = field(p)
     d = domain.dim
     if not domain.contains_space(image):
         raise ValueError("image must lie inside the domain")
     gmats = _action_on_domain(action, domain)  # raises if domain not invariant
 
-    # image in domain coordinates
     im = Subspace.from_packed(
         p, d, image.basis_matrix().columns(domain.pivots).packed_rows())
-    m = im.dim
-    free_cols = np.setdiff1d(np.arange(d), im.pivots).tolist()
-
-    # adapted basis: image rows first, then unit vectors on free columns
-    T = Mat.from_packed(p, im.packed_rows() + [F.unit(d, j) for j in free_cols], d)
-    Tinv = _invert(T)
+    piv = np.array(im.pivots, dtype=np.intp)
+    free = np.setdiff1d(np.arange(d), piv)
+    R = im.basis_matrix().columns(free)
 
     blocks = []
     for g in gmats:
-        gad = (T @ g @ Tinv).to_array()
-        if gad[:m, m:].any():
+        A = _restrict(im, lambda b: b @ g)
+        if A is None:
             return None  # image not invariant: infeasible
-        blocks.append((gad[:m, :m], gad[m:, :m], gad[m:, m:]))
+        G = g.to_array()[free]
+        C = G[:, piv]
+        D = (G[:, free] - (Mat.from_array(p, C) @ R).to_array()) % p
+        blocks.append((A.to_array(), C, D))
 
     # the graded ansatz keeps X[u, v] when free column u and image row v
-    # carry the same label; it exists only if each image row has one label
+    # carry the same label; it exists only if each image row has one label,
+    # the label at its pivot
     graded = None
     if labels is not None:
-        ids = {}
-        lab = np.array([ids.setdefault(x, len(ids)) for x in labels], np.intp)
+        lab = np.asarray(labels)
         nz = im.basis_matrix().to_array() != 0
-        lo = np.where(nz, lab, len(ids)).min(axis=1, initial=len(ids))
-        hi = np.where(nz, lab, -1).max(axis=1, initial=-1)
-        if (lo == hi).all():
-            graded = lab[free_cols][:, None] == lo
+        if (~nz | (lab == lab[piv][:, None])).all():
+            graded = lab[free][:, None] == lab[piv]
 
-    return {"p": p, "d": d, "m": m, "T": T, "Tinv": Tinv,
+    return {"p": p, "d": d, "m": im.dim, "image": im, "free": free, "R": R,
             "blocks": blocks, "graded": graded}
 
 
@@ -1029,15 +1035,17 @@ def _csr_gather(ptr, rows):
 
 def _assemble_projection_system(prob):
     """Equations X*A - D*X = C per generator over the unknowns X[u, v],
-    v an image coordinate, u a complement one; equation (i, j) has
-    coefficient A[v, j] at X[i, v] and -D[i, u] at X[u, j].
+    v an image row, u a free column (the blocks of ``_projection_problem``);
+    equation (i, j) has coefficient A[v, j] at X[i, v] and -D[i, u] at
+    X[u, j].
 
     ``prob["graded"]``, when not None, masks the unknowns kept (k x m);
     the others are pinned to zero.  Returns (index, nunk, rows, rhs): index[u, v] numbers X[u, v]
-    (-1 when pinned); rows/rhs are the distinct nonzero equations in
-    first-occurrence order.  Equations are formed and deduplicated as
-    sorted (unknown, coefficient) terms, in chunks of about _CHUNK
-    entries, and only the distinct ones are written out densely.
+    (-1 when pinned); rows/rhs are every equation other than 0 = 0, in
+    generator and equation order.  Repeated equations stay: the echelon
+    that solves the system depends only on the span of the rows.
+    Equations are formed as sorted (unknown, coefficient) terms in chunks
+    of about _CHUNK entries, and each chunk is written out as one block.
     """
     p, d, m = prob["p"], prob["d"], prob["m"]
     F = field(p)
@@ -1049,8 +1057,7 @@ def _assemble_projection_system(prob):
     index[keep] = np.arange(nunk)
     col = np.where(keep, index, nunk)  # pinned unknowns land in column nunk
     step = max(1, _CHUNK // max(m, k, 1))
-    seen = set()
-    terms, rhs = [], []
+    rows, rhs = [], []
     for a, c, dd in prob["blocks"]:
         aptr, acol, aval = _csr(a.T)
         dptr, dcol, dval = _csr(dd)
@@ -1071,38 +1078,42 @@ def _assemble_projection_system(prob):
                 coef = np.add.reduceat(coef, new) % p
                 live = (coef != 0) & (unk < nunk)
                 eq, unk, coef = eq[live], unk[live], coef[live]
-            ends = np.searchsorted(eq, np.arange(len(i) + 1))
             b = c[i, j] % p
             # most equations are empty, and those are never kept
-            live = np.flatnonzero((np.diff(ends) > 0) | (b != 0))
-            ends, b = ends.tolist(), b.tolist()
-            for t in live.tolist():
-                s, e = ends[t], ends[t + 1]
-                key = (unk[s:e].tobytes(), coef[s:e].tobytes(), b[t])
-                if key not in seen:
-                    seen.add(key)
-                    terms.append((unk[s:e], coef[s:e]))
-                    rhs.append(b[t])
-    rows = []
-    step = max(1, _CHUNK // max(nunk, 1))
-    for s in range(0, len(terms), step):
-        part = terms[s:s + step]
-        block = np.zeros((len(part), nunk), dtype=np.min_scalar_type(p - 1))
-        owner = np.repeat(np.arange(len(part)), [len(u) for u, _ in part])
-        block[owner, np.concatenate([u for u, _ in part])] = \
-            np.concatenate([x for _, x in part])
-        rows.extend(F.from_array(block))
+            live = b != 0
+            live[eq] = True
+            block = np.zeros((np.count_nonzero(live), nunk),
+                             dtype=np.min_scalar_type(p - 1))
+            block[np.cumsum(live)[eq] - 1, unk] = coef
+            rows.extend(F.from_array(block))
+            rhs.extend(b[live].tolist())
     return index, nunk, rows, rhs
 
 
 def _projection_from_x(prob, xvals, index):
-    p, d, m = prob["p"], prob["d"], prob["m"]
+    """The projection of the unknowns X (k x m): P = Y @ image, where Y is
+    X at the free columns and I - R X at the pivot columns.  In the basis
+    of ``_projection_problem`` it is [[I, 0], [X, 0]]."""
+    p = prob["p"]
     keep = index >= 0
-    x = field(p).to_array([xvals], int(np.count_nonzero(keep)))[0]
-    pad = np.zeros((d, d), dtype=np.int64)
-    pad[:m, :m] = np.eye(m, dtype=np.int64)
-    pad[m:, :m][keep] = x[index[keep]]
-    return prob["Tinv"] @ Mat.from_array(p, pad) @ prob["T"]
+    x = np.zeros(index.shape, dtype=np.int64)
+    x[keep] = field(p).to_array([xvals], np.count_nonzero(keep))[0]
+    y = np.zeros((prob["d"], prob["m"]), dtype=np.int64)
+    y[prob["free"]] = x
+    y[prob["image"].pivots] = np.eye(prob["m"], dtype=np.int64) - \
+        (prob["R"] @ Mat.from_array(p, x)).to_array()
+    return Mat.from_array(p, y) @ prob["image"].basis_matrix()
+
+
+def _projection_solution(action, image, domain, labels):
+    """The projection problem, its index of unknowns and its solution
+    (particular, kernel), or None when it is infeasible."""
+    prob = _projection_problem(action, image, domain, labels=labels)
+    if prob is None:
+        return None
+    index, nunk, rows, rhs = _assemble_projection_system(prob)
+    sol = _solve_linear_system(prob["p"], rows, rhs, nunk)
+    return None if sol is None else (prob, index, sol)
 
 
 def solve_equivariant_projection(action, image, domain, labels=None):
@@ -1114,17 +1125,17 @@ def solve_equivariant_projection(action, image, domain, labels=None):
     violations (image outside domain, non-invariant domain) raise
     ValueError instead.
 
-    ``labels`` optionally assigns a hashable grade to each domain basis
-    row.  When every image row is homogeneous, the projection must then
-    keep the grading, and None means that no such projection exists;
-    otherwise the labels are ignored.  One system is solved either way.
+    ``labels`` optionally assigns a grade (an int or a string) to each
+    domain basis row.  When every image row is homogeneous, the projection
+    must then keep the grading, and None means that no such projection
+    exists; otherwise the labels are ignored.  One system is solved either
+    way.
     """
-    prob = _projection_problem(action, image, domain, labels=labels)
-    if prob is None:
+    got = _projection_solution(action, image, domain, labels)
+    if got is None:
         return None
-    index, nunk, rows, rhs = _assemble_projection_system(prob)
-    sol = _solve_linear_system(prob["p"], rows, rhs, nunk)
-    return None if sol is None else _projection_from_x(prob, sol[0], index)
+    prob, index, (part, _) = got
+    return _projection_from_x(prob, part, index)
 
 
 def affine_projection_family(action, image, domain, labels=None):
@@ -1135,16 +1146,13 @@ def affine_projection_family(action, image, domain, labels=None):
     infeasible.  No package code calls it; it stays while
     ``bench/tracer.py`` wraps it by name.
     """
-    prob = _projection_problem(action, image, domain, labels=labels)
-    if prob is None:
+    got = _projection_solution(action, image, domain, labels)
+    if got is None:
         return None
-    index, nunk, rows, rhs = _assemble_projection_system(prob)
-    sol = _solve_linear_system(prob["p"], rows, rhs, nunk)
-    if sol is None:
-        return None
-    part, kern = sol
+    prob, index, (part, kern) = got
     base = _projection_from_x(prob, part, index)
-    m0 = _projection_from_x(prob, field(prob["p"]).zero(nunk), index)
+    zero = field(prob["p"]).zero(np.count_nonzero(index >= 0))
+    m0 = _projection_from_x(prob, zero, index)
     dirs = [_projection_from_x(prob, v, index) - m0 for v in kern]
     return base, dirs
 

@@ -1,4 +1,5 @@
 import math
+import signal
 from collections import Counter
 from functools import lru_cache
 from itertools import product
@@ -238,6 +239,26 @@ def test_class_of_partition_rejects_a_non_partition(lam):
     # dividing by p forever
     with pytest.raises(ValueError, match="not a partition"):
         class_of_partition(lam, 2)
+
+
+@pytest.mark.parametrize("p", [1, 0, 4])
+def test_p_classes_reject_a_non_prime(p):
+    # p = 1 divides every part, so stabilized_type would loop forever;
+    # the alarm turns such a hang into a failure
+    def hang(signum, frame):
+        raise TimeoutError("p = %d was not rejected" % p)
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        for call in (lambda: p_equivalence_classes(3, p),
+                     lambda: class_of_partition((3,), p),
+                     lambda: stabilized_type((6, 2), p)):
+            with pytest.raises(ValueError, match="prime"):
+                call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_classes_partition_the_partitions():

@@ -20,6 +20,7 @@ from liepowers.linalg import (
     _invert,
     _mul2,
     _mul2_words,
+    _projection_from_x,
     _projection_problem,
     _rows_to_words,
     _solve_linear_system,
@@ -701,7 +702,8 @@ def test_gf2_row_text_takes_only_ascii_hex_digits():
 
 def _reference_system(prob, allowed):
     """The projection system as dict loops build it, one equation and one
-    coefficient at a time: (unknown index, distinct nonzero rows, rhs)."""
+    coefficient at a time: (unknown index, nonzero rows, rhs), every
+    equation other than 0 = 0 in generator and equation order."""
     p, d, m = prob["p"], prob["d"], prob["m"]
     F, k = field(p), d - m
     unk = {}
@@ -709,7 +711,7 @@ def _reference_system(prob, allowed):
         for v in range(m):
             if allowed is None or allowed(u, v):
                 unk[(u, v)] = len(unk)
-    seen, rows, rhs = set(), [], []
+    rows, rhs = [], []
     for a, c, dd in prob["blocks"]:
         for i in range(k):
             for j in range(m):
@@ -721,11 +723,9 @@ def _reference_system(prob, allowed):
                 row = F.from_terms(len(unk), [(unk[key], f) for key, f
                                               in coeff.items() if key in unk])
                 b = int(c[i][j]) % p
-                if (F.key(row), b) not in seen:
-                    seen.add((F.key(row), b))
-                    if b or not F.is_zero(row):
-                        rows.append(row)
-                        rhs.append(b)
+                if b or not F.is_zero(row):
+                    rows.append(row)
+                    rhs.append(b)
     return unk, rows, rhs
 
 
@@ -751,11 +751,10 @@ def _reference_solve(p, rows, rhs, nunk):
 
 def _reference_ansatz(prob, labels):
     """The graded ansatz from per-row label sets, or None."""
-    F, m = field(prob["p"]), prob["m"]
-    rows = prob["T"].packed_rows()
-    lab_free = [labels[next(F.terms(r))[0]] for r in rows[m:]]
+    F = field(prob["p"])
+    lab_free = [labels[j] for j in prob["free"]]
     lab_im = []
-    for r in rows[:m]:
+    for r in prob["image"].packed_rows():
         ls = {labels[j] for j, _ in F.terms(r)}
         lab_im.append(ls.pop() if len(ls) == 1 else None)
     if None in lab_im:
@@ -845,6 +844,32 @@ def test_projection_system_matches_dict_loop_reference(p):
                         list(map(F.key, want[1]))
                     families += bool(rows) and bool(got[1])
     assert graded >= 10 and families >= 5
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_projection_from_x_matches_adapted_basis(p):
+    # the closed form Y @ image against T^-1 [[I, 0], [X, 0]] T, where T is
+    # the image rows followed by the unit rows at the free columns
+    rng = np.random.default_rng(200 + p)
+    F = field(p)
+    for t in range(30):
+        d = 1 + t % 6
+        m = (0, d, int(rng.integers(0, d + 1)))[t % 3]
+        action, image, domain, labels = _random_projection_case(
+            rng, p, d, m, split=t % 2 == 0)
+        prob = _projection_problem(action, image, domain)
+        index = _assemble_projection_system(prob)[0]
+        nunk = int(np.count_nonzero(index >= 0))
+        T = Mat.from_packed(p, prob["image"].packed_rows() +
+                            [F.unit(d, int(j)) for j in prob["free"]], d)
+        for _ in range(3):
+            x = rng.integers(0, p, size=nunk)
+            pad = np.zeros((d, d), dtype=np.int64)
+            pad[:m, :m] = np.eye(m, dtype=np.int64)
+            pad[m:, :m] = x.reshape(d - m, m)
+            want = _invert(T) @ Mat.from_array(p, pad) @ T
+            got = _projection_from_x(prob, F.from_array([x])[0], index)
+            assert got == want
 
 
 def test_projection_system_chunks_agree(monkeypatch):
