@@ -25,12 +25,12 @@ The route runs one weight space T^q_alpha (the words of one letter
 content) at a time.  E keeps letter content, and B, the star span and
 ker E are sums of their weight components, so E is held as its weight
 blocks (``class_projector``), and its rank and kernel, the check that E
-is injective on the star-extended Lie power, and the inverse of the
-stacked rows behind P are computed block by block; P is written from
-its blocks.  A canonical row that crosses weight spaces means a space is
-not graded, and raises ComplementSearchExhausted.  Generators act
-through the action's ``times``, so the only n^q x n^q matrix formed is
-the reported P.
+is injective on the star-extended Lie power, and P (through an inverse
+of the size of the rank of E_alpha) are computed block by block; P is
+written from its blocks.  A canonical row that crosses weight spaces
+means a space is not graded, and raises ComplementSearchExhausted.
+Generators act through the action's ``times``, so the only n^q x n^q
+matrix formed is the reported P.
 
 At each degree that needs them, the class projector, its kernel and the
 star span read only the family below q, and the equivariant solve only
@@ -55,6 +55,8 @@ import signal
 from contextlib import contextmanager
 from functools import lru_cache, partial
 from itertools import combinations_with_replacement, product as iter_product
+
+import numpy as np
 
 from .combinat import (
     class_of_partition,
@@ -342,7 +344,7 @@ def _star_matrix(p, b, c_d, step):
 def _canonical_data(q, k, n, p, family):
     """Class projector, its kernel, and the star span at degree q; the
     projector and its kernel are kept per weight space, the kernel as
-    basis rows that need not be in echelon form (``class_projector``).
+    basis rows that are the identity at ``free`` (``class_projector``).
 
     The star span is built from products of lower-degree basis elements:
     for each proper divisor degree d, Lie elements over the degree-d
@@ -359,7 +361,7 @@ def _canonical_data(q, k, n, p, family):
 
     e0 = solve_class_indicator(q, p, members)
     try:
-        E, kernel = class_projector(n, e0)
+        E, kernel, free = class_projector(n, e0)
     except ArithmeticError as exc:
         raise ComplementSearchExhausted(
             q, "projector lifting failed: %s" % exc)
@@ -418,6 +420,7 @@ def _canonical_data(q, k, n, p, family):
         "members": members,
         "projector": E,
         "kernel": kernel,
+        "free": free,
         "star": star,
         "expect": expect,
     }
@@ -440,28 +443,33 @@ def _by_weight(space, n, q, what):
             for t, (alpha, idx) in enumerate(blocks.items())}
 
 
-def _assemble_certificate(p, n, q, basis, star, kernel):
+def _assemble_certificate(p, n, q, basis, star, kernel, free):
     """Projection onto basis along star + kernel, or None if the three
     do not stack to a basis of the tensor power.  basis and star map each
-    weight to their rows in it (see ``_by_weight``), and kernel to basis
-    rows of the class projector's kernel in it; the projection is
-    assembled from one per weight space, as the stacked rows are a basis
-    exactly when they are one in every weight space, and it does not
-    depend on which basis of the kernel is stacked."""
+    weight to their rows in it (see ``_by_weight``), kernel to basis rows
+    K of the class projector's kernel in it, and free to the columns phi
+    where K is the identity (``class_projector``).  Reduced over K at phi,
+    the basis rows B and star rows S stack to M = [B_tau - B_phi K_tau;
+    S_tau - S_phi K_tau], tau the other columns, which is invertible
+    exactly when the stacked rows are a basis.  The projection is then
+    Q (first b columns of M^-1) B, with Q[tau] = I and Q[phi] = -K_tau;
+    it is unique, so it is the one the stacked rows' inverse gives."""
     pieces = {}
     for alpha, b in basis.items():
-        d = b.ncols
-        rows = (b.packed_rows() + star[alpha].packed_rows()
-                + kernel[alpha].packed_rows())
-        if len(rows) != d:
+        K, phi, s, d = kernel[alpha], free[alpha], star[alpha], b.ncols
+        if b.nrows + s.nrows + K.nrows != d:
             return None
+        tau = np.setdiff1d(np.arange(d), phi)
+        Kt = K.columns(tau)
+        rows = Mat.from_packed(p, b.packed_rows() + s.packed_rows(), d)
         try:
-            inv = _invert(Mat.from_packed(p, rows, d))
+            inv = _invert(rows.columns(tau) - rows.columns(phi) @ Kt)
         except ValueError:
             return None
-        # the projection keeps the first b coordinates over the stacked
-        # rows: inv . diag(I_b, 0) . stacked = (first b columns of inv) . B
-        pieces[alpha] = inv.columns(range(b.nrows)) @ b
+        head = inv.columns(range(b.nrows))  # Q head: head, -K_tau head
+        stacked = head.packed_rows() + (Kt @ head).scale(-1).packed_rows()
+        pieces[alpha] = Mat.from_packed(p, [stacked[i] for i in np.argsort(
+            np.concatenate((tau, phi)))], b.nrows) @ b
     return _assemble(p, n, q, pieces)
 
 
@@ -614,7 +622,7 @@ def _split_off(q, k, n, p, action, lie, lower_sum, elim, family):
             q, "complement meets the bracket pieces")
     proj = _assemble_certificate(p, n, q, _by_weight(basis, n, q, "basis"),
                                  _by_weight(star, n, q, "star span"),
-                                 canon["kernel"])
+                                 canon["kernel"], canon["free"])
     if proj is None:
         raise ComplementSearchExhausted(
             q, "basis, star span and class-projector kernel do not stack "

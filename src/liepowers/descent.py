@@ -49,8 +49,8 @@ from .combinat import (
 )
 from .linalg import (
     Mat,
-    Subspace,
     _digit_table,
+    _null_rows,
     _solve_linear_system,
     _weight_blocks,
     field,
@@ -439,10 +439,12 @@ def element_action_matrix(n, elem):
 
 def class_projector(n, elem):
     """``lift_matrix_idempotent`` of the action matrix of elem, lifted one
-    weight space at a time, with its kernel.  Returns (E, K), both keyed
-    as in ``_weight_blocks``: E maps each weight to its block
+    weight space at a time, with its kernel.  Returns (E, K, phi), each
+    keyed as in ``_weight_blocks``: E maps each weight to its block
     (``_assemble`` gives the dense matrix), K to a Mat whose rows are a
-    basis of that block's kernel, not necessarily in echelon form.
+    basis of that block's kernel, and phi to the columns where K is the
+    identity, read off the echelon of E^T (``linalg._null_rows``), whose
+    rank r_alpha is that of E, not of I - E, of rank d_alpha - r_alpha.
 
     Newton's map acts on each block on its own and fixes a block once it
     is idempotent, so the blocks are those of the dense lift exactly, and
@@ -452,16 +454,18 @@ def class_projector(n, elem):
     the orbit (see ``_weight_orbits``).
     """
     p = elem.p
-    lifted, kernel = {}, {}
+    lifted, kernel, free = {}, {}, {}
     for rep, block in _rep_blocks(n, elem).items():
         E = lifted[rep] = lift_matrix_idempotent(block, p)
-        # an idempotent's kernel is the row space of I - E
-        kernel[rep] = Subspace.from_packed(
-            p, E.ncols, (Mat.identity(p, E.ncols) - E).packed_rows()
-        ).basis_matrix()
-    return _spread(n, elem.r, lifted), {
-        alpha: kernel[rep].columns(perm)
-        for alpha, (rep, perm) in _weight_orbits(n, elem.r).items()}
+        rows, piv = field(p).echelon(E.transpose().packed_rows(), E.ncols)
+        free[rep] = np.setdiff1d(np.arange(E.ncols), piv)
+        kernel[rep] = Mat.from_array(p, _null_rows(p, rows, piv, E.ncols,
+                                                   free[rep]))
+    K, phi = {}, {}
+    for alpha, (rep, perm) in _weight_orbits(n, elem.r).items():
+        K[alpha] = kernel[rep].columns(perm)
+        phi[alpha] = np.argsort(perm)[free[rep]]
+    return _spread(n, elem.r, lifted), K, phi
 
 
 # ---------------------------------------------------------------------------

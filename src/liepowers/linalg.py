@@ -260,6 +260,7 @@ def _matmulp(a, b, p):
 
 
 _HEX_DIGITS = re.compile(r"[0-9a-fA-F]*\Z")
+_DECIMAL_ROW = re.compile(r"(?:0|[1-9][0-9]*)(?: (?:0|[1-9][0-9]*))*\Z")
 
 
 class _GF2:
@@ -281,6 +282,15 @@ class _GF2:
     def from_array(self, arr):
         bits = np.asarray(arr).astype(np.uint8) & 1  # the cast keeps parity
         return _words_to_rows(np.packbits(bits, axis=1, bitorder="little"))
+
+    def from_triples(self, nrows, ncols, rows, cols, vals):
+        """Rows that are 0 but for vals[t] at (rows[t], cols[t]), set in
+        uint64 words; no position may repeat."""
+        words = np.zeros((nrows, max(1, (ncols + 63) // 64)), dtype=np.uint64)
+        rows, cols = rows[vals % 2 != 0], cols[vals % 2 != 0]
+        np.bitwise_or.at(words, (rows, cols // 64), np.left_shift(
+            np.uint64(1), (cols % 64).astype(np.uint64)))
+        return _words_to_rows(words)
 
     @staticmethod
     def _bytes(rows, n):
@@ -451,6 +461,11 @@ class _GFp:
     def from_array(self, arr):
         return np.asarray(arr, dtype=np.int64) % self.p
 
+    def from_triples(self, nrows, ncols, rows, cols, vals):
+        out = np.zeros((nrows, ncols), dtype=np.int64)
+        out[rows, cols] = vals
+        return out % self.p
+
     coerce = from_array
     to_array = digits = stack
 
@@ -557,6 +572,8 @@ class _GFp:
             raise ValueError("%d entries, expected %d" % (len(toks), n))
         if row is None or ((row < 0) | (row >= self.p)).any():
             raise ValueError("entry outside 0..%d" % (self.p - 1))
+        if not _DECIMAL_ROW.match(text):  # numpy takes "+1", "01", "1_0"
+            raise ValueError("not %d decimals joined by single spaces" % n)
         return row
 
 
@@ -910,18 +927,18 @@ def _restrict(space, times):
     return co if co @ B == img else None
 
 
-def _action_on_domain(action, domain):
-    """Matrices of each generator restricted to domain coordinates.
-
-    Raises ValueError if the domain is not invariant.
-    """
-    mats = []
-    for gi in range(len(action.generators)):
-        co = _restrict(domain, partial(action.times, gi))
-        if co is None:
-            raise ValueError("domain is not invariant under the action")
-        mats.append(co)
-    return mats
+def _null_rows(p, ech, piv, ncols, cols):
+    """Row t is 1 at cols[t] and -ech[:, cols[t]] at the pivots piv of the
+    canonical echelon rows ech, in the narrowest signed dtype: for a free
+    cols[t], the kernel vector that is 1 there and 0 at the other free."""
+    out = np.zeros((len(cols), ncols), dtype=np.min_scalar_type(-p))
+    out[np.arange(len(cols)), cols] = 1
+    piv = np.array(piv, dtype=np.intp)
+    step = max(1, _CHUNK // max(1, len(cols)))  # bounds the dense copies
+    for s in range(0, len(piv), step):
+        out[:, piv[s:s + step]] = -field(p).digits(field(p).take(
+            ech[s:s + step], ncols, cols), len(cols)).T.astype(out.dtype)
+    return out
 
 
 def _solve_linear_system(p, rows, rhs, nunk):
@@ -929,28 +946,34 @@ def _solve_linear_system(p, rows, rhs, nunk):
 
     ``rows`` are packed equation rows over the unknowns, ``rhs`` the
     right-hand sides.  Returns (particular, kernel_basis) with packed
-    vectors, or None if inconsistent.
+    vectors, or None if inconsistent.  The particular solution is 0 at the
+    echelon's free columns, kernel vector t 1 at the t-th and 0 at the rest.
     """
     F = field(p)
     aug = [F.join(r, F.from_terms(1, [(0, b)]), nunk) for r, b in zip(rows, rhs)]
     ech, piv = F.echelon(aug, nunk + 1)
     if nunk in piv:
         return None
-    # with the free unknowns at zero, x[piv] is the last column; there is
-    # one kernel vector per free column j: e_j minus column j of the echelon.
-    # Row t < len(free) of out is kernel vector t, its last row is x.
     free = np.setdiff1d(np.arange(nunk), piv)
-    read = np.append(free, nunk)
-    out = np.zeros((len(read), nunk), dtype=np.min_scalar_type(-p))
-    out[np.arange(len(free)), free] = 1
-    piv = np.array(piv, dtype=np.intp)
-    step = max(1, _CHUNK // len(read))
-    for s in range(0, len(piv), step):
-        cols = F.to_array(F.take(ech[s:s + step], nunk + 1, read), len(read))
-        cols[:, :-1] *= -1
-        out[:, piv[s:s + step]] = cols.T
-    *kernel, part = F.from_array(out)
+    out = _null_rows(p, ech, piv, nunk + 1, np.append(free, nunk))
+    out[-1] *= -1  # with the free unknowns at 0, x[piv] is the last column
+    *kernel, part = F.from_array(out[:, :nunk])
     return part, kernel
+
+
+def _canonical_solution(p, part, kernel, index):
+    """``_solve_linear_system``'s answer in reference order (the kept
+    X[u, v] row by row), from its answer (part, kernel) in the numbering
+    index.  Column j is free in the reference echelon exactly when some
+    kernel vector ends at j, so the kernel echeloned in reversed reference
+    order has the free columns as pivots and is the reference kernel; the
+    particular solution reduced by it is the reference one."""
+    F = field(p)
+    rev = index[index >= 0][::-1]
+    n, back = len(rev), np.arange(len(rev))[::-1]
+    ech, piv = F.echelon(F.take(kernel, n, rev), n)
+    part = F.reduce(ech, piv, F.take([part], n, rev))
+    return F.take(part, n, back)[0], list(F.take(ech, n, back))[::-1]
 
 
 def _projection_problem(action, image, domain, labels=None):
@@ -968,15 +991,19 @@ def _projection_problem(action, image, domain, labels=None):
 
     Together they are g, [[A, 0], [C, D]], in the basis of the image rows
     and the unit rows at the free columns.  That basis has the inverse
-    [[I, -R], [0, I]] in closed form, so neither is formed.  With labels (one int or string per domain coordinate),
-    ``graded`` masks the unknowns that keep the grading when every image
-    row is homogeneous, and is None otherwise.
+    [[I, -R], [0, I]] in closed form, so neither is formed.  With labels
+    (one int or string per domain coordinate) and every image row
+    homogeneous, ``graded`` (k x m) holds the rank of the label of X[u, v]
+    among the labels, or -1 where u and v differ in label; else None.
     """
     p = domain.p
     d = domain.dim
     if not domain.contains_space(image):
         raise ValueError("image must lie inside the domain")
-    gmats = _action_on_domain(action, domain)  # raises if domain not invariant
+    gmats = [_restrict(domain, partial(action.times, gi))
+             for gi in range(len(action.generators))]
+    if any(g is None for g in gmats):
+        raise ValueError("domain is not invariant under the action")
 
     im = Subspace.from_packed(
         p, d, image.basis_matrix().columns(domain.pivots).packed_rows())
@@ -994,15 +1021,14 @@ def _projection_problem(action, image, domain, labels=None):
         D = (G[:, free] - (Mat.from_array(p, C) @ R).to_array()) % p
         blocks.append((A.to_array(), C, D))
 
-    # the graded ansatz keeps X[u, v] when free column u and image row v
-    # carry the same label; it exists only if each image row has one label,
-    # the label at its pivot
+    # the graded ansatz exists only if each image row has one label
     graded = None
     if labels is not None:
-        lab = np.asarray(labels)
+        lab = np.unique(labels, return_inverse=True)[1].ravel()
         nz = im.basis_matrix().to_array() != 0
         if (~nz | (lab == lab[piv][:, None])).all():
-            graded = lab[free][:, None] == lab[piv]
+            graded = np.where(lab[free][:, None] == lab[piv],
+                              lab[free][:, None], -1)
 
     return {"p": p, "d": d, "m": im.dim, "image": im, "free": free, "R": R,
             "blocks": blocks, "graded": graded}
@@ -1039,22 +1065,25 @@ def _assemble_projection_system(prob):
     equation (i, j) has coefficient A[v, j] at X[i, v] and -D[i, u] at
     X[u, j].
 
-    ``prob["graded"]``, when not None, masks the unknowns kept (k x m);
-    the others are pinned to zero.  Returns (index, nunk, rows, rhs): index[u, v] numbers X[u, v]
-    (-1 when pinned); rows/rhs are every equation other than 0 = 0, in
-    generator and equation order.  Repeated equations stay: the echelon
-    that solves the system depends only on the span of the rows.
-    Equations are formed as sorted (unknown, coefficient) terms in chunks
-    of about _CHUNK entries, and each chunk is written out as one block.
+    Unknowns where ``prob["graded"]`` is -1 are pinned to zero.  Returns
+    (index, nunk, rows, rhs): index[u, v] numbers X[u, v] (-1 when pinned),
+    graded ones in elimination order (weight block size descending, weight,
+    v descending, u), ungraded ones row by row; rows/rhs are every equation
+    other than 0 = 0 in generator and equation order, repeats included, as
+    the echelon depends only on their span.  Each chunk of about _CHUNK
+    terms is scattered straight into packed rows.
     """
     p, d, m = prob["p"], prob["d"], prob["m"]
     F = field(p)
     k = d - m
     graded = prob["graded"]
-    keep = np.ones((k, m), dtype=bool) if graded is None else graded
+    keep = np.ones((k, m), dtype=bool) if graded is None else graded >= 0
     nunk = int(np.count_nonzero(keep))
     index = np.full((k, m), -1, dtype=np.intp)
     index[keep] = np.arange(nunk)
+    if graded is not None:  # elimination order
+        (u, v), w = np.nonzero(keep), graded[keep]
+        index[keep] = np.argsort(np.lexsort((u, -v, w, -np.bincount(w)[w])))
     col = np.where(keep, index, nunk)  # pinned unknowns land in column nunk
     step = max(1, _CHUNK // max(m, k, 1))
     rows, rhs = [], []
@@ -1082,10 +1111,8 @@ def _assemble_projection_system(prob):
             # most equations are empty, and those are never kept
             live = b != 0
             live[eq] = True
-            block = np.zeros((np.count_nonzero(live), nunk),
-                             dtype=np.min_scalar_type(p - 1))
-            block[np.cumsum(live)[eq] - 1, unk] = coef
-            rows.extend(F.from_array(block))
+            rows.extend(F.from_triples(int(np.count_nonzero(live)), nunk,
+                                       np.cumsum(live)[eq] - 1, unk, coef))
             rhs.extend(b[live].tolist())
     return index, nunk, rows, rhs
 
@@ -1113,7 +1140,8 @@ def _projection_solution(action, image, domain, labels):
         return None
     index, nunk, rows, rhs = _assemble_projection_system(prob)
     sol = _solve_linear_system(prob["p"], rows, rhs, nunk)
-    return None if sol is None else (prob, index, sol)
+    return None if sol is None else (
+        prob, index, _canonical_solution(prob["p"], *sol, index))
 
 
 def solve_equivariant_projection(action, image, domain, labels=None):

@@ -316,6 +316,44 @@ def test_certify_rejects_malformed_report(odd_report, tmp_path, capsys,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rewrite", [
+    lambda row: row.replace("1", "+1", 1),
+    lambda row: row.replace("1", "01", 1),
+    lambda row: row.replace("1", "\u0661", 1),
+    lambda row: row.replace(" ", "  ", 1),
+    lambda row: " " + row,
+    lambda row: row + " ",
+], ids=["plus", "leading-zero", "arabic-indic-digit", "double-space",
+        "leading-space", "trailing-space"])
+def test_certify_rejects_odd_p_row_text_decompose_never_writes(
+        odd_report, tmp_path, capsys, rewrite):
+    # each row keeps its values, so only the parser can refuse it
+    payload = copy.deepcopy(odd_report)
+    rows = payload["payloads"]["projection/4"]["rows"]
+    i = next(i for i, row in enumerate(rows) if "1" in row.split())
+    rows[i] = rewrite(rows[i])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["certify", str(bad)]) == 2
+    assert "payload projection/4: row %d: not 16 decimals joined by " \
+        "single spaces" % i in capsys.readouterr().err
+
+
+def test_certify_rejects_underscored_entry_at_p_11(tmp_path, capsys):
+    out_file = tmp_path / "cert.json"
+    assert main(["decompose", "--p", "11", "--n", "2", "--k", "1",
+                 "--max-degree", "2", "--format", "json",
+                 "--out", str(out_file)]) == 0
+    payload = json.loads(out_file.read_text())
+    rows = payload["payloads"]["projection/2"]["rows"]
+    rows[0] = "1_0" + rows[0][1:]  # int() reads 10, an entry below p
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["certify", str(bad)]) == 2
+    assert "payload projection/2: row 0: not 4 decimals" in \
+        capsys.readouterr().err
+
+
 def test_certify_rejects_wide_hex_row(tmp_path, capsys):
     out_file = tmp_path / "cert.json"
     assert main(["decompose", "--p", "2", "--n", "2", "--k", "3",

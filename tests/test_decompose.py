@@ -451,9 +451,64 @@ def test_graded_stage_one_matches_the_dense_route(n, p, k, top):
         graded = decompose_module._assemble_certificate(
             p, n, q, decompose_module._by_weight(basis, n, q, "basis"),
             decompose_module._by_weight(star, n, q, "star span"),
-            canon["kernel"])
+            canon["kernel"], canon["free"])
         assert graded == _dense_certificate(p, N, basis, star, kernel)
         assert graded == res.degrees[q].projection
+
+
+def _stacked_inverse_certificate(p, n, q, basis, star, kernel):
+    """The certificate from one inverse per weight space of the d x d
+    stacked rows, through the echelon of [rows | I], or None when they
+    are not a basis."""
+    pieces = {}
+    for alpha, b in basis.items():
+        rows = (b.packed_rows() + star[alpha].packed_rows()
+                + kernel[alpha].packed_rows())
+        if len(rows) != b.ncols:
+            return None
+        try:
+            inv = _invert(Mat.from_packed(p, rows, b.ncols))
+        except ValueError:
+            return None
+        pieces[alpha] = inv.columns(range(b.nrows)) @ b
+    return _assemble(p, n, q, pieces)
+
+
+@pytest.fixture(scope="module")
+def flagship_family():
+    return construct_B_family(2, 2, 3, 12)
+
+
+@pytest.mark.parametrize("n,p,k,q", [(2, 2, 3, 6), (2, 2, 3, 9),
+                                     (2, 2, 3, 12), (3, 3, 2, 6)])
+def test_certificate_matches_the_stacked_inverse(n, p, k, q,
+                                                 flagship_family):
+    res = flagship_family if (n, p, k) == (2, 2, 3) else \
+        construct_B_family(n, p, k, q)
+    canon = decompose_module._canonical_data(q, k, n, p, res.degrees)
+    basis = decompose_module._by_weight(res.degrees[q].basis, n, q, "basis")
+    star = decompose_module._by_weight(canon["star"], n, q, "star span")
+    kernel, free = canon["kernel"], canon["free"]
+
+    def both(basis, star, kernel, free):
+        got = decompose_module._assemble_certificate(p, n, q, basis, star,
+                                                     kernel, free)
+        assert got == _stacked_inverse_certificate(p, n, q, basis, star,
+                                                   kernel)
+        return got
+
+    assert both(basis, star, kernel, free) == res.degrees[q].projection
+    # a weight space with basis rows and star rows
+    alpha = next(a for a in basis if basis[a].nrows and star[a].nrows)
+    swapped = Mat.from_packed(p, basis[alpha].packed_rows()[:1] +
+                              star[alpha].packed_rows()[1:], star[alpha].ncols)
+    assert both(basis, {**star, alpha: swapped}, kernel, free) is None
+    # a weight space with kernel rows loses its first one
+    alpha = next(a for a in kernel if kernel[a].nrows)
+    dropped = Mat.from_packed(p, kernel[alpha].packed_rows()[1:],
+                              kernel[alpha].ncols)
+    assert both(basis, star, {**kernel, alpha: dropped},
+                {**free, alpha: free[alpha][1:]}) is None
 
 
 def test_weight_crossing_row_is_loud(monkeypatch):

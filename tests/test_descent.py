@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from liepowers.combinat import (
+    class_of_partition,
     compositions,
     next_partition,
     p_equivalence_classes,
@@ -37,7 +38,7 @@ from liepowers.freelie import (
     lie_power,
     pbw_monomial_vector,
 )
-from liepowers.linalg import Mat, word_to_index
+from liepowers.linalg import Mat, rref, word_to_index
 
 
 # a prime above every structure constant and character value these tests
@@ -266,19 +267,37 @@ def test_class_projector_blocks_follow_letter_permutations(n, p, r,
     assert len(reps) < len(blocks)
     for cls in p_equivalence_classes(r, p):
         y = solve_class_indicator(r, p, sorted(cls.members))
-        E, K = class_projector(n, y)
+        E, K, phi = class_projector(n, y)
         dense = _expanded_action_matrix(n, y)
         assert element_action_matrix(n, y) == dense, cls
         assert _assemble(p, n, r, E) == lift_matrix_idempotent(dense, p), cls
-        assert set(E) == set(K) == set(blocks)
+        assert set(E) == set(K) == set(phi) == set(blocks)
         for alpha, rows in K.items():
             d = len(blocks[alpha])
             assert rows.ncols == d
             assert rref(rows)[1] == rows.nrows
             assert rows @ E[alpha] == Mat.zeros(p, rows.nrows, d)
+            assert rows.columns(phi[alpha]) == Mat.identity(p, rows.nrows)
         rank = rref(_assemble(p, n, r, E))[1]
         assert sum(rows.nrows for rows in K.values()) == N - rank
     assert top and all(keys == reps for keys in top)
+
+
+@pytest.mark.parametrize("n,p,r", [(2, 2, 6), (3, 2, 4), (3, 3, 4),
+                                   (2, 2, 12)])
+def test_class_projector_kernel_is_read_from_the_transpose(n, p, r):
+    # per weight, the kernel rows K of the class projector of the one-part
+    # cycle type: K E = 0, K is the identity at phi, and it has one row
+    # per dimension of the kernel
+    y = solve_class_indicator(r, p, sorted(class_of_partition((r,),
+                                                              p).members))
+    E, K, phi = class_projector(n, y)
+    for alpha, block in E.items():
+        d = block.ncols
+        rows = K[alpha]
+        assert rows.nrows == d - rref(block)[1] == len(phi[alpha])
+        assert rows @ block == Mat.zeros(p, rows.nrows, d)
+        assert rows.columns(phi[alpha]) == Mat.identity(p, rows.nrows)
 
 
 def test_lift_idempotents_is_cached():

@@ -1,4 +1,5 @@
 import ast
+import collections
 import itertools
 import time
 from pathlib import Path
@@ -16,6 +17,7 @@ from liepowers.linalg import (
     SpanBuilder,
     Subspace,
     _assemble_projection_system,
+    _canonical_solution,
     _echp,
     _invert,
     _mul2,
@@ -275,6 +277,20 @@ def test_odd_p_row_text_roundtrip_and_checks():
                      (["0 6 3", "1 x 5", "6 6 0"], "row 1: invalid literal")]:
         with pytest.raises(ValueError, match=msg):
             Mat.from_texts(p, 3, bad)
+
+
+def test_odd_p_row_text_takes_only_what_row_text_writes():
+    F = field(3)
+    assert F.parse_row("0 1 2", 3).tolist() == [0, 1, 2]
+    # np.array(tokens, dtype=np.int64) takes all of these
+    for text in ("+1 1 2", "01 1 2", "\u0661 1 2", "0  1 2", " 0 1 2",
+                 "0 1 2 ", "0\t1 2"):
+        with pytest.raises(ValueError) as exc:
+            F.parse_row(text, 3)
+        assert str(exc.value) == "not 3 decimals joined by single spaces"
+    assert field(11).parse_row("10 0", 2).tolist() == [10, 0]
+    with pytest.raises(ValueError, match="not 2 decimals"):
+        field(11).parse_row("1_0 0", 2)
 
 
 def test_row_storage_stays_inside_linalg():
@@ -709,7 +725,7 @@ def _reference_system(prob, allowed):
     unk = {}
     for u in range(k):
         for v in range(m):
-            if allowed is None or allowed(u, v):
+            if allowed is None or allowed(u, v) is not None:
                 unk[(u, v)] = len(unk)
     rows, rhs = [], []
     for a, c, dd in prob["blocks"]:
@@ -750,7 +766,9 @@ def _reference_solve(p, rows, rhs, nunk):
 
 
 def _reference_ansatz(prob, labels):
-    """The graded ansatz from per-row label sets, or None."""
+    """The graded ansatz from per-row label sets, or None: a function of
+    (u, v) that gives the label of X[u, v] when it keeps the grading and
+    None otherwise."""
     F = field(prob["p"])
     lab_free = [labels[j] for j in prob["free"]]
     lab_im = []
@@ -759,7 +777,18 @@ def _reference_ansatz(prob, labels):
         lab_im.append(ls.pop() if len(ls) == 1 else None)
     if None in lab_im:
         return None
-    return lambda u, v: lab_free[u] == lab_im[v]
+    return lambda u, v: lab_free[u] if lab_free[u] == lab_im[v] else None
+
+
+def _elimination_order(unk, label):
+    """The unknowns (u, v) of unk in elimination order: by the number of
+    unknowns of their label, largest first, then by label, by v descending
+    and by u; row by row without labels."""
+    if label is None:
+        return sorted(unk, key=unk.get)
+    size = collections.Counter(label(u, v) for u, v in unk)
+    return sorted(unk, key=lambda uv: (-size[label(*uv)], label(*uv),
+                                       -uv[1], uv[0]))
 
 
 def _random_invertible(rng, p, n):
@@ -831,14 +860,21 @@ def test_projection_system_matches_dict_loop_reference(p):
                     dict(prob, graded=mask))
                 unk, ref_rows, ref_rhs = _reference_system(prob, ref)
                 assert nunk == len(unk)
+                # the reference numbers the unknowns row by row; the
+                # assembly numbers them in elimination order
+                order = _elimination_order(unk, ref)
                 assert {(int(u), int(v)): int(index[u, v])
-                        for u, v in zip(*np.nonzero(index >= 0))} == unk
+                        for u, v in zip(*np.nonzero(index >= 0))} == \
+                    {uv: e for e, uv in enumerate(order)}
+                renumbered = F.take(ref_rows, nunk,
+                                    [unk[uv] for uv in order])
                 assert [(F.key(r), b) for r, b in zip(rows, rhs)] == \
-                    [(F.key(r), b) for r, b in zip(ref_rows, ref_rhs)]
+                    [(F.key(r), b) for r, b in zip(renumbered, ref_rhs)]
                 got = _solve_linear_system(p, rows, rhs, nunk)
                 want = _reference_solve(p, ref_rows, ref_rhs, nunk)
                 assert (got is None) == (want is None)
                 if got is not None:
+                    got = _canonical_solution(p, *got, index)
                     assert F.key(got[0]) == F.key(want[0])
                     assert list(map(F.key, got[1])) == \
                         list(map(F.key, want[1]))
@@ -870,6 +906,61 @@ def test_projection_from_x_matches_adapted_basis(p):
             want = _invert(T) @ Mat.from_array(p, pad) @ T
             got = _projection_from_x(prob, F.from_array([x])[0], index)
             assert got == want
+
+
+def _random_system(rng, p, kind):
+    """(rows, rhs, nunk) of a random system with the given kind:
+    'consistent' and 'rank-deficient' have a solution, the latter with a
+    kernel of half the unknowns or more, 'inconsistent' has none and
+    'zero-width' has no unknown."""
+    nunk = 0 if kind == "zero-width" else int(rng.integers(1, 12))
+    nrows = int(rng.integers(0, 14))
+    F = field(p)
+    a = rng.integers(0, p, size=(nrows, nunk))
+    if kind == "rank-deficient" and nrows:
+        basis = rng.integers(0, p, size=(max(1, nunk // 2), nunk))
+        a = rng.integers(0, p, size=(nrows, len(basis))) @ basis % p
+    a[rng.random(a.shape) < 0.5] = 0  # sparse rows, zero rows among them
+    x = rng.integers(0, p, size=nunk)
+    rhs = a @ x % p
+    if kind in ("inconsistent", "zero-width") and nrows:
+        rhs[int(rng.integers(nrows))] += 1 + int(rng.integers(p - 1))
+        rhs %= p
+    rows = list(F.from_array(a.reshape(nrows, nunk)))
+    return rows, rhs.tolist(), nunk
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_canonical_solution_matches_the_reference_order(p):
+    # the system solved with its unknowns in a random order, then
+    # canonicalised, gives the answer of the solve in reference order
+    rng = np.random.default_rng(300 + p)
+    F = field(p)
+    seen = collections.Counter()
+    for t in range(160):
+        kind = ("consistent", "inconsistent", "rank-deficient",
+                "zero-width")[t % 4]
+        rows, rhs, nunk = _random_system(rng, p, kind)
+        # index[u, v] numbers the kept unknowns, the others are -1; its
+        # reference order reads the kept entries row by row
+        keep = np.zeros(2 * nunk + 1, dtype=bool)
+        keep[rng.choice(len(keep), size=nunk, replace=False)] = True
+        index = np.full(len(keep), -1, dtype=np.intp)
+        index[keep] = rng.permutation(nunk)
+        index = index.reshape(-1, 1) if t % 2 else index.reshape(1, -1)
+        shuffled = F.take(rows, nunk, np.argsort(index[index >= 0]))
+        got = _solve_linear_system(p, shuffled, rhs, nunk)
+        want = _solve_linear_system(p, rows, rhs, nunk)
+        assert (got is None) == (want is None)
+        if want is None:
+            seen["none"] += 1
+            continue
+        got = _canonical_solution(p, *got, index)
+        assert F.key(got[0]) == F.key(want[0])
+        assert list(map(F.key, got[1])) == list(map(F.key, want[1]))
+        seen["kernel"] += len(want[1]) >= 2
+        seen["part"] += not F.is_zero(want[0]) and bool(want[1])
+    assert min(seen.values()) >= 10, seen
 
 
 def test_projection_system_chunks_agree(monkeypatch):
