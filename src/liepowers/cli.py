@@ -17,7 +17,8 @@ JSON reports share one shape: {config, results, certificates, totals,
 timing_ms}.  Certificates reference payload entries holding subspaces
 (in the shared text format, as string arrays) and projection matrices
 (hex rows for p = 2, space-separated digits otherwise), so a report can
-be re-checked without re-running the construction.  Output is
+be re-checked without re-running the construction.  certify takes a
+payload only byte for byte as decompose writes it.  Output is
 deterministic apart from timing_ms.
 """
 
@@ -97,10 +98,18 @@ def _subspace_payload(space, n, r):
 
 def _subspace_from_payload(payloads, key, p, n, r):
     """The subspace of a payload whose header must be 'p n r'; the header
-    is checked before any row is parsed."""
-    text = "\n".join(payloads[key]["lines"])
+    is checked before any row is parsed.  The lines must then be those
+    ``_subspace_payload`` writes for that subspace, byte for byte."""
+    lines = payloads[key]["lines"]
     try:
-        return parse_subspace(text, header=(p, n, r))[0]
+        space = parse_subspace("\n".join(lines), header=(p, n, r))[0]
+        want = _subspace_payload(space, n, r)["lines"]
+        if lines != want:
+            i = next((i for i, (a, b) in enumerate(zip(lines, want))
+                      if a != b), min(len(lines), len(want)))
+            raise ValueError("line %d: not the canonical text of the "
+                             "subspace" % i)
+        return space
     except ValueError as exc:
         raise ValueError("payload %s: %s" % (key, exc)) from None
 

@@ -18,9 +18,12 @@ There is one echelon kernel per field.
 
 A backend turns rows into and out of dense integer arrays and
 (index, coefficient) terms, adds, scales and concatenates them, runs the
-echelon, reduction and product kernels, multiplies rows by a tensor power
-g x ... x g of a small matrix without forming it, and writes a row as
-payload text.
+echelon, reduction and product kernels, and multiplies rows by a tensor
+power g x ... x g of a small matrix without forming it.  Its block writer
+``write_rows`` and block reader ``read_rows`` are the one seam between
+rows and payload text: the reader takes a block only as the writer gives
+it back, byte for byte (lower-case fixed-width hex at p = 2, canonical
+decimals joined by single spaces at odd p).
 ``Mat``, ``Subspace``, ``SpanBuilder`` and the equivariant solver each
 have one body written against it.  ``field(p)`` is also the one check
 that p is a usable modulus.
@@ -263,7 +266,38 @@ _HEX_DIGITS = re.compile(r"[0-9a-fA-F]*\Z")
 _DECIMAL_ROW = re.compile(r"(?:0|[1-9][0-9]*)(?: (?:0|[1-9][0-9]*))*\Z")
 
 
-class _GF2:
+class _TextRows:
+    """Payload text of a block of rows, one line per row.  Each backend
+    writes a block with ``write_rows``, guesses one leniently with
+    ``_guess_rows`` and reads a single row with ``parse_row``."""
+
+    def read_rows(self, texts, n):
+        """The block of n-column rows that ``write_rows`` writes as texts.
+
+        The whole block is guessed leniently and kept only when the writer
+        gives every text back byte for byte.  Otherwise the rows are read
+        one by one with ``parse_row``, so an error names its row and keeps
+        its message; a row that ``parse_row`` takes but the writer would
+        not write is refused too.
+        """
+        block = self._guess_rows(texts, n)
+        if block is not None and self.write_rows(block, n) == texts:
+            return block
+        rows = []
+        for i, text in enumerate(texts):
+            try:
+                if not isinstance(text, str):
+                    raise ValueError("not a string")
+                row = self.parse_row(text, n)
+                if self.write_rows(self.stack([row], n), n) != [text]:
+                    raise ValueError("not the canonical text of its entries")
+            except ValueError as exc:
+                raise ValueError("row %d: %s" % (i, exc)) from None
+            rows.append(row)
+        return self.stack(rows, n)
+
+
+class _GF2(_TextRows):
     """Rows over GF(2) as Python ints, bit j = column j."""
 
     def zero(self, n):
@@ -425,8 +459,19 @@ class _GF2:
             out.append(x)
         return out
 
-    def row_text(self, row, n):
-        return "%0*x" % (max(1, (n + 3) // 4), row)
+    def write_rows(self, rows, n):
+        """Each row as lower-case hex, zero-padded to ceil(n / 4) digits
+        (one digit at n = 0)."""
+        return ["%0*x" % (max(1, (n + 3) // 4), r) for r in rows]
+
+    def _guess_rows(self, texts, n):
+        """The rows int(text, 16) reads, or None where it fails or a row
+        is negative or has a bit beyond column n - 1."""
+        try:
+            rows = [int(text, 16) for text in texts]
+        except (TypeError, ValueError):
+            return None
+        return None if any(r >> n for r in rows) else rows
 
     def parse_row(self, text, n):
         width = max(1, (n + 3) // 4)
@@ -440,12 +485,13 @@ class _GF2:
         return row
 
 
-class _GFp:
+class _GFp(_TextRows):
     """Rows over GF(p), p odd, as int64 numpy arrays reduced mod p.  Needs
     (p - 1)^2 < 2^53 for the exact FFLAS-FFPACK products of ``_matmulp``."""
 
     def __init__(self, p):
         self.p = p
+        self._digits = len(str(p - 1))  # of the widest entry
 
     def zero(self, n):
         return np.zeros(n, dtype=np.int64)
@@ -559,8 +605,57 @@ class _GFp:
             x = out
         return x.reshape(m, n ** r)
 
-    def row_text(self, row, n):
-        return " ".join(map(str, row.tolist()))
+    def write_rows(self, block, n):
+        """Each row as its entries' decimals joined by single spaces.  Per
+        chunk of rows, every digit goes into one byte buffer, one numpy
+        pass per decimal position, and the buffer is split at row ends."""
+        a = np.asarray(block, dtype=np.int64).reshape(len(block), n)
+        if n == 0:
+            return [""] * len(a)
+        out = []
+        step = max(1, _CHUNK // n)
+        for lo in range(0, len(a), step):
+            v = a[lo:lo + step].ravel()
+            width = np.ones(v.size, dtype=np.int64)
+            for k in range(1, self._digits):
+                width += v >= 10 ** k
+            end = np.cumsum(width + 1) - 1  # the byte after each entry
+            buf = np.full(end[-1] + 1, ord(" "), dtype=np.uint8)
+            buf[end[n - 1::n]] = ord("\n")
+            for k in range(self._digits):
+                at = width > k if k else slice(None)  # all have a units digit
+                d = v[at] // 10 ** k if k else v
+                if k + 1 < self._digits:  # entries are below 10 ** _digits
+                    d = d % 10
+                buf[end[at] - 1 - k] = ord("0") + d
+            out += buf.tobytes().decode("ascii").split("\n")[:-1]
+        return out
+
+    def _guess_rows(self, texts, n):
+        """The m x n block of the m texts read as ASCII digit tokens, each
+        ended by one other character (a row end counts as one), or None
+        unless there are m * n tokens of 1 to len(str(p - 1)) digits, each
+        read as an entry below p."""
+        m = len(texts)
+        out = np.empty((m, n), dtype=np.int64)
+        step = max(1, _CHUNK // max(n, 1))
+        for lo in range(0, m, step):
+            try:
+                raw = ("\n".join(texts[lo:lo + step]) + "\n").encode("ascii")
+            except (TypeError, UnicodeEncodeError):
+                return None
+            digit = np.frombuffer(raw, dtype=np.uint8) - np.uint8(ord("0"))
+            stop = np.flatnonzero(digit >= 10)  # the character after a token
+            width = np.diff(stop, prepend=-1) - 1
+            vals = out[lo:lo + step].reshape(-1)
+            if stop.size != vals.size or stop.size and not (
+                    1 <= width.min() and width.max() <= self._digits):
+                return None
+            vals[:] = digit[stop - 1]
+            for k in range(1, self._digits):
+                at = width > k
+                vals[at] += digit[stop[at] - 1 - k].astype(np.int64) * 10 ** k
+        return None if (out >= self.p).any() else out
 
     def parse_row(self, text, n):
         toks = text.split()
@@ -640,21 +735,12 @@ class Mat:
     def from_texts(cls, p, size, texts):
         """Inverse of ``row_texts`` for a size x size matrix.
 
-        Raises ValueError unless there are size rows, each of size
-        entries in 0..p-1.
+        Raises ValueError unless there are size rows, each the text
+        ``row_texts`` writes for size entries in 0..p-1.
         """
-        F = field(p)
         if not isinstance(texts, list) or len(texts) != size:
             raise ValueError("expected a list of %d rows" % size)
-        rows = []
-        for i, text in enumerate(texts):
-            try:
-                if not isinstance(text, str):
-                    raise ValueError("not a string")
-                rows.append(F.parse_row(text, size))
-            except ValueError as exc:
-                raise ValueError("row %d: %s" % (i, exc)) from None
-        return cls.from_packed(p, rows, size)
+        return cls(p, size, size, field(p).read_rows(texts, size))
 
     @classmethod
     def zeros(cls, p, nrows, ncols):
@@ -704,7 +790,7 @@ class Mat:
 
     def row_texts(self):
         """One payload text line per row."""
-        return [self._f.row_text(r, self.ncols) for r in self._d]
+        return self._f.write_rows(self._d, self.ncols)
 
     # -- arithmetic
 
@@ -1330,7 +1416,8 @@ def format_subspace(space, n, r, comment=None):
     coefficient/word pairs.  A word is written as its letters' digits
     run together ('2 121'), or, when n > 9, as its letters joined by '.'
     ('2 1.10.3'); the header's n decides which.  '#' starts a comment.
-    Word texts come from a table cached per (n, r).
+    Terms are read from the basis's digit array, and word texts from a
+    table cached per (n, r).
     """
     if space.ambient != n ** r:
         raise ValueError("ambient does not match n^r")
@@ -1340,9 +1427,12 @@ def format_subspace(space, n, r, comment=None):
             lines.append(f"# {ln}")
     lines.append(f"{space.p} {n} {r}")
     texts = _word_texts(n, r)[0]
-    for row in space.packed_rows():
-        lines.append(" ".join("%d %s" % (c, texts[j])
-                              for j, c in space._f.terms(row)))
+    digits = space._f.digits(space.packed_rows(), space.ambient)
+    at, cols = np.nonzero(digits)
+    terms = ["%d %s" % (c, texts[j])
+             for c, j in zip(digits[at, cols].tolist(), cols.tolist())]
+    ends = np.cumsum(np.bincount(at, minlength=len(digits))).tolist()
+    lines += [" ".join(terms[a:b]) for a, b in zip([0] + ends, ends)]
     return "\n".join(lines) + "\n"
 
 

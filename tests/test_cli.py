@@ -339,6 +339,75 @@ def test_certify_rejects_odd_p_row_text_decompose_never_writes(
         "single spaces" % i in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def oddp_n3_report(tmp_path_factory):
+    out_file = tmp_path_factory.mktemp("report") / "cert.json"
+    assert main(["decompose", "--p", "3", "--n", "3", "--k", "2",
+                 "--max-degree", "6", "--format", "json",
+                 "--out", str(out_file)]) == 0
+    return json.loads(out_file.read_text())
+
+
+@pytest.mark.parametrize("rewrite", [
+    lambda line: "+" + line,
+    lambda line: "0" + line,
+    lambda line: "4" + line[1:],
+    lambda line: "\u0661" + line[1:],
+    lambda line: line + " 3 33",
+    lambda line: line + " ",
+], ids=["plus", "leading-zero", "coefficient-p-plus-1", "arabic-indic-digit",
+        "zero-term", "trailing-space"])
+def test_certify_rejects_subspace_text_decompose_never_writes(
+        oddp_n3_report, tmp_path, capsys, rewrite):
+    # parse_subspace reads each line as the same basis vector, so only
+    # the comparison with the text decompose writes can refuse it
+    payload = copy.deepcopy(oddp_n3_report)
+    lines = payload["payloads"]["basis/2"]["lines"]
+    assert lines[1].startswith("1 ")
+    lines[1] = rewrite(lines[1])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["certify", str(bad)]) == 2
+    assert "payload basis/2: line 1: not the canonical text of the " \
+        "subspace" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rewrite,line", [
+    (lambda lines: lines[:1] + lines[2:3] + lines[1:2] + lines[3:], 1),
+    (lambda lines: lines + [""], 4),
+    (lambda lines: ["# a comment"] + lines, 0),
+], ids=["rows-swapped", "empty-line-appended", "comment"])
+def test_certify_rejects_subspace_lines_decompose_never_writes(
+        oddp_n3_report, tmp_path, capsys, rewrite, line):
+    # the same span, but not the lines of its canonical basis
+    payload = copy.deepcopy(oddp_n3_report)
+    basis = payload["payloads"]["basis/2"]
+    assert len(basis["lines"]) == 4
+    basis["lines"] = rewrite(basis["lines"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["certify", str(bad)]) == 2
+    assert "payload basis/2: line %d: not the canonical text" % line in \
+        capsys.readouterr().err
+
+
+def test_certify_rejects_upper_case_hex_row(tmp_path, capsys):
+    out_file = tmp_path / "cert.json"
+    assert main(["decompose", "--p", "2", "--n", "3", "--k", "3",
+                 "--max-degree", "6", "--format", "json",
+                 "--out", str(out_file)]) == 0
+    payload = json.loads(out_file.read_text())
+    rows = payload["payloads"]["projection/6"]["rows"]
+    # int(row, 16) reads the same bits from the upper-cased text
+    i = next(i for i, row in enumerate(rows) if row != row.upper())
+    rows[i] = rows[i].upper()
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["certify", str(bad)]) == 2
+    assert "payload projection/6: row %d: not the canonical text of its " \
+        "entries" % i in capsys.readouterr().err
+
+
 def test_certify_rejects_underscored_entry_at_p_11(tmp_path, capsys):
     out_file = tmp_path / "cert.json"
     assert main(["decompose", "--p", "11", "--n", "2", "--k", "1",

@@ -293,6 +293,91 @@ def test_odd_p_row_text_takes_only_what_row_text_writes():
         field(11).parse_row("1_0 0", 2)
 
 
+_CODEC_PRIMES = [3, 5, 11, 101, 94906249]
+
+
+def _codec_blocks(p):
+    """Blocks the payload codec must write and read at p: random ones of
+    several shapes, 0 rows, 1 column, all zeros and all p - 1."""
+    rng = np.random.default_rng(p)
+    shapes = [(0, 4), (1, 1), (5, 1), (3, 7), (40, 33)]
+    for m, n in shapes:
+        yield rng.integers(0, p, size=(m, n))
+        # entries of every decimal width up to that of p - 1
+        widths = rng.integers(0, len(str(p - 1)), size=(m, n))
+        yield np.minimum(rng.integers(0, p, size=(m, n)) // 10 ** widths,
+                         p - 1)
+    yield np.zeros((6, 9), dtype=np.int64)
+    yield np.full((6, 9), p - 1, dtype=np.int64)
+
+
+@pytest.mark.parametrize("p", _CODEC_PRIMES)
+def test_block_writer_joins_decimals_and_reader_inverts_it(p):
+    F = field(p)
+    for block in _codec_blocks(p):
+        m, n = block.shape
+        texts = F.write_rows(block, n)
+        assert texts == [" ".join(map(str, row)) for row in block.tolist()]
+        back = F.read_rows(texts, n)
+        assert back.shape == (m, n) and (back == block).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_block_codec_roundtrip_random(data):
+    p = data.draw(st.sampled_from([2] + _CODEC_PRIMES))
+    m = data.draw(st.integers(0, 12))
+    n = data.draw(st.integers(1, 70))
+    # entries at the ends of the range, where a decimal gains a digit
+    pool = sorted(x for x in {0, 1, 9, 10, 99, 100, p - 2, p - 1} if x < p)
+    entries = st.one_of(st.integers(0, p - 1), st.sampled_from(pool))
+    block = np.array(data.draw(st.lists(st.lists(
+        entries, min_size=n, max_size=n), min_size=m, max_size=m)),
+        dtype=np.int64).reshape(m, n)
+    F = field(p)
+    rows = F.from_array(block)
+    texts = F.write_rows(rows, n)
+    if p == 2:
+        want = ["%0*x" % ((n + 3) // 4, int("".join(map(str, row[::-1])), 2))
+                for row in block.tolist()]
+    else:
+        want = [" ".join(map(str, row)) for row in block.tolist()]
+    assert texts == want
+    assert (F.to_array(F.read_rows(texts, n), n) == block).all()
+
+
+@pytest.mark.parametrize("p,texts,message", [
+    # a tab for a space
+    (7, ["0 6 3", "1\t2 5", "6 6 0"],
+     "row 1: not 3 decimals joined by single spaces"),
+    # a row end inside a row: the joined block still has 9 tokens
+    (7, ["0 6 3", "1 2\n5", "6 6 0"],
+     "row 1: not 3 decimals joined by single spaces"),
+    # the last token of row 0 moved to the start of row 1
+    (7, ["0 6", "3 1 2 5", "6 6 0"], "row 0: 2 entries, expected 3"),
+    # the same, the other way round
+    (7, ["0 6 3 1", "2 5", "6 6 0"], "row 0: 4 entries, expected 3"),
+    # a 25-digit token, too wide for int64
+    (7, ["0 6 3", "1 2 " + "1" * 25, "6 6 0"], "row 1: entry outside 0..6"),
+    # 25 digits of leading zeros: the value fits, its text does not
+    (7, ["0 6 3", "1 2 " + "0" * 25, "6 6 0"],
+     "row 1: not 3 decimals joined by single spaces"),
+    # an entry equal to p, which the writer never writes
+    (7, ["0 6 3", "1 2 5", "6 7 0"], "row 2: entry outside 0..6"),
+    (101, ["0 100 3", "101 2 5", "6 6 0"], "row 1: entry outside 0..100"),
+    # a row that is not a string
+    (7, ["0 6 3", 5, "6 6 0"], "row 1: not a string"),
+    # upper-case hex: parse_row reads it, the writer writes lower case
+    (2, ["a", "A", "0", "0"], "row 1: not the canonical text of its entries"),
+    (2, ["a", "0x1", "0", "0"], "row 1: not 1 hex digits"),
+    (2, ["a", "1", "-1", "0"], "row 2: not 1 hex digits"),
+])
+def test_block_reader_falls_back_to_the_row_messages(p, texts, message):
+    with pytest.raises(ValueError) as exc:
+        Mat.from_texts(p, len(texts), texts)
+    assert str(exc.value) == message
+
+
 def test_row_storage_stays_inside_linalg():
     # only linalg may know how rows and matrices are stored
     private = {"_d", "_wrap2", "_wrapp", "_pack2", "_unpack2"}
