@@ -266,38 +266,21 @@ _HEX_DIGITS = re.compile(r"[0-9a-fA-F]*\Z")
 _DECIMAL_ROW = re.compile(r"(?:0|[1-9][0-9]*)(?: (?:0|[1-9][0-9]*))*\Z")
 
 
-class _TextRows:
-    """Payload text of a block of rows, one line per row.  Each backend
-    writes a block with ``write_rows``, guesses one leniently with
-    ``_guess_rows`` and reads a single row with ``parse_row``."""
-
-    def read_rows(self, texts, n):
-        """The block of n-column rows that ``write_rows`` writes as texts.
-
-        The whole block is guessed leniently and kept only when the writer
-        gives every text back byte for byte.  Otherwise the rows are read
-        one by one with ``parse_row``, so an error names its row and keeps
-        its message; a row that ``parse_row`` takes but the writer would
-        not write is refused too.
-        """
-        block = self._guess_rows(texts, n)
-        if block is not None and self.write_rows(block, n) == texts:
-            return block
-        rows = []
-        for i, text in enumerate(texts):
-            try:
-                if not isinstance(text, str):
-                    raise ValueError("not a string")
-                row = self.parse_row(text, n)
-                if self.write_rows(self.stack([row], n), n) != [text]:
-                    raise ValueError("not the canonical text of its entries")
-            except ValueError as exc:
-                raise ValueError("row %d: %s" % (i, exc)) from None
-            rows.append(row)
-        return self.stack(rows, n)
+def _read_each(parse, texts, n):
+    """The rows parse(text, n) reads, one per text; an error names its
+    row."""
+    rows = []
+    for i, text in enumerate(texts):
+        try:
+            if not isinstance(text, str):
+                raise ValueError("not a string")
+            rows.append(parse(text, n))
+        except ValueError as exc:
+            raise ValueError("row %d: %s" % (i, exc)) from None
+    return rows
 
 
-class _GF2(_TextRows):
+class _GF2:
     """Rows over GF(2) as Python ints, bit j = column j."""
 
     def zero(self, n):
@@ -464,14 +447,17 @@ class _GF2(_TextRows):
         (one digit at n = 0)."""
         return ["%0*x" % (max(1, (n + 3) // 4), r) for r in rows]
 
-    def _guess_rows(self, texts, n):
-        """The rows int(text, 16) reads, or None where it fails or a row
-        is negative or has a bit beyond column n - 1."""
-        try:
-            rows = [int(text, 16) for text in texts]
-        except (TypeError, ValueError):
-            return None
-        return None if any(r >> n for r in rows) else rows
+    def read_rows(self, texts, n):
+        """The rows that ``write_rows`` writes as texts, read one by one
+        with ``parse_row``; a row it takes but the writer would not write
+        (upper-case hex) is refused too."""
+        return _read_each(self._parse_canonical, texts, n)
+
+    def _parse_canonical(self, text, n):
+        row = self.parse_row(text, n)
+        if self.write_rows([row], n) != [text]:
+            raise ValueError("not the canonical text of its entries")
+        return row
 
     def parse_row(self, text, n):
         width = max(1, (n + 3) // 4)
@@ -485,7 +471,7 @@ class _GF2(_TextRows):
         return row
 
 
-class _GFp(_TextRows):
+class _GFp:
     """Rows over GF(p), p odd, as int64 numpy arrays reduced mod p.  Needs
     (p - 1)^2 < 2^53 for the exact FFLAS-FFPACK products of ``_matmulp``."""
 
@@ -630,6 +616,19 @@ class _GFp(_TextRows):
                 buf[end[at] - 1 - k] = ord("0") + d
             out += buf.tobytes().decode("ascii").split("\n")[:-1]
         return out
+
+    def read_rows(self, texts, n):
+        """The block of n-column rows that ``write_rows`` writes as texts.
+
+        The whole block is guessed leniently and kept only when the writer
+        gives every text back byte for byte.  Otherwise the rows are read
+        one by one with ``parse_row``, which takes only the writer's text,
+        so an error names its row and keeps its message.
+        """
+        block = self._guess_rows(texts, n)
+        if block is not None and self.write_rows(block, n) == texts:
+            return block
+        return self.stack(_read_each(self.parse_row, texts, n), n)
 
     def _guess_rows(self, texts, n):
         """The m x n block of the m texts read as ASCII digit tokens, each
