@@ -592,69 +592,87 @@ class _GFp:
         return x.reshape(m, n ** r)
 
     def write_rows(self, block, n):
-        """Each row as its entries' decimals joined by single spaces.  Per
-        chunk of rows, every digit goes into one byte buffer, one numpy
-        pass per decimal position, and the buffer is split at row ends."""
+        """Each row as its entries' decimals joined by single spaces,
+        written a chunk of rows at a time by ``_text_bytes``."""
         a = np.asarray(block, dtype=np.int64).reshape(len(block), n)
         if n == 0:
             return [""] * len(a)
         out = []
         step = max(1, _CHUNK // n)
         for lo in range(0, len(a), step):
-            v = a[lo:lo + step].ravel()
-            width = np.ones(v.size, dtype=np.int64)
-            for k in range(1, self._digits):
-                width += v >= 10 ** k
-            end = np.cumsum(width + 1) - 1  # the byte after each entry
-            buf = np.full(end[-1] + 1, ord(" "), dtype=np.uint8)
-            buf[end[n - 1::n]] = ord("\n")
-            for k in range(self._digits):
-                at = width > k if k else slice(None)  # all have a units digit
-                d = v[at] // 10 ** k if k else v
-                if k + 1 < self._digits:  # entries are below 10 ** _digits
-                    d = d % 10
-                buf[end[at] - 1 - k] = ord("0") + d
-            out += buf.tobytes().decode("ascii").split("\n")[:-1]
+            text = self._text_bytes(a[lo:lo + step]).decode("ascii")
+            out += text.split("\n")[:-1]
         return out
+
+    def _text_bytes(self, a):
+        """The rows of the 2-d array a (at least one column) as ASCII:
+        each entry's decimal, then a space, or a row end after a row's
+        last entry.  Each entry gets len(str(p - 1)) digit cells, filled
+        one numpy pass per decimal position, and its leading zero cells
+        are then dropped."""
+        top = self._digits - 1
+        cells = np.empty(a.shape + (top + 2,), dtype=np.uint8)
+        cells[..., -1] = ord(" ")
+        cells[:, -1, -1] = ord("\n")
+        x = a
+        for k in range(top, 0, -1):
+            x, d = np.divmod(x, 10)
+            np.add(d, ord("0"), out=cells[..., k], casting="unsafe")
+        # entries are below 10 ** _digits, so x is one digit
+        np.add(x, ord("0"), out=cells[..., 0], casting="unsafe")
+        if not top:
+            return cells.tobytes()
+        keep = np.ones(cells.shape, dtype=bool)
+        for k in range(top):  # the units digit is always kept
+            keep[..., k] = a >= 10 ** (top - k)
+        return cells[keep].tobytes()
 
     def read_rows(self, texts, n):
         """The block of n-column rows that ``write_rows`` writes as texts.
 
-        The whole block is guessed leniently and kept only when the writer
-        gives every text back byte for byte.  Otherwise the rows are read
-        one by one with ``parse_row``, which takes only the writer's text,
-        so an error names its row and keeps its message.
+        Per chunk of rows, the texts joined by row ends are guessed
+        leniently, and the guess is kept only when ``_text_bytes`` gives
+        the same bytes back.  That holds exactly when the writer gives
+        back every text byte for byte: its bytes have one row end per row.
+        Otherwise the rows are read one by one with ``parse_row``, which
+        takes only the writer's text, so an error names its row and keeps
+        its message.
         """
-        block = self._guess_rows(texts, n)
-        if block is not None and self.write_rows(block, n) == texts:
-            return block
-        return self.stack(_read_each(self.parse_row, texts, n), n)
-
-    def _guess_rows(self, texts, n):
-        """The m x n block of the m texts read as ASCII digit tokens, each
-        ended by one other character (a row end counts as one), or None
-        unless there are m * n tokens of 1 to len(str(p - 1)) digits, each
-        read as an entry below p."""
-        m = len(texts)
-        out = np.empty((m, n), dtype=np.int64)
+        out = np.empty((len(texts), n), dtype=np.int64)
         step = max(1, _CHUNK // max(n, 1))
-        for lo in range(0, m, step):
+        for lo in range(0, len(texts), step):
             try:
                 raw = ("\n".join(texts[lo:lo + step]) + "\n").encode("ascii")
             except (TypeError, UnicodeEncodeError):
-                return None
-            digit = np.frombuffer(raw, dtype=np.uint8) - np.uint8(ord("0"))
-            stop = np.flatnonzero(digit >= 10)  # the character after a token
-            width = np.diff(stop, prepend=-1) - 1
-            vals = out[lo:lo + step].reshape(-1)
-            if stop.size != vals.size or stop.size and not (
-                    1 <= width.min() and width.max() <= self._digits):
-                return None
-            vals[:] = digit[stop - 1]
-            for k in range(1, self._digits):
-                at = width > k
-                vals[at] += digit[stop[at] - 1 - k].astype(np.int64) * 10 ** k
-        return None if (out >= self.p).any() else out
+                break
+            block = out[lo:lo + step]
+            if not self._guess_rows(raw, block) or (
+                    self._text_bytes(block) != raw):
+                break
+        else:
+            return out
+        return self.stack(_read_each(self.parse_row, texts, n), n)
+
+    def _guess_rows(self, raw, block):
+        """Fill the m x n block from the ASCII bytes raw, taking each
+        non-digit byte as the end of one entry and the up to
+        len(str(p - 1)) digits before it as its decimal.  False unless
+        there are m * n such ends and every entry is below p.  On text the
+        writer writes this reads the block it wrote; on other text it may
+        read anything, which the writer then does not give back."""
+        digit = np.frombuffer(raw, dtype=np.uint8) - np.uint8(ord("0"))
+        stop = np.flatnonzero(digit >= 10)
+        vals = block.reshape(-1)
+        if stop.size != vals.size:
+            return False
+        vals[:] = digit[stop - 1]
+        more = np.ones(stop.size, dtype=bool)
+        for k in range(1, self._digits):
+            # before the first entry, wrap round to the final row end
+            d = digit.take(stop - 1 - k, mode="wrap")
+            more &= d < 10
+            vals[more] += d[more].astype(np.int64) * 10 ** k
+        return not (vals >= self.p).any()
 
     def parse_row(self, text, n):
         toks = text.split()
