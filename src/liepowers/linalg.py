@@ -449,15 +449,15 @@ class _GF2:
 
     def read_rows(self, texts, n):
         """The rows that ``write_rows`` writes as texts, read one by one
-        with ``parse_row``; a row it takes but the writer would not write
-        (upper-case hex) is refused too."""
-        return _read_each(self._parse_canonical, texts, n)
-
-    def _parse_canonical(self, text, n):
-        row = self.parse_row(text, n)
-        if self.write_rows([row], n) != [text]:
-            raise ValueError("not the canonical text of its entries")
-        return row
+        with ``parse_row``.  Once every row parses, the first row that
+        the writer would not write (upper-case hex) is refused too."""
+        rows = _read_each(self.parse_row, texts, n)
+        back = self.write_rows(rows, n)
+        if back != texts:
+            i = next(i for i, (a, b) in enumerate(zip(back, texts)) if a != b)
+            raise ValueError("row %d: not the canonical text of its entries"
+                             % i)
+        return rows
 
     def parse_row(self, text, n):
         width = max(1, (n + 3) // 4)
@@ -1445,9 +1445,10 @@ def format_subspace(space, n, r, comment=None):
     lines.append(f"{space.p} {n} {r}")
     texts = _word_texts(n, r)[0]
     digits = space._f.digits(space.packed_rows(), space.ambient)
-    at, cols = np.nonzero(digits)
-    terms = ["%d %s" % (c, texts[j])
-             for c, j in zip(digits[at, cols].tolist(), cols.tolist())]
+    flat = np.flatnonzero(digits)
+    at, cols = np.divmod(flat, space.ambient)
+    terms = [f"{c} {texts[j]}"
+             for c, j in zip(digits.ravel()[flat].tolist(), cols.tolist())]
     ends = np.cumsum(np.bincount(at, minlength=len(digits))).tolist()
     lines += [" ".join(terms[a:b]) for a, b in zip([0] + ends, ends)]
     return "\n".join(lines) + "\n"
