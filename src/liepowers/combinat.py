@@ -118,42 +118,28 @@ def graded_witt_dims(generator_counts, max_degree):
 
     ``generator_counts`` maps degree e to the number g_e of free
     generators in that degree.  The dimensions l_d are determined by
-    prod_d (1 - t^d)^{l_d} = 1 - sum_e g_e t^e; taking logs gives
-    d*n_d = sum_{e|d} e*l_e where n_d are the coefficients of
-    -log(1 - P(t)), and Moebius inversion recovers l_d exactly.
+    prod_d (1 - t^d)^{l_d} = 1 - sum_e g_e t^e.  Applying t d/dt log to
+    both sides gives c_m = sum_{d|m} d*l_d, where C = sum_m c_m t^m
+    satisfies C(t) (1 - P(t)) = t P'(t) for P = sum_e g_e t^e, that is
+    c_m = m*g_m + sum_{e<m} g_e*c_{m-e}; Moebius inversion then gives
+    l_m = (1/m) sum_{d|m} mobius(m/d)*c_d exactly, in integers.
     """
-    from fractions import Fraction
-
-    P = [Fraction(0)] * (max_degree + 1)
-    for e, g in generator_counts.items():
+    g = [0] * (max_degree + 1)
+    for e, count in generator_counts.items():
         if e <= 0:
             raise ValueError("generator degrees must be positive")
         if e <= max_degree:
-            P[e] += g
-    N = [Fraction(0)] * (max_degree + 1)
-    Pm = list(P)
-    for m in range(1, max_degree + 1):
-        for d in range(max_degree + 1):
-            N[d] += Pm[d] / m
-        if m < max_degree:
-            nxt = [Fraction(0)] * (max_degree + 1)
-            for a in range(1, max_degree + 1):
-                if Pm[a]:
-                    for b in range(1, max_degree + 1 - a):
-                        if P[b]:
-                            nxt[a + b] += Pm[a] * P[b]
-            Pm = nxt
+            g[e] += count
+    c = [0] * (max_degree + 1)
     dims = {}
-    for d in range(1, max_degree + 1):
-        tot = Fraction(0)
-        for f in range(1, d + 1):
-            if d % f == 0:
-                tot += mobius(d // f) * f * N[f]
-        ld = tot / d
-        if ld.denominator != 1 or ld < 0:
+    for m in range(1, max_degree + 1):
+        c[m] = m * g[m] + sum(g[e] * c[m - e] for e in range(1, m))
+        ld, rem = divmod(sum(mobius(m // d) * c[d]
+                             for d in range(1, m + 1) if m % d == 0), m)
+        if rem or ld < 0:
             raise ArithmeticError("non-integral graded Witt dimension")
         if ld:
-            dims[d] = int(ld)
+            dims[m] = ld
     return dims
 
 

@@ -3,10 +3,14 @@
 Elements are stored over GF(p), p checked by ``linalg.field``, on the
 basis X^c indexed by compositions c of r, where X^c is the sum of all
 permutations whose descent set is contained in the partial-sum set of
-c.  Products follow the nonnegative-integer-matrix rule (validated
-against the group algebra in the test suite); the map onto class
-functions sends X^c to the Young character of c and has nilpotent
-kernel, which is what makes idempotent lifting work.
+c.  Products follow Solomon's rule: X^a X^b sums X^(row-wise reading
+of the nonzero entries) over the nonnegative integer matrices with row
+sums b and column sums a.  The readings are counted by a recursion on
+the rows, memoised on the remaining row sums and column budgets, so no
+matrix is listed one by one (validated against the group algebra in
+the test suite).  The map onto class functions sends X^c to the Young
+character of c and has nilpotent kernel, which is what makes
+idempotent lifting work.
 
 Permutations act on tensors by place permutation, (w.sigma)_i =
 w_{sigma(i)}, so X^c acts by splitting off subsequences: X^c(w) is the
@@ -34,7 +38,7 @@ n^q x n^q matrix is assembled only when a caller asks for it;
 
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 import operator
 import random
 
@@ -122,6 +126,25 @@ def apply_place_permutation(p, n, r, vec, sigma):
 
 
 @lru_cache(maxsize=None)
+def _readings(rows, cols):
+    """The row-wise readings of the nonzero entries of the nonnegative
+    integer matrices with row sums ``rows`` and column sums ``cols``, as a
+    tuple of (reading, count) pairs: the head row's nonzero entries put in
+    front of each reading of the remaining rows, whose column sums are what
+    the head row leaves of ``cols``."""
+    if not rows:
+        return (((), 1),) if not any(cols) else ()
+    out = Counter()
+    for head in product(*(range(min(c, rows[0]) + 1) for c in cols)):
+        if sum(head) == rows[0]:
+            word = tuple(v for v in head if v)
+            left = tuple(c - v for c, v in zip(cols, head))
+            for tail, count in _readings(rows[1:], left):
+                out[word + tail] += count
+    return tuple(out.items())
+
+
+@lru_cache(maxsize=None)
 def _x_product_table(alpha, beta):
     """Integer expansion of X^alpha * X^beta.
 
@@ -130,33 +153,7 @@ def _x_product_table(alpha, beta):
     tuple of (composition, multiplicity) pairs; multiplicities are plain
     integers, reduced mod p by the caller.
     """
-    t = len(alpha)
-    out = Counter()
-
-    def fill(ri, cols, acc):
-        if ri == len(beta):
-            out[tuple(acc)] += 1
-            return
-        target = beta[ri]
-        row = [0] * t
-
-        def cells(j, left, acc2):
-            if j == t:
-                if left == 0:
-                    fill(ri + 1,
-                         tuple(c - row[k] for k, c in enumerate(cols)),
-                         acc2)
-                return
-            hi = min(left, cols[j])
-            for v in range(hi + 1):
-                row[j] = v
-                cells(j + 1, left - v, acc2 + ([v] if v else []))
-            row[j] = 0
-
-        cells(0, target, acc)
-
-    fill(0, tuple(alpha), [])
-    return tuple(sorted(out.items()))
+    return tuple(sorted(_readings(beta, alpha)))
 
 
 class DescentElement:

@@ -97,6 +97,35 @@ def test_x_product_matches_group_algebra_rank_le_4():
                 assert got == want, (ca, cb)
 
 
+def test_x_product_matches_group_algebra_rank_6_up_to_3_parts():
+    comps = [c for c in compositions(6) if len(c) <= 3]
+    assert len(comps) == 16
+    for ca in comps:
+        for cb in comps:
+            a = DescentElement.x_basis(6, _Z, ca)
+            b = DescentElement.x_basis(6, _Z, cb)
+            assert (a * b).as_permutation_counter() == \
+                multiply_permutation_oracle(a, b), (ca, cb)
+
+
+def test_x_product_rank_7_is_associative_and_multiplicative():
+    # rank 7 is past the permutation oracles of these tests; the product
+    # rule is checked against the character map and against itself
+    r = 7
+    rng = random.Random(7)
+    comps = compositions(r)
+
+    def element():
+        return DescentElement(r, _Z, {
+            comps[rng.randrange(len(comps))]: rng.randrange(1, 5)
+            for _ in range(2)})
+
+    for _ in range(20):
+        a, b, c = element(), element(), element()
+        assert (a * b).c_map() == (a.c_map() * b.c_map()).reduce_mod(_Z)
+        assert (a * b) * c == a * (b * c)
+
+
 def test_x_product_identity_and_associativity():
     r = 5
     rng = random.Random(3)

@@ -412,20 +412,31 @@ def test_lazard_pieces_dimension_check_fires():
 
 
 def test_graded_witt_matches_plain_witt():
-    dims = graded_witt_dims({1: 3}, 6)
-    for d in range(1, 7):
-        assert dims[d] == witt_dim(3, d)
+    for n in range(1, 6):
+        dims = graded_witt_dims({1: n}, 20)
+        assert dims == {d: witt_dim(n, d) for d in range(1, 21)
+                        if witt_dim(n, d)}
 
 
 def test_graded_witt_elimination_identity():
     # free algebra on two degree-1 letters splits as the algebra on one
     # letter plus the algebra on pieces of degrees 1+m, one per m
-    upper = graded_witt_dims({1: 2}, 6)
-    piece_gens = {1 + m: 1 for m in range(6)}
-    eliminated = graded_witt_dims(piece_gens, 6)
-    for d in range(2, 7):
+    upper = graded_witt_dims({1: 2}, 20)
+    piece_gens = {1 + m: 1 for m in range(20)}
+    eliminated = graded_witt_dims(piece_gens, 20)
+    for d in range(2, 21):
         assert upper[d] == eliminated[d]
     assert upper[1] == 1 + eliminated[1]
+
+
+def test_graded_witt_refuses_bad_degrees_and_counts():
+    with pytest.raises(ValueError, match="positive"):
+        graded_witt_dims({1: 2, 0: 1}, 6)
+    # a negative count gives l_1 = -1
+    with pytest.raises(ArithmeticError, match="graded Witt"):
+        graded_witt_dims({1: -1}, 6)
+    # generators above max_degree do not count
+    assert graded_witt_dims({7: 3}, 6) == {}
 
 
 def test_lazard_dimension_identity_concrete():
