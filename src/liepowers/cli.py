@@ -57,10 +57,9 @@ from .freelie import lie_power, symmetrize_extend, truncate_subspace
 from .linalg import Mat, Subspace, field, format_subspace, parse_subspace
 
 _MAX_R = 30
-# filtration lifts the descent idempotents of degree r, then splits the
-# dense n^r x n^r tensor power by them.  On a 2-vCPU VM lifting takes 0.3 s
-# at r = 7 and 2-3.5 s at r = 8, but the split grows with n^r: with this cap
-# raised, filtration --p 2 --n 3 --r 8 took 98 s, nearly all of it splitting
+# filtration lifts the descent idempotents of degree r, then splits T^r(V)
+# by them one weight space at a time.  On a 2-vCPU VM lifting takes 0.3 s at
+# r = 7 and 2-3.5 s at r = 8, and filtration --p 3 --n 3 --r 7 takes 3.5 s
 _MAX_FILTRATION_R = 7
 
 

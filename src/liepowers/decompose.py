@@ -3,11 +3,12 @@
 Two jobs live here.  ``split_tensor_power`` decomposes T^r(V) into the
 images of the lifted class idempotents of the descent algebra and checks
 the chain of PBW-filtration ranks inside each summand against the
-closed-form dimensions.  ``construct_B_family`` builds, degree by
-degree, subspaces B_{sk} of the Lie powers L^{sk}(V) such that every
-L^{sk}(V) is the direct sum of the free-Lie-algebra pieces generated by
-the lower B's plus the new B_{sk}, and each B_{sk} is certified a direct
-summand of T^{sk}(V) by an explicit idempotent equivariant projection.
+closed-form dimensions, one weight space at a time, as the idempotents
+keep letter content.  ``construct_B_family`` builds, degree by degree,
+subspaces B_{sk} of the Lie powers L^{sk}(V) such that every L^{sk}(V)
+is the direct sum of the free-Lie-algebra pieces generated by the lower
+B's plus the new B_{sk}, and each B_{sk} is certified a direct summand
+of T^{sk}(V) by an explicit idempotent equivariant projection.
 
 The complement W_{sk} (the new part of B_{sk} beyond the bracket pieces
 carried up from lower degrees) is found by one weight-preserving
@@ -66,6 +67,7 @@ from .combinat import (
 )
 from .descent import (
     _assemble,
+    _element_blocks,
     class_projector,
     element_action_matrix,
     lift_idempotents,
@@ -75,7 +77,6 @@ from .freelie import (
     bracket_products,
     concat_all,
     dynkin_matrix,
-    filtration_subspace,
     lie_power,
     pbw_monomial_vector,
     pbw_monomials,
@@ -94,6 +95,7 @@ from .linalg import (
     rref,
     solve_equivariant_projection,
     substitute,
+    word_weight,
 )
 from .modrep import TensorAction, gl_generators
 
@@ -111,10 +113,6 @@ __all__ = [
 
 # hard dimension cap before any dense allocation
 _DIM_CAP = 20000
-
-
-def _rowspace(m, ambient):
-    return Subspace.from_packed(m.p, ambient, m.packed_rows())
 
 
 class ComplementSearchExhausted(ArithmeticError):
@@ -199,38 +197,59 @@ class FiltrationReport:
             self.p, self.n, self.r, self.summand_dims())
 
 
+@lru_cache(maxsize=1)
+def _graded_filtration(n, r, p):
+    """The weight blocks of each idempotent of ``lift_idempotents(r, p)``,
+    and per weight alpha the types and the rows in T^r_alpha of the PBW
+    monomials of content alpha, largest type first."""
+    blocks = _weight_blocks(n, r)
+    rows = {alpha: ([], []) for alpha in blocks}
+    for lam in sorted(partitions(r), reverse=True):
+        for mono in pbw_monomials(n, lam):
+            types, vecs = rows[word_weight(sum(mono, ()), n)]
+            types.append(lam)
+            vecs.append(pbw_monomial_vector(p, n, mono))
+    return [_element_blocks(n, e) for _, e in lift_idempotents(r, p)], {
+        alpha: (tuple(types), Mat.from_packed(p, vecs, n ** r).columns(
+            blocks[alpha])) for alpha, (types, vecs) in rows.items()}
+
+
 def split_tensor_power(n, r, p):
     """Split T^r(V) into the images of the lifted class idempotents.
 
     Validates, by rank differences, that each summand's PBW chain drops
     exactly by the higher-Lie dimension at the class's own partitions
     and not at all elsewhere.  Any mismatch raises ArithmeticError
-    naming the class and partition.
+    naming the class and partition.  With V the monomials of content
+    alpha, the chain drops at lam at each row of V E_alpha of type lam off
+    the span of the rows above it, a pivot column of (V E_alpha)^T.
     """
-    fam = lift_idempotents(r, p)
+    idempotents, monomials = _graded_filtration(n, r, p)
     parts = sorted(partitions(r))
-    wsubs = [filtration_subspace(p, n, r, lam) for lam in parts]
+    blocks = _weight_blocks(n, r)
     N = n ** r
     entries = []
-    summands = []
-    for cls, e in fam:
-        E = element_action_matrix(n, e)
-        summand = _rowspace(E, N)
-        dims = []
-        for w in wsubs:
-            img = w.basis_matrix() @ E
-            dims.append(Subspace.from_packed(p, N, img.packed_rows()).dim)
-        dims.append(0)
-        for t, lam in enumerate(parts):
-            drop = dims[t] - dims[t + 1]
+    for (cls, _), E in zip(lift_idempotents(r, p), idempotents):
+        drops = dict.fromkeys(parts, 0)
+        rows = []
+        for alpha, block in E.items():
+            types, V = monomials[alpha]
+            for i in field(p).echelon((V @ block).transpose().packed_rows(),
+                                      V.nrows)[1]:
+                drops[types[i]] += 1
+            rows += Subspace.from_packed(p, block.ncols, block.packed_rows(
+                )).basis_matrix().spread(blocks[alpha], N).packed_rows()
+        summand = Subspace.from_packed(p, N, rows)
+        for lam in parts:
             want = higher_lie_dim(n, lam) if lam in cls else 0
-            if drop != want:
+            if drops[lam] != want:
                 raise ArithmeticError(
                     "filtration factor mismatch for class %s at partition "
                     "%s: rank drop %d, expected %d"
-                    % (cls.smallest, lam, drop, want))
+                    % (cls.smallest, lam, drops[lam], want))
         members = sorted(cls.members)
-        chain = [dims[parts.index(lam)] for lam in members] + [0]
+        chain = [sum(drops[mu] for mu in parts if mu >= lam)
+                 for lam in members] + [0]
         factors = [higher_lie_dim(n, lam) for lam in members]
         if summand.dim != sum(factors) or chain[0] != summand.dim:
             raise ArithmeticError(
@@ -238,8 +257,8 @@ def split_tensor_power(n, r, p):
                 "top %d, factor sum %d"
                 % (cls.smallest, summand.dim, chain[0], sum(factors)))
         entries.append(ClassSummand(members, summand, chain, factors))
-        summands.append(summand)
-    if not is_direct_sum(summands, _rowspace(Mat.identity(p, N), N)):
+    total, want = direct_sum(p, N, [e.summand for e in entries])
+    if not total.dim == want == N:
         raise ArithmeticError(
             "class summands do not decompose the tensor power (p=%d, "
             "n=%d, r=%d)" % (p, n, r))
@@ -247,18 +266,19 @@ def split_tensor_power(n, r, p):
 
 
 def prop35_check(n, r, p, J):
-    """True iff the idempotent of class J maps the PBW monomials of J's
-    partitions to a basis of the class summand."""
+    """True iff the idempotent E of class J maps the PBW monomials of J's
+    partitions to a basis of the class summand: per weight alpha, their
+    rows V of content alpha have rank(V E_alpha) = len(V) = rank E_alpha."""
     fam = lift_idempotents(r, p)
     e = fam.idempotent_for(J.smallest)
-    E = element_action_matrix(n, e)
-    vecs = []
-    for lam in sorted(J.members):
-        for mono in pbw_monomials(n, lam):
-            vecs.append(E.apply(pbw_monomial_vector(p, n, mono)))
-    N = n ** r
-    span = Subspace.from_vectors(p, N, vecs)
-    return span.dim == len(vecs) and span == _rowspace(E, N)
+    idempotents, monomials = _graded_filtration(n, r, p)
+    for alpha, block in idempotents[fam.idempotents.index(e)].items():
+        types, V = monomials[alpha]
+        mine = Mat.from_packed(p, [row for t, row in zip(
+            types, V.packed_rows()) if t in J], V.ncols)
+        if not rref(mine @ block)[1] == mine.nrows == rref(block)[1]:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -279,13 +279,9 @@ def filtration_subspace(p, n, r, lam):
     lam = tuple(sorted(lam, reverse=True))
     if sum(lam) != r:
         raise ValueError(f"{lam} is not a partition of {r}")
-    sb = SpanBuilder(p, n ** r)
-    for mu in partitions(r):
-        if mu < lam:
-            continue
-        for mono in pbw_monomials(n, mu):
-            sb.add(pbw_monomial_vector(p, n, mono))
-    return sb.subspace()
+    return Subspace.from_packed(p, n ** r, [
+        pbw_monomial_vector(p, n, mono)
+        for mu in partitions(r) if mu >= lam for mono in pbw_monomials(n, mu)])
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,13 @@ from liepowers.decompose import (
     prop35_check,
     split_tensor_power,
 )
-from liepowers.freelie import lie_power, subalgebra_generated
-from liepowers.descent import _assemble
+import liepowers.descent as descent_module
+import liepowers.freelie as freelie_module
+from liepowers.freelie import (filtration_subspace, lie_power,
+                               pbw_monomial_vector, pbw_monomials,
+                               subalgebra_generated)
+from liepowers.descent import (_assemble, element_action_matrix,
+                               lift_idempotents)
 from liepowers.linalg import (Mat, Subspace, _invert, _weight_blocks,
                               is_direct_sum)
 from liepowers.modrep import TensorAction, gl_generators
@@ -83,6 +88,84 @@ def test_prop35_small_ranks():
         for r in range(2, 5):
             for cls in p_equivalence_classes(r, p):
                 assert prop35_check(2, r, p, cls)
+
+
+def test_prop35_check_of_another_degree_raises_key_error():
+    # the class must be one of T^r's own; a degree-4 class has no
+    # idempotent among those of degree 3
+    cls = p_equivalence_classes(4, 2)[0]
+    with pytest.raises(KeyError):
+        prop35_check(2, 3, 2, cls)
+
+
+def _dense_split(n, r, p):
+    """Per class of lift_idempotents(r, p): (class, summand, chain dims,
+    factor dims, PBW verdict) from the dense n^r x n^r idempotent E, the
+    filtration subspaces and the row space of E."""
+    N = n ** r
+    out = []
+    for cls, e in lift_idempotents(r, p):
+        E = element_action_matrix(n, e)
+        summand = Subspace.from_packed(p, N, E.packed_rows())
+        members = sorted(cls.members)
+        chain = [Subspace.from_packed(p, N, (filtration_subspace(
+            p, n, r, lam).basis_matrix() @ E).packed_rows()).dim
+            for lam in members] + [0]
+        vecs = [E.apply(pbw_monomial_vector(p, n, mono))
+                for lam in members for mono in pbw_monomials(n, lam)]
+        span = Subspace.from_packed(p, N, vecs)
+        out.append((cls, summand, chain,
+                    [higher_lie_dim(n, lam) for lam in members],
+                    span.dim == len(vecs) and span == summand))
+    return out
+
+
+@pytest.mark.parametrize("n,r,p", [(2, 5, 2), (2, 6, 3), (3, 4, 3),
+                                   (3, 5, 2), (2, 4, 5)])
+def test_graded_split_matches_dense_route(n, r, p):
+    rep = split_tensor_power(n, r, p)
+    dense = _dense_split(n, r, p)
+    assert len(rep.entries) == len(dense)
+    for entry, (cls, summand, chain, factors, pbw) in zip(rep.entries,
+                                                           dense):
+        assert entry.members == sorted(cls.members)
+        assert entry.summand == summand
+        assert entry.chain_dims == chain
+        assert entry.factor_dims == factors
+        assert prop35_check(n, r, p, cls) == pbw
+
+
+def test_filtration_forms_no_dense_operator(monkeypatch):
+    # the split and the PBW check work one weight space at a time: no
+    # product has an n^r x n^r factor, and neither the dense idempotent
+    # nor a full-width filtration subspace is built
+    n, r, p = 3, 5, 3
+    N = n ** r
+    shapes = []
+    matmul = Mat.__matmul__
+
+    def counted(a, b):
+        shapes.append((a.nrows, a.ncols, b.ncols))
+        return matmul(a, b)
+
+    def refused(name):
+        def call(*args, **kwargs):
+            raise AssertionError("%s called on the filtration path" % name)
+        return call
+
+    monkeypatch.setattr(Mat, "__matmul__", counted)
+    for module in (decompose_module, descent_module):
+        monkeypatch.setattr(module, "element_action_matrix",
+                            refused("element_action_matrix"))
+    for module in (decompose_module, freelie_module):
+        monkeypatch.setattr(module, "filtration_subspace",
+                            refused("filtration_subspace"), raising=False)
+    rep = split_tensor_power(n, r, p)
+    assert sum(rep.summand_dims()) == N
+    for cls in p_equivalence_classes(r, p):
+        assert prop35_check(n, r, p, cls)
+    assert shapes
+    assert not [s for s in shapes if s[0] == s[1] == N or s[1] == s[2] == N]
 
 
 def test_family_p2_k3_through_6():
@@ -440,7 +523,8 @@ def test_graded_stage_one_matches_the_dense_route(n, p, k, top):
         N = n ** q
         canon = decompose_module._canonical_data(q, k, n, p, res.degrees)
         E = _assemble(p, n, q, canon["projector"])
-        kernel = decompose_module._rowspace(Mat.identity(p, N) - E, N)
+        kernel = Subspace.from_packed(
+            p, N, (Mat.identity(p, N) - E).packed_rows())
         blocks = _weight_blocks(n, q)
         # the kernel is kept as basis rows per weight space
         spread = [row for alpha, rows in canon["kernel"].items()
