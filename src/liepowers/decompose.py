@@ -25,15 +25,19 @@ reason.
 The route runs one weight space T^q_alpha (the words of one letter
 content) at a time.  E keeps letter content, and B, the star span and
 ker E are sums of their weight components, so E is held as its weight
-blocks (``class_projector``), and its rank and kernel, the check that E
-is injective on the star-extended Lie power, and P (through an inverse
-of the size of the rank of E_alpha) are computed block by block; P is
-written from its blocks.  A canonical row that crosses weight spaces
-means a space is not graded, and raises ComplementSearchExhausted.
+blocks and their ranks (``class_projector``), and P is computed block by
+block.  With M the basis and star rows at alpha and R = M E_alpha, one
+echelon of R checks that M stacks with ker E_alpha to a basis, which
+makes E injective on the star-extended Lie power, and P_alpha is
+E_alpha[:, pi] (R[:, pi])^-1[:, :b] B_alpha, pi the pivot columns of R:
+one inverse of the size of the rank of E_alpha.  P is written from its
+blocks, and no kernel basis is formed.  A canonical row that crosses
+weight spaces means a space is not graded, and raises
+ComplementSearchExhausted.
 Generators act through the action's ``times``, so the only n^q x n^q
 matrix formed is the reported P.
 
-At each degree that needs them, the class projector, its kernel and the
+At each degree that needs them, the class projector, its ranks and the
 star span read only the family below q, and the equivariant solve only
 the action, the settled part and L^q, so one forked worker process
 builds the former while this process runs the solve.  The results, the
@@ -229,6 +233,7 @@ def split_tensor_power(n, r, p):
     blocks = _weight_blocks(n, r)
     N = n ** r
     entries = []
+    stacked = {alpha: [] for alpha in blocks}
     for (cls, _), E in zip(lift_idempotents(r, p), idempotents):
         drops = dict.fromkeys(parts, 0)
         rows = []
@@ -237,8 +242,10 @@ def split_tensor_power(n, r, p):
             for i in field(p).echelon((V @ block).transpose().packed_rows(),
                                       V.nrows)[1]:
                 drops[types[i]] += 1
-            rows += Subspace.from_packed(p, block.ncols, block.packed_rows(
-                )).basis_matrix().spread(blocks[alpha], N).packed_rows()
+            own = Subspace.from_packed(p, block.ncols, block.packed_rows(
+                )).basis_matrix()
+            stacked[alpha] += own.packed_rows()
+            rows += own.spread(blocks[alpha], N).packed_rows()
         summand = Subspace.from_packed(p, N, rows)
         for lam in parts:
             want = higher_lie_dim(n, lam) if lam in cls else 0
@@ -257,11 +264,14 @@ def split_tensor_power(n, r, p):
                 "top %d, factor sum %d"
                 % (cls.smallest, summand.dim, chain[0], sum(factors)))
         entries.append(ClassSummand(members, summand, chain, factors))
-    total, want = direct_sum(p, N, [e.summand for e in entries])
-    if not total.dim == want == N:
-        raise ArithmeticError(
-            "class summands do not decompose the tensor power (p=%d, "
-            "n=%d, r=%d)" % (p, n, r))
+    # each summand is the sum of its weight components, so the summands
+    # decompose T^r(V) when those at each weight decompose T^r_alpha
+    for alpha, rows in stacked.items():
+        d = len(blocks[alpha])
+        if not len(field(p).echelon(rows, d)[1]) == len(rows) == d:
+            raise ArithmeticError(
+                "class summands do not decompose the tensor power (p=%d, "
+                "n=%d, r=%d)" % (p, n, r))
     return FiltrationReport(p, n, r, entries)
 
 
@@ -362,9 +372,8 @@ def _star_matrix(p, b, c_d, step):
 
 
 def _canonical_data(q, k, n, p, family):
-    """Class projector, its kernel, and the star span at degree q; the
-    projector and its kernel are kept per weight space, the kernel as
-    basis rows that are the identity at ``free`` (``class_projector``).
+    """Class projector, its ranks and the star span at degree q; the
+    projector and its ranks are kept per weight space (``class_projector``).
 
     The star span is built from products of lower-degree basis elements:
     for each proper divisor degree d, Lie elements over the degree-d
@@ -381,16 +390,15 @@ def _canonical_data(q, k, n, p, family):
 
     e0 = solve_class_indicator(q, p, members)
     try:
-        E, kernel, free = class_projector(n, e0)
+        E, rank = class_projector(n, e0)
     except ArithmeticError as exc:
         raise ComplementSearchExhausted(
             q, "projector lifting failed: %s" % exc)
-    # E is block diagonal over the weight spaces, so its kernel is the sum
-    # of those of its blocks, and its rank is N less their dimensions
-    rank = N - sum(rows.nrows for rows in kernel.values())
-    if rank != expect:
+    # E is block diagonal over the weight spaces, so its rank is theirs summed
+    if sum(rank.values()) != expect:
         raise ComplementSearchExhausted(
-            q, "class projector rank %d, expected %d" % (rank, expect))
+            q, "class projector rank %d, expected %d"
+            % (sum(rank.values()), expect))
 
     # graded generating sets over each lower degree d
     ds = []
@@ -436,14 +444,7 @@ def _canonical_data(q, k, n, p, family):
         raise ComplementSearchExhausted(
             q, "star span has rank %d from %d products"
             % (star.dim, len(star_rows)))
-    return {
-        "members": members,
-        "projector": E,
-        "kernel": kernel,
-        "free": free,
-        "star": star,
-        "expect": expect,
-    }
+    return {"projector": E, "rank": rank, "star": star, "expect": expect}
 
 
 def _by_weight(space, n, q, what):
@@ -463,33 +464,27 @@ def _by_weight(space, n, q, what):
             for t, (alpha, idx) in enumerate(blocks.items())}
 
 
-def _assemble_certificate(p, n, q, basis, star, kernel, free):
-    """Projection onto basis along star + kernel, or None if the three
-    do not stack to a basis of the tensor power.  basis and star map each
-    weight to their rows in it (see ``_by_weight``), kernel to basis rows
-    K of the class projector's kernel in it, and free to the columns phi
-    where K is the identity (``class_projector``).  Reduced over K at phi,
-    the basis rows B and star rows S stack to M = [B_tau - B_phi K_tau;
-    S_tau - S_phi K_tau], tau the other columns, which is invertible
-    exactly when the stacked rows are a basis.  The projection is then
-    Q (first b columns of M^-1) B, with Q[tau] = I and Q[phi] = -K_tau;
-    it is unique, so it is the one the stacked rows' inverse gives."""
+def _assemble_certificate(p, n, q, basis, star, E, rank):
+    """Projection onto basis along star + ker E, or None if the three do
+    not stack to a basis of the tensor power.  basis and star map each
+    weight to their rows in it (see ``_by_weight``), E to the class
+    projector's block there and rank to its rank (``class_projector``).
+    The basis rows B and star rows S stack to M = [B; S], which stacks
+    with ker E_alpha to a basis exactly when R = M E_alpha has full row
+    rank and M has rank E_alpha rows.  With pi the pivot columns of R,
+    the projection is then E_alpha[:, pi] (R[:, pi])^-1[:, :b] B: it
+    kills ker E_alpha and maps M to [B; 0].  It is unique, so it is the
+    one the stacked rows' inverse gives."""
     pieces = {}
     for alpha, b in basis.items():
-        K, phi, s, d = kernel[alpha], free[alpha], star[alpha], b.ncols
-        if b.nrows + s.nrows + K.nrows != d:
+        M = Mat.from_packed(p, b.packed_rows() + star[alpha].packed_rows(),
+                            b.ncols)
+        R = M @ E[alpha]
+        pi = field(p).echelon(R.packed_rows(), R.ncols)[1]
+        if not M.nrows == len(pi) == rank[alpha]:
             return None
-        tau = np.setdiff1d(np.arange(d), phi)
-        Kt = K.columns(tau)
-        rows = Mat.from_packed(p, b.packed_rows() + s.packed_rows(), d)
-        try:
-            inv = _invert(rows.columns(tau) - rows.columns(phi) @ Kt)
-        except ValueError:
-            return None
-        head = inv.columns(range(b.nrows))  # Q head: head, -K_tau head
-        stacked = head.packed_rows() + (Kt @ head).scale(-1).packed_rows()
-        pieces[alpha] = Mat.from_packed(p, [stacked[i] for i in np.argsort(
-            np.concatenate((tau, phi)))], b.nrows) @ b
+        pieces[alpha] = E[alpha].columns(pi) @ _invert(
+            R.columns(pi)).columns(range(b.nrows)) @ b
     return _assemble(p, n, q, pieces)
 
 
@@ -619,13 +614,6 @@ def _split_off(q, k, n, p, action, lie, lower_sum, elim, family):
         raise ComplementSearchExhausted(
             q, "star span plus Lie power has dimension %d, expected %d"
             % (merged.dim, canon["expect"]))
-    E = canon["projector"]
-    for alpha, rows in _by_weight(merged, n, q, "star-extended Lie "
-                                  "power").items():
-        if rref(rows @ E[alpha])[1] != rows.nrows:
-            raise ComplementSearchExhausted(
-                q, "class projector is not injective on the star-extended "
-                "Lie power")
 
     if known.dim == lie.dim:
         wnew = Subspace.zero(p, N)
@@ -642,11 +630,11 @@ def _split_off(q, k, n, p, action, lie, lower_sum, elim, family):
             q, "complement meets the bracket pieces")
     proj = _assemble_certificate(p, n, q, _by_weight(basis, n, q, "basis"),
                                  _by_weight(star, n, q, "star span"),
-                                 canon["kernel"], canon["free"])
+                                 canon["projector"], canon["rank"])
     if proj is None:
         raise ComplementSearchExhausted(
-            q, "basis, star span and class-projector kernel do not stack "
-            "to a basis")
+            q, "class projector is not injective on the star-extended Lie "
+            "power")
     flaw = _projection_flaw(proj, basis, action)
     if flaw is not None:
         raise ComplementSearchExhausted(q, flaw)

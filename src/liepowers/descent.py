@@ -26,14 +26,14 @@ Letter permutations commute with place permutations and permute the
 weight spaces, so the block of a descent operator at alpha is its block
 at alpha sorted into non-increasing order, with rows and columns
 permuted (``_weight_orbits``).  Descent operators, their Newton lifts and
-the lifts' kernels are therefore built one orbit of weights at a time,
+the lifts' ranks are therefore built one orbit of weights at a time,
 at its non-increasing weight, and spread to the rest of the orbit by an
 index permutation: 7 of the 13 weights for n = 2, q = 12, 7 of the 28
 for n = 3, q = 6.  A product costs the sum over the orbits of
 dim(T^q_alpha)^3 instead of (n^q)^3: 48 times less for n = 2, q = 12
 (largest block 924), 394 times less for n = 3, q = 6.  The dense
 n^q x n^q matrix is assembled only when a caller asks for it;
-``class_projector`` hands out the blocks and kernels themselves.
+``class_projector`` hands out the blocks and their ranks themselves.
 """
 
 from collections import Counter
@@ -54,7 +54,6 @@ from .combinat import (
 from .linalg import (
     Mat,
     _digit_table,
-    _null_rows,
     _solve_linear_system,
     _weight_blocks,
     field,
@@ -304,9 +303,8 @@ def _weight_orbits(n, r):
 
     Place permutations commute with letter permutations, so the block at
     alpha of a descent operator is its block at rep with rows and columns
-    taken in the order perm, and a row of T^r_rep that the block kills
-    becomes one that the block at alpha kills by taking its columns in
-    that order.  Only the blocks at the non-increasing weights are built.
+    taken in the order perm, of the same rank.  Only the blocks at the
+    non-increasing weights are built.
     """
     D = _digit_table(n, r)
     pos = _positions(n, r)
@@ -436,33 +434,25 @@ def element_action_matrix(n, elem):
 
 def class_projector(n, elem):
     """``lift_matrix_idempotent`` of the action matrix of elem, lifted one
-    weight space at a time, with its kernel.  Returns (E, K, phi), each
-    keyed as in ``_weight_blocks``: E maps each weight to its block
-    (``_assemble`` gives the dense matrix), K to a Mat whose rows are a
-    basis of that block's kernel, and phi to the columns where K is the
-    identity, read off the echelon of E^T (``linalg._null_rows``), whose
-    rank r_alpha is that of E, not of I - E, of rank d_alpha - r_alpha.
+    weight space at a time, with its ranks.  Returns (E, rank), each keyed
+    as in ``_weight_blocks``: E maps each weight to its block (``_assemble``
+    gives the dense matrix), and rank to the rank of that block.
 
     Newton's map acts on each block on its own and fixes a block once it
     is idempotent, so the blocks are those of the dense lift exactly, and
     the lift fails (after the same rounds) exactly when the dense one does.
-    Lifts and kernels are computed once per orbit of weights under letter
+    Lifts and ranks are computed once per orbit of weights under letter
     permutations, at its non-increasing weight, and spread to the rest of
     the orbit (see ``_weight_orbits``).
     """
     p = elem.p
-    lifted, kernel, free = {}, {}, {}
-    for rep, block in _rep_blocks(n, elem).items():
-        E = lifted[rep] = lift_matrix_idempotent(block, p)
-        rows, piv = field(p).echelon(E.transpose().packed_rows(), E.ncols)
-        free[rep] = np.setdiff1d(np.arange(E.ncols), piv)
-        kernel[rep] = Mat.from_array(p, _null_rows(p, rows, piv, E.ncols,
-                                                   free[rep]))
-    K, phi = {}, {}
-    for alpha, (rep, perm) in _weight_orbits(n, elem.r).items():
-        K[alpha] = kernel[rep].columns(perm)
-        phi[alpha] = np.argsort(perm)[free[rep]]
-    return _spread(n, elem.r, lifted), K, phi
+    lifted = {rep: lift_matrix_idempotent(block, p)
+              for rep, block in _rep_blocks(n, elem).items()}
+    ranks = {rep: len(field(p).echelon(E.packed_rows(), E.ncols)[1])
+             for rep, E in lifted.items()}
+    return _spread(n, elem.r, lifted), {
+        alpha: ranks[rep] for alpha, (rep, _) in _weight_orbits(
+            n, elem.r).items()}
 
 
 # ---------------------------------------------------------------------------

@@ -523,19 +523,15 @@ def test_graded_stage_one_matches_the_dense_route(n, p, k, top):
         N = n ** q
         canon = decompose_module._canonical_data(q, k, n, p, res.degrees)
         E = _assemble(p, n, q, canon["projector"])
+        # E is idempotent, so its kernel is the row space of I - E
         kernel = Subspace.from_packed(
             p, N, (Mat.identity(p, N) - E).packed_rows())
-        blocks = _weight_blocks(n, q)
-        # the kernel is kept as basis rows per weight space
-        spread = [row for alpha, rows in canon["kernel"].items()
-                  for row in rows.spread(blocks[alpha], N).packed_rows()]
-        assert Subspace.from_packed(p, N, spread) == kernel
-        assert len(spread) == kernel.dim
+        assert sum(canon["rank"].values()) == N - kernel.dim
         basis, star = res.degrees[q].basis, canon["star"]
         graded = decompose_module._assemble_certificate(
             p, n, q, decompose_module._by_weight(basis, n, q, "basis"),
             decompose_module._by_weight(star, n, q, "star span"),
-            canon["kernel"], canon["free"])
+            canon["projector"], canon["rank"])
         assert graded == _dense_certificate(p, N, basis, star, kernel)
         assert graded == res.degrees[q].projection
 
@@ -572,27 +568,36 @@ def test_certificate_matches_the_stacked_inverse(n, p, k, q,
     canon = decompose_module._canonical_data(q, k, n, p, res.degrees)
     basis = decompose_module._by_weight(res.degrees[q].basis, n, q, "basis")
     star = decompose_module._by_weight(canon["star"], n, q, "star span")
-    kernel, free = canon["kernel"], canon["free"]
+    E, rank = canon["projector"], canon["rank"]
+    # E_alpha is idempotent, so its kernel is the row space of I - E_alpha
+    kernel = {alpha: Subspace.from_packed(p, block.ncols, (Mat.identity(
+        p, block.ncols) - block).packed_rows()).basis_matrix()
+        for alpha, block in E.items()}
 
-    def both(basis, star, kernel, free):
+    def both(basis, star):
         got = decompose_module._assemble_certificate(p, n, q, basis, star,
-                                                     kernel, free)
+                                                     E, rank)
         assert got == _stacked_inverse_certificate(p, n, q, basis, star,
                                                    kernel)
         return got
 
-    assert both(basis, star, kernel, free) == res.degrees[q].projection
+    assert both(basis, star) == res.degrees[q].projection
     # a weight space with basis rows and star rows
     alpha = next(a for a in basis if basis[a].nrows and star[a].nrows)
     swapped = Mat.from_packed(p, basis[alpha].packed_rows()[:1] +
                               star[alpha].packed_rows()[1:], star[alpha].ncols)
-    assert both(basis, {**star, alpha: swapped}, kernel, free) is None
-    # a weight space with kernel rows loses its first one
-    alpha = next(a for a in kernel if kernel[a].nrows)
-    dropped = Mat.from_packed(p, kernel[alpha].packed_rows()[1:],
-                              kernel[alpha].ncols)
-    assert both(basis, star, {**kernel, alpha: dropped},
-                {**free, alpha: free[alpha][1:]}) is None
+    assert both(basis, {**star, alpha: swapped}) is None
+    # a rank off by one at a weight space with basis or star rows
+    for shift in (-1, 1):
+        assert decompose_module._assemble_certificate(
+            p, n, q, basis, star, E, {**rank, alpha: rank[alpha] + shift}) \
+            is None
+    # a star row replaced by a row of ker E_alpha, on which E is not
+    # injective
+    alpha = next(a for a in star if star[a].nrows and kernel[a].nrows)
+    killed = Mat.from_packed(p, kernel[alpha].packed_rows()[:1] +
+                             star[alpha].packed_rows()[1:], star[alpha].ncols)
+    assert both(basis, {**star, alpha: killed}) is None
 
 
 def test_weight_crossing_row_is_loud(monkeypatch):
@@ -622,6 +627,7 @@ def test_weight_crossing_row_is_loud(monkeypatch):
 def test_construction_forms_no_dense_operator(monkeypatch):
     # stage 1 works one weight space at a time and reads generators
     # without their induced matrices: no product has an N x N factor
+    gl_generators(2, 2)  # its cached generation check multiplies matrices
     dense, shapes, induced = [], [], []
     matmul = Mat.__matmul__
 
@@ -642,7 +648,7 @@ def test_construction_forms_no_dense_operator(monkeypatch):
     assert res.b_dims() == {3: 2, 6: 8, 9: 54}
     assert dense == [8, 64, 512] and induced == []
     assert {s[-1] for s in shapes} == {8, 64, 512}
-    # the class projector, its kernel and the star span are built in a
+    # the class projector, its ranks and the star span are built in a
     # worker process, out of this counter's sight, so build them here too
     built = len(shapes)
     for q in (6, 9):

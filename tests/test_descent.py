@@ -296,37 +296,37 @@ def test_class_projector_blocks_follow_letter_permutations(n, p, r,
     assert len(reps) < len(blocks)
     for cls in p_equivalence_classes(r, p):
         y = solve_class_indicator(r, p, sorted(cls.members))
-        E, K, phi = class_projector(n, y)
+        E, rank = class_projector(n, y)
         dense = _expanded_action_matrix(n, y)
         assert element_action_matrix(n, y) == dense, cls
-        assert _assemble(p, n, r, E) == lift_matrix_idempotent(dense, p), cls
-        assert set(E) == set(K) == set(phi) == set(blocks)
-        for alpha, rows in K.items():
-            d = len(blocks[alpha])
-            assert rows.ncols == d
-            assert rref(rows)[1] == rows.nrows
-            assert rows @ E[alpha] == Mat.zeros(p, rows.nrows, d)
-            assert rows.columns(phi[alpha]) == Mat.identity(p, rows.nrows)
-        rank = rref(_assemble(p, n, r, E))[1]
-        assert sum(rows.nrows for rows in K.values()) == N - rank
+        lifted = lift_matrix_idempotent(dense, p)
+        assert _assemble(p, n, r, E) == lifted, cls
+        assert set(E) == set(rank) == set(blocks)
+        rows = lifted.packed_rows()
+        for alpha, idx in blocks.items():
+            block = Mat.from_packed(p, [rows[i] for i in idx], N).columns(idx)
+            assert rank[alpha] == rref(block)[1], (cls, alpha)
+            # the ranks are equal across an orbit of weights
+            assert rank[alpha] == rank[tuple(sorted(alpha, reverse=True))]
+        assert sum(rank.values()) == rref(lifted)[1]
     assert top and all(keys == reps for keys in top)
 
 
 @pytest.mark.parametrize("n,p,r", [(2, 2, 6), (3, 2, 4), (3, 3, 4),
                                    (2, 2, 12)])
-def test_class_projector_kernel_is_read_from_the_transpose(n, p, r):
-    # per weight, the kernel rows K of the class projector of the one-part
-    # cycle type: K E = 0, K is the identity at phi, and it has one row
-    # per dimension of the kernel
+def test_class_projector_ranks_complement_the_kernels(n, p, r):
+    # per weight, the class projector E_alpha of the one-part cycle type
+    # is idempotent, so its kernel is the row space of I - E_alpha, and
+    # the rank of E_alpha is the block size less that kernel's dimension
     y = solve_class_indicator(r, p, sorted(class_of_partition((r,),
                                                               p).members))
-    E, K, phi = class_projector(n, y)
+    E, rank = class_projector(n, y)
     for alpha, block in E.items():
         d = block.ncols
-        rows = K[alpha]
-        assert rows.nrows == d - rref(block)[1] == len(phi[alpha])
-        assert rows @ block == Mat.zeros(p, rows.nrows, d)
-        assert rows.columns(phi[alpha]) == Mat.identity(p, rows.nrows)
+        kernel, dim = rref(Mat.identity(p, d) - block)
+        assert kernel @ block == Mat.zeros(p, d, d)
+        assert rank[alpha] == rref(block)[1] == d - dim
+        assert rank[alpha] == rank[tuple(sorted(alpha, reverse=True))]
 
 
 def test_lift_idempotents_is_cached():
