@@ -430,9 +430,10 @@ def _canonical_data(q, k, n, p, family):
         for (d, step, b, brows, elems), c_d in zip(ds, sigma):
             if c_d == 0:
                 continue
-            idem = _star_matrix(p, b, c_d, step)
-            starred = [idem.apply(concat_all(p, b, [elems[j] for j in multi]))
-                       for multi in _multisets_with_slot_sum(elems, c_d)]
+            prods = Mat.from_packed(p, [
+                concat_all(p, b, [elems[j] for j in multi])
+                for multi in _multisets_with_slot_sum(elems, c_d)], b ** c_d)
+            starred = (prods @ _star_matrix(p, b, c_d, step)).packed_rows()
             per_d.append([(c_d * d, row) for row in substitute(
                 p, n, d, brows, c_d, starred)])
         if per_d:
@@ -598,10 +599,8 @@ def _split_off(q, k, n, p, action, lie, lower_sum, elim, family):
     # the canonical data need only the family below q, and the solve only
     # the action, the settled part and L^q, so the two run side by side
     with _canonical_worker(q, k, n, p, family) as canonical:
-        sol = None
-        if known.dim != lie.dim:
-            sol = solve_equivariant_projection(
-                action, known, lie, labels=_weight_index(n, q)[lie.pivots])
+        sol = solve_equivariant_projection(
+            action, known, lie, labels=_weight_index(n, q)[lie.pivots])
         canon = canonical()
     star = canon["star"]
     # the star span must meet the Lie power exactly in the lower Lie
@@ -615,14 +614,11 @@ def _split_off(q, k, n, p, action, lie, lower_sum, elim, family):
             q, "star span plus Lie power has dimension %d, expected %d"
             % (merged.dim, canon["expect"]))
 
-    if known.dim == lie.dim:
-        wnew = Subspace.zero(p, N)
-    elif sol is None:
+    if sol is None:
         raise ComplementSearchExhausted(
             q, "no weight-preserving equivariant projection of the Lie "
             "power onto the settled part exists")
-    else:
-        wnew = _complement_from(lie, sol)
+    wnew = _complement_from(lie, sol)
 
     basis, want = direct_sum(p, N, [elim, wnew])
     if basis.dim != want:

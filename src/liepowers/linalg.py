@@ -16,17 +16,24 @@ returned by ``field(p)``, and every other module works on rows through it:
 
 There is one echelon kernel per field.
 
-A backend turns rows into and out of dense integer arrays and
-(index, coefficient) terms, adds, scales and concatenates them, runs the
-echelon, reduction and product kernels, and multiplies rows by a tensor
-power g x ... x g of a small matrix without forming it.  Its block writer
-``write_rows`` and block reader ``read_rows`` are the one seam between
-rows and payload text: the reader takes a block only as the writer gives
-it back, byte for byte (lower-case fixed-width hex at p = 2, canonical
-decimals joined by single spaces at odd p).
+A backend holds only what depends on that storage: ``zero``, ``unit``,
+``coerce``, ``stack``, ``from_array``, ``from_triples``, ``digits``,
+``to_array``, ``take``, ``terms`` and ``from_terms`` turn rows into and
+out of dense arrays and (index, coefficient) terms; ``is_zero``, ``key``,
+``add``, ``sub``, ``scale``, ``concat``, ``join`` and ``split`` act on
+single rows; ``echelon``, ``reduce`` and ``matmul`` are its one echelon,
+reduction and product kernels; ``tensor_times`` multiplies rows by a
+tensor power g x ... x g of a small matrix without forming it.  Its block
+writer ``write_rows`` and block reader ``read_rows`` (with its row reader
+``parse_row``) are the one seam between rows and payload text: the
+reader takes a block only as the writer gives it back, byte for byte
+(lower-case fixed-width hex at p = 2, canonical decimals joined by single
+spaces at odd p).
 ``Mat``, ``Subspace``, ``SpanBuilder`` and the equivariant solver each
-have one body written against it.  ``field(p)`` is also the one check
-that p is a usable modulus.
+have one body written against it; so do ``Mat.apply`` (a one-row
+product), ``Mat.spread`` (digits written into a zero array) and
+``SpanBuilder``'s growth (the backend's reduction).  ``field(p)`` is also
+the one check that p is a usable modulus.
 
 Word indexing lives here as well: a word over 1..n of length r has the
 big-endian base-n index of ``word_to_index``.  The weight table of
@@ -330,14 +337,6 @@ class _GF2:
         picked = self._bytes(rows, n)[:, cols // 8]
         return self.from_array(picked >> (cols % 8).astype(np.uint8))
 
-    def spread(self, rows, n, cols, width):
-        """Inverse of take: column j of the rows becomes column cols[j] of
-        width-column rows whose other columns are zero."""
-        bits = self.digits(rows, n)
-        out = np.zeros((len(bits), width), dtype=np.uint8)
-        out[:, cols] = bits
-        return self.from_array(out)
-
     def terms(self, row):
         while row:
             low = row & -row
@@ -395,31 +394,9 @@ class _GF2:
             mask |= 1 << c
         return [_red2(v, piv, mask) for v in vecs]
 
-    def sift(self, piv, x):
-        """Reduce x by a pivot-column -> row dict until its leading column
-        is new.  Returns (row to insert, its pivot), or (0, None) when x
-        lies in the span."""
-        while x:
-            c = (x & -x).bit_length() - 1
-            r = piv.get(c)
-            if r is None:
-                return x, c
-            x ^= r
-        return 0, None
-
     def matmul(self, a, b):
         """a @ b for blocks of rows, always through the word kernel."""
         return _mul2(a, b)
-
-    def vecmat(self, x, block):
-        out = 0
-        i = 0
-        while x:
-            if x & 1:
-                out ^= block[i]
-            x >>= 1
-            i += 1
-        return out
 
     def tensor_times(self, rows, g, n, r):
         """Each row times g tensor ... tensor g (r factors), for an n x n
@@ -532,11 +509,6 @@ class _GFp:
     def take(self, rows, n, cols):
         return self.stack(rows, n)[:, cols]
 
-    def spread(self, rows, n, cols, width):
-        out = np.zeros((len(rows), width), dtype=np.int64)
-        out[:, cols] = self.stack(rows, n)
-        return out
-
     def join(self, a, b, n1):
         return np.concatenate((a, b))
 
@@ -552,22 +524,8 @@ class _GFp:
     def reduce(self, rows, pivots, vecs):
         return [_redp(v, rows, pivots, self.p) for v in vecs]
 
-    def sift(self, piv, v):
-        for c, r in piv.items():
-            f = int(v[c])
-            if f:
-                v = (v - f * r) % self.p
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            return v, None
-        c = int(nz[0])
-        return (v * pow(int(v[c]), self.p - 2, self.p)) % self.p, c
-
     def matmul(self, a, b):
         return _matmulp(a, b, self.p)
-
-    def vecmat(self, v, block):
-        return _matmulp(v[None, :], block, self.p)[0]
 
     def tensor_times(self, rows, g, n, r):
         """Each row times g tensor ... tensor g (r factors), for an n x n
@@ -801,9 +759,10 @@ class Mat:
     def spread(self, cols, ncols):
         """The ncols-column matrix whose column cols[j] is column j of this
         one; every other column is zero.  Inverse of ``columns``."""
-        cols = np.asarray(cols, dtype=np.intp)
-        return Mat(self.p, self.nrows, ncols,
-                   self._f.spread(self._d, self.ncols, cols, ncols))
+        digits = self._f.digits(self._d, self.ncols)
+        out = np.zeros((self.nrows, ncols), dtype=digits.dtype)
+        out[:, np.asarray(cols, dtype=np.intp)] = digits
+        return Mat(self.p, self.nrows, ncols, self._f.from_array(out))
 
     def row_texts(self):
         """One payload text line per row."""
@@ -837,7 +796,7 @@ class Mat:
         """Row vector times matrix: a packed row for a packed row, a plain
         list for a plain list."""
         F = self._f
-        out = F.vecmat(F.coerce(vec), self._d)
+        out = F.matmul(F.stack([F.coerce(vec)], self.nrows), self._d)[0]
         if isinstance(vec, list):
             return F.to_array([out], self.ncols)[0].tolist()
         return out
@@ -975,25 +934,36 @@ class SpanBuilder:
         self._f = field(p)
         self.p = p
         self.ambient = ambient
-        self._piv = {}
+        # rows in insertion order, each with first entry 1 at its pivot and
+        # 0 at the pivots of the rows before it: all that reduce needs
+        self._rows = []
+        self._pivots = []
 
     @property
     def dim(self):
-        return len(self._piv)
+        return len(self._pivots)
+
+    def _reduced(self, vec):
+        F = self._f
+        return F.reduce(self._rows, self._pivots, [F.coerce(vec)])[0]
 
     def add(self, vec):
         """Insert a vector; True if the span grew."""
-        row, c = self._f.sift(self._piv, self._f.coerce(vec))
-        if c is None:
+        F = self._f
+        row = self._reduced(vec)
+        lead = next(F.terms(row), None)
+        if lead is None:
             return False
-        self._piv[c] = row
+        c, a = lead
+        self._rows.append(F.scale(row, pow(a, -1, self.p)))
+        self._pivots.append(c)
         return True
 
     def contains(self, vec):
-        return self._f.sift(self._piv, self._f.coerce(vec))[1] is None
+        return self._f.is_zero(self._reduced(vec))
 
     def subspace(self):
-        return Subspace.from_packed(self.p, self.ambient, list(self._piv.values()))
+        return Subspace.from_packed(self.p, self.ambient, self._rows)
 
 
 def direct_sum(p, ambient, parts):
@@ -1094,10 +1064,11 @@ def _projection_problem(action, image, domain, labels=None):
 
     Together they are g, [[A, 0], [C, D]], in the basis of the image rows
     and the unit rows at the free columns.  That basis has the inverse
-    [[I, -R], [0, I]] in closed form, so neither is formed.  With labels
-    (one int or string per domain coordinate) and every image row
-    homogeneous, ``graded`` (k x m) holds the rank of the label of X[u, v]
-    among the labels, or -1 where u and v differ in label; else None.
+    [[I, -R], [0, I]] in closed form, so neither is formed.  ``graded``
+    (k x m) holds the grade of X[u, v], or -1 where u and v differ in
+    grade.  With labels (one int or string per domain coordinate) and
+    every image row homogeneous, the grade of a coordinate is the rank of
+    its label among the labels; else every coordinate has grade 0.
     """
     p = domain.p
     d = domain.dim
@@ -1125,13 +1096,13 @@ def _projection_problem(action, image, domain, labels=None):
         blocks.append((A.to_array(), C, D))
 
     # the graded ansatz exists only if each image row has one label
-    graded = None
+    lab = np.zeros(d, dtype=np.intp)
     if labels is not None:
-        lab = np.unique(labels, return_inverse=True)[1].ravel()
+        given = np.unique(labels, return_inverse=True)[1].ravel()
         nz = im.basis_matrix().to_array() != 0
-        if (~nz | (lab == lab[piv][:, None])).all():
-            graded = np.where(lab[free][:, None] == lab[piv],
-                              lab[free][:, None], -1)
+        if (~nz | (given == given[piv][:, None])).all():
+            lab = given
+    graded = np.where(lab[free][:, None] == lab[piv], lab[free][:, None], -1)
 
     return {"p": p, "d": d, "m": im.dim, "image": im, "free": free, "R": R,
             "blocks": blocks, "graded": graded}
@@ -1169,24 +1140,22 @@ def _assemble_projection_system(prob):
     X[u, j].
 
     Unknowns where ``prob["graded"]`` is -1 are pinned to zero.  Returns
-    (index, nunk, rows, rhs): index[u, v] numbers X[u, v] (-1 when pinned),
-    graded ones in elimination order (weight block size descending, weight,
-    v descending, u), ungraded ones row by row; rows/rhs are every equation
-    other than 0 = 0 in generator and equation order, repeats included, as
-    the echelon depends only on their span.  Each chunk of about _CHUNK
-    terms is scattered straight into packed rows.
+    (index, nunk, rows, rhs): index[u, v] numbers X[u, v] (-1 when pinned)
+    in elimination order (grade block size descending, grade, v
+    descending, u); rows/rhs are every equation other than 0 = 0 in
+    generator and equation order, repeats included, as the echelon depends
+    only on their span.  Each chunk of about _CHUNK terms is scattered
+    straight into packed rows.
     """
     p, d, m = prob["p"], prob["d"], prob["m"]
     F = field(p)
     k = d - m
     graded = prob["graded"]
-    keep = np.ones((k, m), dtype=bool) if graded is None else graded >= 0
+    keep = graded >= 0
     nunk = int(np.count_nonzero(keep))
     index = np.full((k, m), -1, dtype=np.intp)
-    index[keep] = np.arange(nunk)
-    if graded is not None:  # elimination order
-        (u, v), w = np.nonzero(keep), graded[keep]
-        index[keep] = np.argsort(np.lexsort((u, -v, w, -np.bincount(w)[w])))
+    (u, v), w = np.nonzero(keep), graded[keep]
+    index[keep] = np.argsort(np.lexsort((u, -v, w, -np.bincount(w)[w])))
     col = np.where(keep, index, nunk)  # pinned unknowns land in column nunk
     step = max(1, _CHUNK // max(m, k, 1))
     rows, rhs = [], []

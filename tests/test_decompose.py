@@ -23,7 +23,8 @@ from liepowers.freelie import (filtration_subspace, lie_power,
 from liepowers.descent import (_assemble, element_action_matrix,
                                lift_idempotents)
 from liepowers.linalg import (Mat, Subspace, _invert, _weight_blocks,
-                              is_direct_sum)
+                              _weight_index, is_direct_sum,
+                              solve_equivariant_projection)
 from liepowers.modrep import TensorAction, gl_generators
 
 
@@ -684,3 +685,15 @@ def test_solve_reads_generators_as_matrices(monkeypatch):
     construct_B_family(2, 2, 3, 9)
     assert 9 in solved
     assert calls == []
+
+
+@pytest.mark.parametrize("n,p,q", [(2, 2, 6), (3, 3, 4)])
+def test_projection_onto_the_whole_lie_power_is_the_identity(n, p, q):
+    # when the lower Lie pieces and the bracket pieces fill L^q there is
+    # no complement to solve for: the solver returns the identity, whose
+    # kernel W is 0
+    lie = lie_power(p, n, q)
+    got = solve_equivariant_projection(
+        TensorAction(gl_generators(n, p), q), lie, lie,
+        labels=_weight_index(n, q)[lie.pivots])
+    assert got == Mat.identity(p, lie.dim)

@@ -113,9 +113,16 @@ def test_field_backend_parity(p, m, k, n):
         assert F.key(F.from_terms(k, want)) == F.key(row)
     got = Mat.from_array(p, a) @ Mat.from_array(p, b)
     assert np.array_equal(got.to_array(), (a @ b) % p)
+    # apply is the one-row product, on a packed row and on a plain list
+    mb = Mat.from_array(p, b)
+    for dense in a[:3]:
+        want = Mat.from_array(p, dense[None, :]) @ mb
+        assert F.key(mb.apply(F.from_array(dense[None, :])[0])) == \
+            F.key(want.packed_rows()[0])
+        assert mb.apply(dense.tolist()) == want.to_lists()[0]
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 11])
 @pytest.mark.parametrize("width", [13, 600])
 def test_mat_columns(p, width):
     # widths on both sides of the 512-column switch of the GF(2) kernels
@@ -505,15 +512,21 @@ def test_canonical_form_stable_under_shuffle(rows, seed):
 
 def test_span_builder_agrees_with_batch():
     rng = np.random.default_rng(3)
-    for p in (2, 7):
-        vecs = rng.integers(0, p, size=(8, 6)).tolist()
-        sb = SpanBuilder(p, 6)
-        grew = [sb.add(v) for v in vecs]
-        batch = Subspace.from_vectors(p, 6, vecs)
-        assert sb.subspace() == batch
-        assert sum(grew) == batch.dim
-        for v in vecs:
-            assert sb.contains(v)
+    for p in (2, 3, 7, 11):
+        for rank in (4, 6):
+            # more vectors than the ambient dimension, in a span of at
+            # most rank dimensions, so that later ones are often redundant
+            vecs = (rng.integers(0, p, size=(9, rank))
+                    @ rng.integers(0, p, size=(rank, 6)) % p)
+            sb = SpanBuilder(p, 6)
+            grew = [sb.add(v) for v in vecs.tolist()]
+            batch = Subspace.from_vectors(p, 6, vecs)
+            assert sb.subspace() == batch
+            assert sum(grew) == sb.dim == batch.dim
+            probes = np.vstack([vecs, rng.integers(0, p, size=(20, 6)),
+                                rng.integers(0, p, size=(20, 9)) @ vecs % p])
+            for v in probes.tolist():
+                assert sb.contains(v) == batch.contains(v), (p, rank, v)
 
 
 def test_direct_sum_check():
@@ -873,9 +886,8 @@ def _reference_ansatz(prob, labels):
 def _elimination_order(unk, label):
     """The unknowns (u, v) of unk in elimination order: by the number of
     unknowns of their label, largest first, then by label, by v descending
-    and by u; row by row without labels."""
-    if label is None:
-        return sorted(unk, key=unk.get)
+    and by u; without labels every unknown has the one label 0."""
+    label = label or (lambda u, v: 0)
     size = collections.Counter(label(u, v) for u, v in unk)
     return sorted(unk, key=lambda uv: (-size[label(*uv)], label(*uv),
                                        -uv[1], uv[0]))
@@ -940,8 +952,9 @@ def test_projection_system_matches_dict_loop_reference(p):
         for lab in (None, labels):
             prob = _projection_problem(action, image, domain, labels=lab)
             allowed = None if lab is None else _reference_ansatz(prob, lab)
-            assert (allowed is None) == (prob["graded"] is None)
-            attempts = [(None, None)]
+            if allowed is None:  # ungraded: every coordinate has grade 0
+                assert not prob["graded"].any()
+            attempts = [(np.zeros_like(prob["graded"]), None)]
             if allowed is not None:
                 attempts.append((prob["graded"], allowed))
                 graded += 1
