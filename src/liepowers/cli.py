@@ -26,7 +26,7 @@ import argparse
 import json
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 from .combinat import (
     compositions,
@@ -591,17 +591,16 @@ def main(argv=None):
         print("invariant failed: %s" % exc, file=sys.stderr)
         return 1
     payload["timing_ms"] = int((time.monotonic() - start) * 1000)
-    if args.format == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    elif args.format == "csv":
-        text = _render_csv(payload, columns)
-    else:
-        text = _render_text(payload, columns)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with (open(args.out, "w", encoding="utf-8") if args.out
+          else nullcontext(sys.stdout)) as fh:
+        if args.format == "json":
+            # streamed: no copy of the whole report text is built
+            json.dump(payload, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+        elif args.format == "csv":
+            fh.write(_render_csv(payload, columns))
+        else:
+            fh.write(_render_text(payload, columns))
     return code
 
 

@@ -53,6 +53,8 @@ from .combinat import (
 )
 from .linalg import (
     Mat,
+    _CHUNK,
+    _csr,
     _digit_table,
     _solve_linear_system,
     _weight_blocks,
@@ -269,12 +271,18 @@ def multiply_permutation_oracle(a, b):
 
 def _place_blocks(p, size, pieces):
     """The size x size matrix with each (idx, block) of pieces on rows and
-    columns idx, zero elsewhere; the idx arrays partition range(size)."""
+    columns idx, zero elsewhere; the idx arrays partition range(size).
+    Blocks are spread a chunk of about _CHUNK entries of the result at a
+    time."""
     rows = [None] * size
+    step = max(1, _CHUNK // max(size, 1))
     for idx, block in pieces:
-        for i, row in zip(idx.tolist(),
-                          block.spread(idx, size).packed_rows()):
-            rows[i] = row
+        packed = block.packed_rows()
+        for s in range(0, len(packed), step):
+            part = Mat.from_packed(p, packed[s:s + step], block.ncols)
+            for i, row in zip(idx[s:s + step].tolist(),
+                              part.spread(idx, size).packed_rows()):
+                rows[i] = row
     return Mat.from_packed(p, rows, size)
 
 
@@ -341,7 +349,7 @@ def _unshuffle_blocks(p, n, r, c):
     of size c, the map w -> sum over position sets S of size c of
     w_S . w_rest."""
     blocks = _weight_blocks(n, r)
-    pos = _positions(n, r)
+    pos = _positions(n, r).astype(np.int32)
     # place[i, j]: the place value that position i of w takes in
     # w_S . w_rest for the j-th set S, where it is the t-th position of S
     # or the t-th of the rest
@@ -356,17 +364,26 @@ def _unshuffle_blocks(p, n, r, c):
     # tables of n^h and n^(r - h) rows
     h = r // 2
     m = n ** (r - h)
-    H = _digit_table(n, h) @ place[:h]
-    L = _digit_table(n, r - h) @ place[h:]
+    H = (_digit_table(n, h) @ place[:h]).astype(np.int32)
+    L = (_digit_table(n, r - h) @ place[h:]).astype(np.int32)
+    step = max(1, _CHUNK // len(subsets))
     out = {}
     for alpha, (rep, _) in _weight_orbits(n, r).items():
         if alpha != rep:
             continue
         idx = blocks[alpha]
         d = len(idx)
-        cells = np.arange(d)[:, None] * d + pos[H[idx // m] + L[idx % m]]
-        counts = np.bincount(cells.ravel(), minlength=d * d)
-        out[alpha] = Mat.from_array(p, counts.reshape(d, d))
+        counts = np.empty((d, d), dtype=np.int32)
+        # a chunk of rows at a time, cell t * d + column of its row t
+        for s in range(0, d, step):
+            rows = idx[s:s + step]
+            cells = H[rows // m]
+            cells += L[rows % m]
+            cells = pos[cells]
+            cells += (np.arange(len(rows), dtype=np.int32) * d)[:, None]
+            counts[s:s + step] = np.bincount(
+                cells.ravel(), minlength=len(rows) * d).reshape(-1, d)
+        out[alpha] = Mat.from_array(p, counts)
     return out
 
 
@@ -504,15 +521,13 @@ def solve_class_indicator(r, p, members):
     parts = partitions(r)
     cols = parts  # unknowns a_lam, one per partition-shaped basis element
     want = {tuple(sorted(m, reverse=True)) for m in members}
-    F = field(p)
-    rows = [F.from_terms(len(cols), [(j, young_character(mu, lam))
-                                     for j, mu in enumerate(cols)])
-            for lam in parts]
-    rhs = [1 if lam in want else 0 for lam in parts]
-    sol = _solve_linear_system(p, rows, rhs, len(cols))
+    aug = np.array([[young_character(mu, lam) for mu in cols] + [lam in want]
+                    for lam in parts], dtype=np.int64) % p
+    sol = _solve_linear_system(p, _csr(aug), len(cols))
     if sol is None:
         raise ArithmeticError("indicator is not in the image of c")
-    return DescentElement(r, p, {cols[j]: c for j, c in F.terms(sol[0])})
+    return DescentElement(r, p, {cols[j]: c
+                                 for j, c in field(p).terms(sol[0])})
 
 
 @lru_cache(maxsize=None)

@@ -21,19 +21,33 @@ A backend holds only what depends on that storage: ``zero``, ``unit``,
 ``to_array``, ``take``, ``terms`` and ``from_terms`` turn rows into and
 out of dense arrays and (index, coefficient) terms; ``is_zero``, ``key``,
 ``add``, ``sub``, ``scale``, ``concat``, ``join`` and ``split`` act on
-single rows; ``echelon``, ``reduce`` and ``matmul`` are its one echelon,
-reduction and product kernels; ``tensor_times`` multiplies rows by a
-tensor power g x ... x g of a small matrix without forming it.  Its block
-writer ``write_rows`` and block reader ``read_rows`` (with its row reader
-``parse_row``) are the one seam between rows and payload text: the
-reader takes a block only as the writer gives it back, byte for byte
-(lower-case fixed-width hex at p = 2, canonical decimals joined by single
-spaces at odd p).
+single rows, and ``same`` compares two blocks in one call; ``echelon``,
+``reduce`` and ``matmul`` are its one echelon, reduction and product
+kernels, and ``echelon_csr`` feeds that echelon the rows of a sparse
+matrix; ``tensor_times`` multiplies rows by a tensor power g x ... x g
+of a small matrix without forming it.  Its block writer ``write_rows``
+and block reader ``read_rows`` (with its row reader ``parse_row``) are
+the one seam between rows and payload text: the reader takes a block
+only as the writer gives it back, byte for byte (lower-case fixed-width
+hex at p = 2, canonical decimals joined by single spaces at odd p).
 ``Mat``, ``Subspace``, ``SpanBuilder`` and the equivariant solver each
 have one body written against it; so do ``Mat.apply`` (a one-row
 product), ``Mat.spread`` (digits written into a zero array) and
 ``SpanBuilder``'s growth (the backend's reduction).  ``field(p)`` is also
 the one check that p is a usable modulus.
+
+The equivariant solver's linear system is sparse, and it is held in CSR
+form only: int64 row starts, int32 columns and coefficients in the
+narrowest unsigned dtype that holds p - 1, one row per equation with its
+right-hand side at column nunk.  The solver orders the equations by
+descending lowest column, stably, as ``_GF2.echelon`` sorts packed rows,
+and hands that order to ``echelon_csr``.  The GF(2) kernel
+``_rref2_ints`` eliminates an ordered stream: it takes rows in the order
+given and keeps only pivot rows.  So ``_GF2.echelon_csr`` packs the rows
+one chunk of ``_CHUNK`` entries at a time, and a row that reduces to 0
+is dropped as it does; ``_GF2.echelon`` sorts its rows and feeds the
+same kernel.  At odd p, ``echelon_csr`` fills one dense block and
+eliminates it in place.
 
 Word indexing lives here as well: a word over 1..n of length r has the
 big-endian base-n index of ``word_to_index``.  The weight table of
@@ -80,12 +94,13 @@ __all__ = [
 
 
 def _rref2_ints(vecs):
-    """Gauss-Jordan on big-int rows; returns (canonical rows, pivots).
-    Rows enter by descending lowest set bit, which about halves the XORs
-    on the sparse systems of the solve and the certificate inverse."""
+    """Gauss-Jordan on big-int rows, which enter in the order the
+    iterable vecs gives them; returns (canonical rows, pivots).  Only the
+    pivot rows are kept: a row that reduces to 0 is dropped as it does,
+    and each pivot row is let go once back-substitution has replaced it."""
     piv = {}
     mask = 0
-    for v in sorted(vecs, key=lambda v: -(v & -v).bit_length()):
+    for v in vecs:
         v = _red2(v, piv, mask)
         if v:
             c = (v & -v).bit_length() - 1
@@ -94,7 +109,7 @@ def _rref2_ints(vecs):
     fin = {}
     fmask = 0
     for c in sorted(piv, reverse=True):
-        fin[c] = _red2(piv[c], fin, fmask)
+        fin[c] = _red2(piv.pop(c), fin, fmask)
         fmask |= 1 << c
     pivots = sorted(fin)
     return [fin[c] for c in pivots], pivots
@@ -164,27 +179,60 @@ def _words_to_rows(words):
             for w in np.ascontiguousarray(words)]
 
 
+# words of the tables and of the gathered entries of one batch of groups
+# in _mul2_words: 512 KB, which stays in cache
+_BATCH_WORDS = 1 << 16
+
+
 def _mul2_words(A, B):
     """Row-convention product: out row i = XOR of the B rows selected by
-    the set bits of A row i, which must lie below B's row count.  Eight
-    B-rows at a time are expanded into a 256-entry XOR table and gathered
-    by the byte view of A (the Four-Russians kernel of Albrecht, Bard and
-    Hart, ACM TOMS 37(1), 2010); the table is built by doubling, entries
-    h..2h-1 = entries 0..h-1 XOR the row of bit h."""
+    the set bits of A row i, which must lie below B's row count.
+
+    The Four-Russians kernel M4RM (Albrecht, Bard and Hart, ACM TOMS
+    37(1), 2010): B's rows are cut into groups of k, each group is
+    expanded into the 2^k-entry table of the XORs of its subsets, and
+    each row of A gathers one entry per group by its k bits there.  As
+    in M4RM, k is about log2 of A's row count, so a one-row product
+    builds two-entry tables; k is 1, 2, 4 or 8, so a group's bits lie in
+    one byte of A.  Groups are taken as many at a time as _BATCH_WORDS
+    words hold both their tables and their gathered entries: the tables
+    are built at once by doubling (entries h..2h-1 = entries 0..h-1 XOR
+    the group's row of bit h), and the entries are gathered and XORed at
+    once.  A group no row of A selects from is skipped.
+    """
+    m = A.shape[0]
     n_b, nw_b = B.shape
-    out = np.zeros((A.shape[0], nw_b), dtype=np.uint64)
+    k = 1 << (max(1, min(8, m.bit_length() - 1)).bit_length() - 1)
+    mask = np.uint8((1 << k) - 1)
+    out = np.zeros((m, nw_b), dtype=np.uint64)
     Ab = np.ascontiguousarray(A).view(np.uint8)
-    nbytes = min(Ab.shape[1], (n_b + 7) // 8)
-    lut = np.zeros((256, nw_b), dtype=np.uint64)
-    for bp in range(nbytes):
-        base = 8 * bp
-        col = Ab[:, bp]
-        if not col.any():
-            continue
-        for bit in range(min(8, n_b - base)):
+    # group g is bits g*k .. g*k + k - 1 of a row: byte g*k // 8 from bit
+    # g*k % 8; it is live when the OR of A's rows has a bit there
+    g = np.arange(min(-(-n_b // k), Ab.shape[1] * 8 // k))
+    byte, shift = g * k // 8, (g * k % 8).astype(np.uint8)
+    live = g[((np.bitwise_or.reduce(Ab, axis=0)[byte] >> shift) & mask) != 0]
+    step = max(1, _BATCH_WORDS // (nw_b * max(m, 1 << k)))
+    # entry 0 of every table is 0; the doubling rewrites the others
+    luts = np.zeros((min(step, len(live)), 1 << k, nw_b), dtype=np.uint64)
+    at = np.arange(len(luts))[:, None]
+    # B's rows of each live group; past B's last row A has no bit, so a
+    # clipped row is never read
+    brow = live[:, None] * k + np.arange(k)
+    for s in range(0, len(live), step):
+        groups = live[s:s + step]
+        lut = luts[:len(groups)]
+        rows = B.take(brow[s:s + step], axis=0, mode="clip")
+        for bit in range(k):
             h = 1 << bit
-            np.bitwise_xor(lut[:h], B[base + bit], out=lut[h:2 * h])
-        out ^= lut[col]
+            np.bitwise_xor(lut[:, :h], rows[:, bit:bit + 1],
+                           out=lut[:, h:2 * h])
+        fields = Ab[:, byte[groups]]
+        if k < 8:  # at k = 8 a group is a whole byte
+            fields = (fields >> shift[groups]) & mask
+        picked = lut[at[:len(groups)], fields.T]
+        out ^= picked[0] if len(groups) == 1 else np.bitwise_xor.reduce(
+            picked, axis=0)
+        del picked  # as large as the product: gone before the next one
     return out
 
 
@@ -382,9 +430,25 @@ class _GF2:
         """Inverse of join: the first n1 columns and the rest."""
         return row & ((1 << n1) - 1), row >> n1
 
+    def same(self, a, b):
+        """True when blocks a and b hold the same rows."""
+        return list(a) == list(b)
+
     def echelon(self, rows, n):
-        """Canonical RREF of the rows: (nonzero rows, pivot columns)."""
-        return _rref2_ints(rows)
+        """Canonical RREF of the rows: (nonzero rows, pivot columns).
+        Rows enter by descending lowest set bit, stably, which about
+        halves the XORs on the sparse systems of the solve and the
+        certificate inverse."""
+        return _rref2_ints(sorted(rows, key=lambda v: -(v & -v).bit_length()))
+
+    def echelon_csr(self, csr, order, n):
+        """``echelon`` of the rows ``order`` of the n-column CSR matrix
+        csr, streamed in that order a chunk of _CHUNK entries at a time."""
+        step = max(1, _CHUNK // max(n, 1))
+        chunks = (order[s:s + step] for s in range(0, len(order), step))
+        return _rref2_ints(
+            row for rows in chunks
+            for row in self.from_triples(len(rows), n, *_csr_take(csr, rows)))
 
     def reduce(self, rows, pivots, vecs):
         """Each vector reduced by canonical echelon rows."""
@@ -473,7 +537,7 @@ class _GFp:
     def from_triples(self, nrows, ncols, rows, cols, vals):
         out = np.zeros((nrows, ncols), dtype=np.int64)
         out[rows, cols] = vals
-        return out % self.p
+        return np.remainder(out, self.p, out=out)
 
     coerce = from_array
     to_array = digits = stack
@@ -515,8 +579,21 @@ class _GFp:
     def split(self, row, n1):
         return row[:n1], row[n1:]
 
+    def same(self, a, b):
+        return np.array_equal(a, b)
+
     def echelon(self, rows, n):
-        a, piv = _echp(self.stack(rows, n), self.p)
+        return self._echelon(self.stack(rows, n))
+
+    def echelon_csr(self, csr, order, n):
+        """``echelon`` of the rows ``order`` of the n-column CSR matrix
+        csr, from the one dense block they fill."""
+        return self._echelon(self.from_triples(len(order), n,
+                                               *_csr_take(csr, order)))
+
+    def _echelon(self, a):
+        """Canonical RREF of a fresh int64 block, eliminated in place."""
+        a, piv = _echp(a, self.p)
         rows = a if len(piv) == len(a) else a[: len(piv)].copy()
         rows.flags.writeable = False  # packed_rows hands out views
         return rows, piv
@@ -806,11 +883,12 @@ class Mat:
             return NotImplemented
         if self.p != other.p or (self.nrows, self.ncols) != (other.nrows, other.ncols):
             return False
-        key = self._f.key
-        return list(map(key, self._d)) == list(map(key, other._d))
+        return self._f.same(self._d, other._d)
 
     def __hash__(self):
-        return hash((self.p, self.ncols, tuple(map(self._f.key, self._d))))
+        # equal matrices have equal shapes; entries are left to __eq__,
+        # so hashing copies no row
+        return hash((self.p, self.nrows, self.ncols))
 
     def __repr__(self):
         return f"Mat({self.p}, {self.nrows}x{self.ncols})"
@@ -917,8 +995,7 @@ class Subspace:
             return NotImplemented
         if (self.p, self.ambient, self._pivots) != (other.p, other.ambient, other._pivots):
             return False
-        key = self._f.key
-        return list(map(key, self._rows)) == list(map(key, other._rows))
+        return self._f.same(self._rows, other._rows)
 
     def __hash__(self):
         return hash((self.p, self.ambient, tuple(map(self._f.key, self._rows))))
@@ -1014,21 +1091,36 @@ def _null_rows(p, ech, piv, ncols, cols):
     return out
 
 
-def _solve_linear_system(p, rows, rhs, nunk):
-    """Solve x . A^T = b style stacked equations.
+def _complement(n, idx):
+    """The ascending indices of range(n) that are not in idx."""
+    out = np.ones(n, dtype=bool)
+    out[np.asarray(idx, dtype=np.intp)] = False
+    return np.flatnonzero(out)
 
-    ``rows`` are packed equation rows over the unknowns, ``rhs`` the
-    right-hand sides.  Returns (particular, kernel_basis) with packed
-    vectors, or None if inconsistent.  The particular solution is 0 at the
-    echelon's free columns, kernel vector t 1 at the t-th and 0 at the rest.
+
+def _solve_linear_system(p, system, nunk):
+    """Solve stacked equations, given as ``system``: the CSR arrays
+    (ptr, cols, vals) of the augmented equation rows over nunk + 1
+    columns, each row's coefficients at its unknowns 0..nunk-1 in
+    ascending column order and its right-hand side at column nunk.
+
+    Returns (particular, kernel_basis) with packed vectors, or None if
+    inconsistent.  The particular solution is 0 at the echelon's free
+    columns, kernel vector t 1 at the t-th and 0 at the rest.  Rows enter
+    the echelon by descending lowest column, stably, empty rows last: the
+    order ``_GF2.echelon`` sorts packed rows into, read off the CSR.
     """
     F = field(p)
-    aug = [F.join(r, F.from_terms(1, [(0, b)]), nunk) for r, b in zip(rows, rhs)]
-    ech, piv = F.echelon(aug, nunk + 1)
+    ptr, cols, _ = system
+    filled = ptr[1:] > ptr[:-1]
+    low = np.zeros(len(filled), dtype=np.int64)
+    low[filled] = cols[ptr[:-1][filled]] + 1
+    ech, piv = F.echelon_csr(system, np.argsort(-low, kind="stable"),
+                             nunk + 1)
     if nunk in piv:
         return None
-    free = np.setdiff1d(np.arange(nunk), piv)
-    out = _null_rows(p, ech, piv, nunk + 1, np.append(free, nunk))
+    out = _null_rows(p, ech, piv, nunk + 1,
+                     np.append(_complement(nunk, piv), nunk))
     out[-1] *= -1  # with the free unknowns at 0, x[piv] is the last column
     *kernel, part = F.from_array(out[:, :nunk])
     return part, kernel
@@ -1082,7 +1174,7 @@ def _projection_problem(action, image, domain, labels=None):
     im = Subspace.from_packed(
         p, d, image.basis_matrix().columns(domain.pivots).packed_rows())
     piv = np.array(im.pivots, dtype=np.intp)
-    free = np.setdiff1d(np.arange(d), piv)
+    free = _complement(d, piv)
     R = im.basis_matrix().columns(free)
 
     blocks = []
@@ -1133,22 +1225,31 @@ def _csr_gather(ptr, rows):
     return owner, np.arange(len(owner)) + shift
 
 
+def _csr_take(csr, rows):
+    """The nonzeros of the given rows of the CSR matrix csr as triples
+    (index into rows, column, value), for ``from_triples``."""
+    ptr, cols, vals = csr
+    owner, at = _csr_gather(ptr, rows)
+    return owner, cols[at], vals[at]
+
+
 def _assemble_projection_system(prob):
     """Equations X*A - D*X = C per generator over the unknowns X[u, v],
     v an image row, u a free column (the blocks of ``_projection_problem``);
     equation (i, j) has coefficient A[v, j] at X[i, v] and -D[i, u] at
-    X[u, j].
+    X[u, j], and right-hand side C[i, j].
 
     Unknowns where ``prob["graded"]`` is -1 are pinned to zero.  Returns
-    (index, nunk, rows, rhs): index[u, v] numbers X[u, v] (-1 when pinned)
+    (index, nunk, system): index[u, v] numbers X[u, v] (-1 when pinned)
     in elimination order (grade block size descending, grade, v
-    descending, u); rows/rhs are every equation other than 0 = 0 in
-    generator and equation order, repeats included, as the echelon depends
-    only on their span.  Each chunk of about _CHUNK terms is scattered
-    straight into packed rows.
+    descending, u).  system is the CSR form of ``_solve_linear_system``:
+    every equation other than 0 = 0 in generator and equation order,
+    repeats included, as the echelon depends only on their span, with
+    int64 row starts, int32 columns and coefficients in the narrowest
+    unsigned dtype that holds p - 1.  The terms are summed one chunk of
+    equations, about _CHUNK terms, at a time; no equation is packed.
     """
     p, d, m = prob["p"], prob["d"], prob["m"]
-    F = field(p)
     k = d - m
     graded = prob["graded"]
     keep = graded >= 0
@@ -1156,9 +1257,12 @@ def _assemble_projection_system(prob):
     index = np.full((k, m), -1, dtype=np.intp)
     (u, v), w = np.nonzero(keep), graded[keep]
     index[keep] = np.argsort(np.lexsort((u, -v, w, -np.bincount(w)[w])))
-    col = np.where(keep, index, nunk)  # pinned unknowns land in column nunk
+    # pinned unknowns land in column nunk + 1, past the right-hand side
+    col = np.where(keep, index, nunk + 1)
     step = max(1, _CHUNK // max(m, k, 1))
-    rows, rhs = [], []
+    dtype = np.min_scalar_type(p - 1)
+    sizes = [np.zeros(0, dtype=np.int64)]
+    cols, vals = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=dtype)]
     for a, c, dd in prob["blocks"]:
         aptr, acol, aval = _csr(a.T)
         dptr, dcol, dval = _csr(dd)
@@ -1166,27 +1270,25 @@ def _assemble_projection_system(prob):
             i, j = np.divmod(np.arange(e0, min(e0 + step, k * m)), m)
             r1, t1 = _csr_gather(aptr, j)
             r2, t2 = _csr_gather(dptr, i)
-            eq = np.concatenate((r1, r2))
-            unk = np.concatenate((col[i[r1], acol[t1]], col[dcol[t2], j[r2]]))
-            coef = np.concatenate((aval[t1], p - dval[t2]))
-            # sort by (equation, unknown), then sum the terms on one unknown
-            order = np.argsort(eq * (nunk + 1) + unk)
+            eq = np.concatenate((r1, r2, np.arange(len(i))))
+            unk = np.concatenate((col[i[r1], acol[t1]], col[dcol[t2], j[r2]],
+                                  np.full(len(i), nunk)))
+            coef = np.concatenate((aval[t1], p - dval[t2], c[i, j]))
+            # sort by (equation, column), then sum the terms on one column
+            order = np.argsort(eq * (nunk + 2) + unk)
             eq, unk, coef = eq[order], unk[order], coef[order]
             if len(eq):
                 new = np.flatnonzero(np.diff(eq, prepend=-1)
                                      | np.diff(unk, prepend=-1))
                 eq, unk = eq[new], unk[new]
                 coef = np.add.reduceat(coef, new) % p
-                live = (coef != 0) & (unk < nunk)
+                live = (coef != 0) & (unk <= nunk)
                 eq, unk, coef = eq[live], unk[live], coef[live]
-            b = c[i, j] % p
-            # most equations are empty, and those are never kept
-            live = b != 0
-            live[eq] = True
-            rows.extend(F.from_triples(int(np.count_nonzero(live)), nunk,
-                                       np.cumsum(live)[eq] - 1, unk, coef))
-            rhs.extend(b[live].tolist())
-    return index, nunk, rows, rhs
+            sizes.append(np.unique(eq, return_counts=True)[1])
+            cols.append(unk.astype(np.int32))
+            vals.append(coef.astype(dtype))
+    ptr = np.concatenate(([0], np.cumsum(np.concatenate(sizes))))
+    return index, nunk, (ptr, np.concatenate(cols), np.concatenate(vals))
 
 
 def _projection_from_x(prob, xvals, index):
@@ -1210,8 +1312,8 @@ def _projection_solution(action, image, domain, labels):
     prob = _projection_problem(action, image, domain, labels=labels)
     if prob is None:
         return None
-    index, nunk, rows, rhs = _assemble_projection_system(prob)
-    sol = _solve_linear_system(prob["p"], rows, rhs, nunk)
+    index, nunk, system = _assemble_projection_system(prob)
+    sol = _solve_linear_system(prob["p"], system, nunk)
     return None if sol is None else (
         prob, index, _canonical_solution(prob["p"], *sol, index))
 

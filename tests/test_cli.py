@@ -93,6 +93,48 @@ def test_decompose_json_and_roundtrip(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_decompose_out_file_holds_the_bytes_of_stdout(fmt, tmp_path,
+                                                      capsys, monkeypatch):
+    # the report is written straight into --out; with the clock stopped,
+    # so that timing_ms is 0 both times, those are the bytes of stdout
+    import types
+    import liepowers.cli as cli_module
+    monkeypatch.setattr(cli_module, "time",
+                        types.SimpleNamespace(monotonic=lambda: 0.0))
+    argv = ["decompose", "--p", "3", "--n", "2", "--k", "2",
+            "--max-degree", "4", "--format", fmt]
+    out_file = tmp_path / "report"
+    assert main(argv + ["--out", str(out_file)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert out_file.read_bytes() == printed.encode("utf-8")
+    assert printed.endswith("\n")
+    if fmt == "json":
+        assert json.loads(printed)["timing_ms"] == 0
+
+
+@pytest.mark.parametrize("p", ["2", "3"])
+def test_decompose_does_not_import_numpy_ma(p, tmp_path):
+    # numpy.ma costs 20-50 ms of import in each process; the worker's
+    # imports show in the same stderr
+    import re
+    import subprocess
+    import sys
+    import liepowers
+    src = os.path.dirname(os.path.dirname(liepowers.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "liepowers.cli",
+         "decompose", "--p", p, "--n", "2", "--k", "2" if p == "3" else "3",
+         "--max-degree", "6", "--format", "json",
+         "--out", str(tmp_path / "r.json")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "liepowers.linalg" in proc.stderr  # importtime did report
+    assert not re.search(r"numpy\.ma(\.\w+)*\s*$", proc.stderr, re.M)
+
+
 @pytest.mark.parametrize("k,line,checks", [
     ("1", "1 10", 5),           # degree 1: one-letter words
     ("2", "1 9.10 2 10.9", 3),  # degree 2: letters joined by '.'

@@ -358,6 +358,45 @@ def test_descent_operators_make_no_full_size_products(monkeypatch):
     assert shapes and max(max(shape) for shape in shapes) <= 252
 
 
+def _unshuffle_reference(p, n, r, c):
+    """The first-block unshuffle blocks as int64 cell arrays of whole
+    blocks build them: cell i * d + j counts the position sets that send
+    word i of a weight space to word j."""
+    from itertools import combinations
+    from liepowers import descent
+    from liepowers.linalg import _digit_table, _weight_blocks
+    pos = descent._positions(n, r)
+    subsets = np.array(list(combinations(range(r), c)), dtype=np.intp)
+    in_s = np.zeros((len(subsets), r), dtype=bool)
+    in_s[np.arange(len(subsets))[:, None], subsets] = True
+    slot = np.where(in_s, np.cumsum(in_s, axis=1) - 1,
+                    c + np.cumsum(~in_s, axis=1) - 1)
+    image = _digit_table(n, r) @ (n ** (r - 1 - slot)).T
+    out = {}
+    for alpha, (rep, _) in descent._weight_orbits(n, r).items():
+        if alpha == rep:
+            idx = _weight_blocks(n, r)[alpha]
+            d = len(idx)
+            cells = np.arange(d)[:, None] * d + pos[image[idx]]
+            out[alpha] = Mat.from_array(p, np.bincount(
+                cells.ravel(), minlength=d * d).reshape(d, d))
+    return out
+
+
+@pytest.mark.parametrize("n,r,p", [(2, 8, 2), (3, 6, 3), (2, 7, 5)])
+def test_unshuffle_blocks_match_whole_block_cells(n, r, p, monkeypatch):
+    # built in int32 a chunk of rows at a time, with the real chunk and
+    # with one of a few rows
+    from liepowers import descent
+    for chunk in (descent._CHUNK, 64):
+        monkeypatch.setattr(descent, "_CHUNK", chunk)
+        descent._unshuffle_blocks.cache_clear()
+        for c in range(1, r + 1):
+            assert descent._unshuffle_blocks(p, n, r, c) == \
+                _unshuffle_reference(p, n, r, c), (chunk, c)
+    descent._unshuffle_blocks.cache_clear()
+
+
 def test_dealt_sum_convention():
     # one block of degree 1 then one of degree 2, factors of degrees 2,1:
     # the only deal puts the degree-1 factor first

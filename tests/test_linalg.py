@@ -18,6 +18,7 @@ from liepowers.linalg import (
     Subspace,
     _assemble_projection_system,
     _canonical_solution,
+    _csr,
     _echp,
     _invert,
     _mul2,
@@ -165,13 +166,40 @@ def test_mul2_matches_dense_product_mod_2(nb):
     rng = np.random.default_rng(nb)
     F = field(2)
     b = rng.integers(0, 2, size=(nb, 70))
-    for na in (0, 1, 255, 256, 257):
+    for na in (0, 1, 2, 5, 17, 255, 256, 257):  # tables of 1, 2, 4, 8 bits
         a = rng.integers(0, 2, size=(na, nb))
         a[::2, (np.arange(nb) // 8) % 2 == 1] = 0
         got = _mul2(F.from_array(a), F.from_array(b))
         assert got == F.from_array((a @ b) % 2)
         got = Mat.from_array(2, a) @ Mat.from_array(2, b)
         assert np.array_equal(got.to_array(), (a @ b) % 2)
+
+
+def test_one_row_apply_at_4096_columns_is_the_dense_product():
+    # a one-row product builds two-entry tables, not 256-entry ones
+    rng = np.random.default_rng(4096)
+    b = rng.integers(0, 2, size=(4096, 4096), dtype=np.uint8)
+    mb = Mat.from_array(2, b)
+    for v in (rng.integers(0, 2, size=4096), np.eye(4096, dtype=int)[-1]):
+        want = np.bitwise_xor.reduce(b[v == 1], axis=0)
+        assert mb.apply(v.tolist()) == want.tolist()
+        assert mb.apply(field(2).from_array(v[None, :])[0]) == \
+            field(2).from_array(want[None, :])[0]
+
+
+@pytest.mark.parametrize("p", [2, 3, 11])
+def test_mat_equality_compares_whole_blocks(p):
+    rng = np.random.default_rng(p)
+    a = rng.integers(0, p, size=(5, 70))
+    m = Mat.from_array(p, a)
+    assert m == Mat.from_array(p, a.copy())
+    assert hash(m) == hash(Mat.from_array(p, a.copy()))
+    b = a.copy()
+    b[4, 69] = (b[4, 69] + 1) % p
+    assert m != Mat.from_array(p, b)
+    assert m != Mat.from_array(p, a[:4]) and m != Mat.from_array(p, a[:, 1:])
+    assert Mat.zeros(p, 0, 3) == Mat.zeros(p, 0, 3) != Mat.zeros(p, 0, 2)
+    assert Mat.zeros(p, 2, 3) != Mat.zeros(7, 2, 3)  # the modulus
 
 
 def test_every_gf2_product_runs_the_word_kernel(monkeypatch):
@@ -868,6 +896,26 @@ def _reference_solve(p, rows, rhs, nunk):
             [F.from_terms(nunk, t) for t in free.values()])
 
 
+def _csr_equations(p, system, nunk):
+    """(packed rows over the unknowns, right-hand sides) of a CSR system
+    of ``_assemble_projection_system``, after checking its form: int64
+    row starts, int32 columns and coefficients in the narrowest unsigned
+    dtype holding p - 1; each row nonempty, its columns ascending up to
+    the right-hand side at nunk, and no coefficient 0."""
+    ptr, cols, vals = system
+    assert (ptr.dtype, cols.dtype, vals.dtype) == (
+        np.int64, np.int32, np.min_scalar_type(p - 1))
+    assert ptr[0] == 0 and ptr[-1] == len(cols) == len(vals)
+    aug = np.zeros((len(ptr) - 1, nunk + 1), dtype=np.int64)
+    for e in range(len(ptr) - 1):
+        at = slice(ptr[e], ptr[e + 1])
+        assert len(cols[at]) and (np.diff(cols[at]) > 0).all()
+        assert cols[at][-1] <= nunk and (vals[at] > 0).all()
+        assert (vals[at] < p).all()
+        aug[e, cols[at]] = vals[at]
+    return list(field(p).from_array(aug[:, :nunk])), aug[:, nunk].tolist()
+
+
 def _reference_ansatz(prob, labels):
     """The graded ansatz from per-row label sets, or None: a function of
     (u, v) that gives the label of X[u, v] when it keeps the grading and
@@ -959,8 +1007,9 @@ def test_projection_system_matches_dict_loop_reference(p):
                 attempts.append((prob["graded"], allowed))
                 graded += 1
             for mask, ref in attempts:
-                index, nunk, rows, rhs = _assemble_projection_system(
+                index, nunk, system = _assemble_projection_system(
                     dict(prob, graded=mask))
+                rows, rhs = _csr_equations(p, system, nunk)
                 unk, ref_rows, ref_rhs = _reference_system(prob, ref)
                 assert nunk == len(unk)
                 # the reference numbers the unknowns row by row; the
@@ -973,7 +1022,7 @@ def test_projection_system_matches_dict_loop_reference(p):
                                     [unk[uv] for uv in order])
                 assert [(F.key(r), b) for r, b in zip(rows, rhs)] == \
                     [(F.key(r), b) for r, b in zip(renumbered, ref_rhs)]
-                got = _solve_linear_system(p, rows, rhs, nunk)
+                got = _solve_linear_system(p, system, nunk)
                 want = _reference_solve(p, ref_rows, ref_rhs, nunk)
                 assert (got is None) == (want is None)
                 if got is not None:
@@ -1012,13 +1061,13 @@ def test_projection_from_x_matches_adapted_basis(p):
 
 
 def _random_system(rng, p, kind):
-    """(rows, rhs, nunk) of a random system with the given kind:
-    'consistent' and 'rank-deficient' have a solution, the latter with a
-    kernel of half the unknowns or more, 'inconsistent' has none and
-    'zero-width' has no unknown."""
+    """(aug, nunk) of a random system with the given kind: aug holds the
+    coefficients of the unknowns and then the right-hand side, one row
+    per equation.  'consistent' and 'rank-deficient' have a solution, the
+    latter with a kernel of half the unknowns or more, 'inconsistent' has
+    none and 'zero-width' has no unknown."""
     nunk = 0 if kind == "zero-width" else int(rng.integers(1, 12))
     nrows = int(rng.integers(0, 14))
-    F = field(p)
     a = rng.integers(0, p, size=(nrows, nunk))
     if kind == "rank-deficient" and nrows:
         basis = rng.integers(0, p, size=(max(1, nunk // 2), nunk))
@@ -1029,21 +1078,21 @@ def _random_system(rng, p, kind):
     if kind in ("inconsistent", "zero-width") and nrows:
         rhs[int(rng.integers(nrows))] += 1 + int(rng.integers(p - 1))
         rhs %= p
-    rows = list(F.from_array(a.reshape(nrows, nunk)))
-    return rows, rhs.tolist(), nunk
+    return np.column_stack((a.reshape(nrows, nunk), rhs)), nunk
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_canonical_solution_matches_the_reference_order(p):
-    # the system solved with its unknowns in a random order, then
-    # canonicalised, gives the answer of the solve in reference order
+    # the system solved with its unknowns in a random order and its
+    # equations shuffled, then canonicalised, gives the answer of the
+    # solve in reference order
     rng = np.random.default_rng(300 + p)
     F = field(p)
     seen = collections.Counter()
     for t in range(160):
         kind = ("consistent", "inconsistent", "rank-deficient",
                 "zero-width")[t % 4]
-        rows, rhs, nunk = _random_system(rng, p, kind)
+        aug, nunk = _random_system(rng, p, kind)
         # index[u, v] numbers the kept unknowns, the others are -1; its
         # reference order reads the kept entries row by row
         keep = np.zeros(2 * nunk + 1, dtype=bool)
@@ -1051,9 +1100,10 @@ def test_canonical_solution_matches_the_reference_order(p):
         index = np.full(len(keep), -1, dtype=np.intp)
         index[keep] = rng.permutation(nunk)
         index = index.reshape(-1, 1) if t % 2 else index.reshape(1, -1)
-        shuffled = F.take(rows, nunk, np.argsort(index[index >= 0]))
-        got = _solve_linear_system(p, shuffled, rhs, nunk)
-        want = _solve_linear_system(p, rows, rhs, nunk)
+        shuffled = aug[rng.permutation(len(aug))][
+            :, np.append(np.argsort(index[index >= 0]), nunk)]
+        got = _solve_linear_system(p, _csr(shuffled), nunk)
+        want = _solve_linear_system(p, _csr(aug), nunk)
         assert (got is None) == (want is None)
         if want is None:
             seen["none"] += 1
@@ -1074,9 +1124,67 @@ def test_projection_system_chunks_agree(monkeypatch):
     whole = _assemble_projection_system(prob)
     monkeypatch.setattr(linalg, "_CHUNK", 1)  # one equation per block
     parts = _assemble_projection_system(prob)
-    assert np.array_equal(whole[0], parts[0])
-    assert [r.tobytes() for r in whole[2]] == [r.tobytes() for r in parts[2]]
-    assert whole[3] == parts[3]
+    assert np.array_equal(whole[0], parts[0]) and whole[1] == parts[1]
+    assert len(whole[2][0]) > 2  # more than one equation
+    for a, b in zip(whole[2], parts[2]):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_solve_packs_one_chunk_of_equations_at_a_time(monkeypatch):
+    # the flagship family's projection systems reach the solver as CSR
+    # arrays, the GF(2) echelon packs no more equations at once than one
+    # chunk of _CHUNK entries, and no list of them all is eliminated
+    from liepowers.decompose import construct_B_family
+    F = field(2)
+    packed, systems, lists = [], [], []
+    from_triples, solve = type(F).from_triples, linalg._solve_linear_system
+    rref2 = linalg._rref2_ints
+
+    def counted(self, nrows, ncols, *triples):
+        packed.append((nrows, ncols))
+        return from_triples(self, nrows, ncols, *triples)
+
+    def seen(p, system, nunk):
+        systems.append(system)
+        return solve(p, system, nunk)
+
+    def eliminated(vecs):
+        if isinstance(vecs, list):
+            lists.append(len(vecs))
+        return rref2(vecs)
+
+    monkeypatch.setattr(type(F), "from_triples", counted)
+    monkeypatch.setattr(linalg, "_solve_linear_system", seen)
+    monkeypatch.setattr(linalg, "_rref2_ints", eliminated)
+    monkeypatch.setattr(linalg, "_CHUNK", 1 << 10)  # 7 equations at q = 9
+    construct_B_family(2, 2, 3, 9)
+    assert all(isinstance(a, np.ndarray) for sys_ in systems for a in sys_)
+    neq = max(len(ptr) - 1 for ptr, _, _ in systems)
+    assert len(packed) > 10 and all(
+        nrows <= max(1, (1 << 10) // ncols) for nrows, ncols in packed)
+    assert sum(nrows for nrows, _ in packed) >= neq
+    assert max(lists) < neq
+
+
+def test_solve_streams_equations_in_the_gf2_echelon_order(monkeypatch):
+    # read off the CSR, the solve's order is the one _GF2.echelon sorts
+    # the packed augmented rows into (descending lowest column, stable,
+    # empty rows last), so the elimination makes the same XORs
+    rng = np.random.default_rng(11)
+    aug = rng.integers(0, 2, size=(60, 31))
+    aug[rng.random(aug.shape) < 0.85] = 0
+    fed = []
+    rref2 = linalg._rref2_ints
+
+    def seen(vecs):
+        fed.append(list(vecs))
+        return rref2(fed[-1])
+
+    monkeypatch.setattr(linalg, "_rref2_ints", seen)
+    monkeypatch.setattr(linalg, "_CHUNK", 64)  # two equations a chunk
+    _solve_linear_system(2, _csr(aug), 30)
+    field(2).echelon(field(2).from_array(aug), 31)
+    assert fed[0] == fed[1] and 0 in fed[0]
 
 
 def _sparse_rows(rng, nrows, width, bits):
