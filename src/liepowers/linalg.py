@@ -12,24 +12,29 @@ returned by ``field(p)``, and every other module works on rows through it:
   product, of any shape, runs Four-Russians on numpy uint64 words, and
   every echelon eliminates on the big ints, whose XOR costs time only
   where rows have bits.
-* odd ``p``: a row is a numpy ``int64`` array reduced mod p.
+* odd ``p``: a row is a numpy array of the narrowest unsigned dtype that
+  holds p - 1 (uint8 below 257), with entries in [0, p).  Each kernel
+  widens what it computes on to int64, or to float64 in the product, and
+  stores its result narrow.
 
 There is one echelon kernel per field.
 
 A backend holds only what depends on that storage: ``zero``, ``unit``,
 ``coerce``, ``stack``, ``from_array``, ``from_triples``, ``digits``,
 ``to_array``, ``take``, ``terms`` and ``from_terms`` turn rows into and
-out of dense arrays and (index, coefficient) terms; ``is_zero``, ``key``,
-``add``, ``sub``, ``scale``, ``concat``, ``join`` and ``split`` act on
-single rows, and ``same`` compares two blocks in one call; ``echelon``,
-``reduce`` and ``matmul`` are its one echelon, reduction and product
-kernels, and ``echelon_csr`` feeds that echelon the rows of a sparse
-matrix; ``tensor_times`` multiplies rows by a tensor power g x ... x g
-of a small matrix without forming it.  Its block writer ``write_rows``
-and block reader ``read_rows`` (with its row reader ``parse_row``) are
-the one seam between rows and payload text: the reader takes a block
-only as the writer gives it back, byte for byte (lower-case fixed-width
-hex at p = 2, canonical decimals joined by single spaces at odd p).
+out of dense arrays and (index, coefficient) terms, and ``dtype`` is
+that of ``digits``, the narrowest unsigned dtype that holds p - 1;
+``is_zero``, ``key``, ``add``, ``sub``, ``scale``, ``concat``, ``join``
+and ``split`` act on single rows, and ``same`` compares two blocks in
+one call; ``echelon``, ``reduce`` and ``matmul`` are its one echelon,
+reduction and product kernels, and ``echelon_csr`` feeds that echelon
+the rows of a sparse matrix; ``tensor_times`` multiplies rows by a
+tensor power g x ... x g of a small matrix without forming it.  Its
+block writer ``write_rows`` and block reader ``read_rows`` (with its row
+reader ``parse_row``) are the one seam between rows and payload text:
+the reader takes a block only as the writer gives it back, byte for byte
+(lower-case fixed-width hex at p = 2, canonical decimals joined by
+single spaces at odd p).
 ``Mat``, ``Subspace``, ``SpanBuilder`` and the equivariant solver each
 have one body written against it; so do ``Mat.apply`` (a one-row
 product), ``Mat.spread`` (digits written into a zero array) and
@@ -38,16 +43,17 @@ the one check that p is a usable modulus.
 
 The equivariant solver's linear system is sparse, and it is held in CSR
 form only: int64 row starts, int32 columns and coefficients in the
-narrowest unsigned dtype that holds p - 1, one row per equation with its
-right-hand side at column nunk.  The solver orders the equations by
-descending lowest column, stably, as ``_GF2.echelon`` sorts packed rows,
-and hands that order to ``echelon_csr``.  The GF(2) kernel
+backend's ``dtype`` (the narrowest unsigned dtype that holds p - 1), one
+row per equation with its right-hand side at column nunk.  The solver
+orders the equations by descending lowest column, stably, as
+``_GF2.echelon`` sorts packed rows, and hands that order to
+``echelon_csr``.  The GF(2) kernel
 ``_rref2_ints`` eliminates an ordered stream: it takes rows in the order
 given and keeps only pivot rows.  So ``_GF2.echelon_csr`` packs the rows
 one chunk of ``_CHUNK`` entries at a time, and a row that reduces to 0
 is dropped as it does; ``_GF2.echelon`` sorts its rows and feeds the
-same kernel.  At odd p, ``echelon_csr`` fills one dense block and
-eliminates it in place.
+same kernel.  At odd p, ``echelon_csr`` fills one dense block of narrow
+rows and eliminates it in place.
 
 Word indexing lives here as well: a word over 1..n of length r has the
 big-endian base-n index of ``word_to_index``.  The weight table of
@@ -241,8 +247,11 @@ def _mul2_words(A, B):
 
 
 def _echp(a, p):
-    """Canonical RREF, in place on an int64 array; returns (matrix, pivots)."""
-    a = np.asarray(a, dtype=np.int64)
+    """Canonical RREF of a 2-d integer array, in place; returns (matrix,
+    pivots).  Its dtype must hold p: ``_GFp`` passes its narrow rows.
+    Each pivot updates the rows it touches in int64, a chunk of about
+    _CHUNK entries at a time, and stores them back, so the int64
+    temporaries stay bounded whatever the size of the block."""
     np.remainder(a, p, out=a)
     nr, nc = a.shape
     pivots = []
@@ -256,26 +265,31 @@ def _echp(a, p):
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
+        # row r is zero left of c, so only columns c.. change
         inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
+        prow = np.multiply(a[r, c:], inv, dtype=np.int64) % p
+        a[r, c:] = prow
         rows = np.nonzero(a[:, c])[0]
         rows = rows[rows != r]
-        if rows.size:  # row r is zero left of c, so only columns c.. change
-            sub = a[rows, c:]
-            sub -= np.outer(sub[:, 0], a[r, c:])
-            sub %= p
-            a[rows, c:] = sub
+        step = max(1, _CHUNK // (nc - c))
+        for s in range(0, rows.size, step):
+            at = rows[s:s + step]
+            sub = a[at, c:].astype(np.int64)
+            sub -= np.outer(sub[:, 0], prow)
+            a[at, c:] = np.remainder(sub, p, out=sub)
         pivots.append(c)
         r += 1
     return a, pivots
 
 
 def _redp(v, rows, pivots, p):
-    v = v % p
+    """v reduced by the rows, pivot by pivot, in int64."""
+    v = np.remainder(v, p, dtype=np.int64)
     for i, c in enumerate(pivots):
         f = int(v[c])
         if f:
-            v = (v - f * rows[i]) % p
+            v -= np.multiply(rows[i], f, dtype=np.int64)
+            np.remainder(v, p, out=v)
     return v
 
 
@@ -283,27 +297,30 @@ _EXACT = 1 << 53  # float64 holds every integer below this exactly
 _TILE = 256
 
 
-def _matmulp(a, b, p):
-    """Exact (a @ b) mod p of int64 arrays reduced mod p, through float64 BLAS.
+def _matmulp(a, b, p, dtype):
+    """Exact (a @ b) mod p of arrays reduced mod p, through float64 BLAS,
+    as a new array of the given dtype.
 
     The delayed reduction of FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM
     TOMS 35(3), 2008): the inner dimension is cut into chunks of c terms,
     c * (p - 1)^2 + p - 1 < 2^53, so a chunk's product plus the reduced
     running sum is an integer float64 holds exactly, in any summation
-    order.  ``field`` keeps (p - 1)^2 < 2^53, so c >= 1.  Tiles of _TILE
-    rows of a and columns of b bound the float64 copies.
+    order.  ``field`` keeps (p - 1)^2 < 2^53, so c >= 1.  As there, the
+    entries are stored compactly and widened to float64 only here, each
+    once: a whole, b one tile of _TILE columns at a time.  Tiles of _TILE
+    rows of a bound the float64 sums.
     """
     m, k = a.shape
     n = b.shape[1]
     step = (_EXACT - p) // (p - 1) ** 2
-    out = np.empty((m, n), dtype=np.int64)
+    out = np.empty((m, n), dtype=dtype)
+    af = a.astype(np.float64)
     for j in range(0, n, _TILE):
         bt = b[:, j:j + _TILE].astype(np.float64)
         for i in range(0, m, _TILE):
-            at = a[i:i + _TILE].astype(np.float64)
-            acc = np.zeros((at.shape[0], bt.shape[1]))
+            acc = np.zeros((min(_TILE, m - i), bt.shape[1]))
             for c in range(0, k, step):
-                acc += at[:, c:c + step] @ bt[c:c + step]
+                acc += af[i:i + _TILE, c:c + step] @ bt[c:c + step]
                 np.fmod(acc, p, out=acc)
             out[i:i + _TILE, j:j + _TILE] = acc
     return out
@@ -337,6 +354,8 @@ def _read_each(parse, texts, n):
 
 class _GF2:
     """Rows over GF(2) as Python ints, bit j = column j."""
+
+    dtype = np.dtype(np.uint8)  # of ``digits``
 
     def zero(self, n):
         return 0
@@ -513,34 +532,52 @@ class _GF2:
 
 
 class _GFp:
-    """Rows over GF(p), p odd, as int64 numpy arrays reduced mod p.  Needs
-    (p - 1)^2 < 2^53 for the exact FFLAS-FFPACK products of ``_matmulp``."""
+    """Rows over GF(p), p odd, as numpy arrays of the narrowest unsigned
+    dtype that holds p - 1, with entries in [0, p): uint8 below 257,
+    uint16 up to 65521, uint32 above.  Arithmetic widens to int64 (float64
+    in ``_matmulp``) inside each method and stores its result narrow;
+    int64 is exact, as ``field`` keeps (p - 1)^2 < 2^53, the bound of the
+    exact FFLAS-FFPACK products of ``_matmulp``."""
 
     def __init__(self, p):
         self.p = p
+        self.dtype = np.min_scalar_type(p - 1)  # of every row and block
         self._digits = len(str(p - 1))  # of the widest entry
 
+    def _narrow(self, x):
+        """The int64 work array x, reduced mod p in place, stored narrow."""
+        return np.remainder(x, self.p, out=x).astype(self.dtype)
+
     def zero(self, n):
-        return np.zeros(n, dtype=np.int64)
+        return np.zeros(n, dtype=self.dtype)
 
     def unit(self, n, i):
-        out = np.zeros(n, dtype=np.int64)
+        out = self.zero(n)
         out[i] = 1
         return out
 
     def stack(self, rows, n):
-        return np.array(rows, dtype=np.int64).reshape(len(rows), n)
+        return np.array(rows, dtype=self.dtype).reshape(len(rows), n)
 
     def from_array(self, arr):
-        return np.asarray(arr, dtype=np.int64) % self.p
+        """Rows from an integer array, reduced mod p in the array's own
+        dtype where it holds p, else in int64."""
+        a = np.asarray(arr)
+        if a.dtype.kind not in "iu" or np.iinfo(a.dtype).max < self.p:
+            a = a.astype(np.int64)
+        return np.remainder(a, self.p).astype(self.dtype, copy=False)
 
     def from_triples(self, nrows, ncols, rows, cols, vals):
-        out = np.zeros((nrows, ncols), dtype=np.int64)
-        out[rows, cols] = vals
-        return np.remainder(out, self.p, out=out)
+        out = np.zeros((nrows, ncols), dtype=self.dtype)
+        out[rows, cols] = self.from_array(vals)
+        return out
 
     coerce = from_array
-    to_array = digits = stack
+    digits = stack
+
+    def to_array(self, rows, n):
+        """The rows as an int64 array, for callers that compute on it."""
+        return np.array(rows, dtype=np.int64).reshape(len(rows), n)
 
     def terms(self, row):
         for i in np.nonzero(row)[0]:
@@ -550,7 +587,7 @@ class _GFp:
         out = np.zeros(n, dtype=np.int64)
         for i, c in pairs:
             out[i] += c
-        return out % self.p
+        return self._narrow(out)
 
     def is_zero(self, row):
         return not row.any()
@@ -559,16 +596,16 @@ class _GFp:
         return row.tobytes()
 
     def add(self, a, b):
-        return (a + b) % self.p
+        return self._narrow(np.add(a, b, dtype=np.int64))
 
     def sub(self, a, b):
-        return (a - b) % self.p
+        return self._narrow(np.subtract(a, b, dtype=np.int64))
 
     def scale(self, a, c):
-        return (a * (c % self.p)) % self.p
+        return self._narrow(np.multiply(a, c % self.p, dtype=np.int64))
 
     def concat(self, v1, v2, n2):
-        return np.outer(v1, v2).ravel() % self.p
+        return self._narrow(np.multiply.outer(v1, v2, dtype=np.int64).ravel())
 
     def take(self, rows, n, cols):
         return self.stack(rows, n)[:, cols]
@@ -587,49 +624,50 @@ class _GFp:
 
     def echelon_csr(self, csr, order, n):
         """``echelon`` of the rows ``order`` of the n-column CSR matrix
-        csr, from the one dense block they fill."""
+        csr, from the one dense narrow block they fill."""
         return self._echelon(self.from_triples(len(order), n,
                                                *_csr_take(csr, order)))
 
     def _echelon(self, a):
-        """Canonical RREF of a fresh int64 block, eliminated in place."""
+        """Canonical RREF of a fresh block, eliminated in place."""
         a, piv = _echp(a, self.p)
         rows = a if len(piv) == len(a) else a[: len(piv)].copy()
         rows.flags.writeable = False  # packed_rows hands out views
         return rows, piv
 
     def reduce(self, rows, pivots, vecs):
-        return [_redp(v, rows, pivots, self.p) for v in vecs]
+        return [_redp(v, rows, pivots, self.p).astype(self.dtype)
+                for v in vecs]
 
     def matmul(self, a, b):
-        return _matmulp(a, b, self.p)
+        return _matmulp(a, b, self.p, self.dtype)
 
     def tensor_times(self, rows, g, n, r):
         """Each row times g tensor ... tensor g (r factors), for an n x n
         array g reduced mod p, without forming that matrix.  Per tensor
-        axis, each output slice is a sum of input slices scaled by entries
-        of g, reduced once per axis, or after every lim terms where n
-        terms could overflow int64."""
+        axis, each output slice is an int64 sum of input slices scaled by
+        entries of g, reduced and stored narrow once per axis, and reduced
+        after every lim terms where n terms could overflow int64."""
         p = self.p
         x = self.stack(rows, n ** r)
         m = len(x)
         lim = (np.iinfo(np.int64).max - p + 1) // (p - 1) ** 2  # >= 1023
         for axis in range(r):
             src = x.reshape(m * n ** axis, n, n ** (r - axis - 1))
-            out = np.zeros_like(src)
+            out = np.zeros(src.shape, dtype=np.int64)
             for i in range(n):
                 for t, j in enumerate(np.flatnonzero(g[:, i])):
                     if t and t % lim == 0:
                         np.remainder(out[:, i], p, out=out[:, i])
-                    out[:, i] += int(g[j, i]) * src[:, j]
-            np.remainder(out, p, out=out)
-            x = out
+                    out[:, i] += np.multiply(src[:, j], int(g[j, i]),
+                                             dtype=np.int64)
+            x = self._narrow(out)
         return x.reshape(m, n ** r)
 
     def write_rows(self, block, n):
         """Each row as its entries' decimals joined by single spaces,
         written a chunk of rows at a time by ``_text_bytes``."""
-        a = np.asarray(block, dtype=np.int64).reshape(len(block), n)
+        a = np.asarray(block, dtype=self.dtype).reshape(len(block), n)
         if n == 0:
             return [""] * len(a)
         out = []
@@ -673,17 +711,18 @@ class _GFp:
         takes only the writer's text, so an error names its row and keeps
         its message.
         """
-        out = np.empty((len(texts), n), dtype=np.int64)
+        out = np.empty((len(texts), n), dtype=self.dtype)
         step = max(1, _CHUNK // max(n, 1))
         for lo in range(0, len(texts), step):
             try:
                 raw = ("\n".join(texts[lo:lo + step]) + "\n").encode("ascii")
             except (TypeError, UnicodeEncodeError):
                 break
-            block = out[lo:lo + step]
+            block = np.empty(out[lo:lo + step].shape, dtype=np.int64)
             if not self._guess_rows(raw, block) or (
                     self._text_bytes(block) != raw):
                 break
+            out[lo:lo + step] = block
         else:
             return out
         return self.stack(_read_each(self.parse_row, texts, n), n)
@@ -721,7 +760,7 @@ class _GFp:
             raise ValueError("entry outside 0..%d" % (self.p - 1))
         if not _DECIMAL_ROW.match(text):  # numpy takes "+1", "01", "1_0"
             raise ValueError("not %d decimals joined by single spaces" % n)
-        return row
+        return row.astype(self.dtype)
 
 
 @lru_cache(maxsize=None)
@@ -1085,8 +1124,10 @@ def _null_rows(p, ech, piv, ncols, cols):
     out[np.arange(len(cols)), cols] = 1
     piv = np.array(piv, dtype=np.intp)
     step = max(1, _CHUNK // max(1, len(cols)))  # bounds the dense copies
+    F = field(p)
     for s in range(0, len(piv), step):
-        out[:, piv[s:s + step]] = -field(p).digits(field(p).take(
+        # widened before the negation, as the digits are unsigned
+        out[:, piv[s:s + step]] = -F.digits(F.take(
             ech[s:s + step], ncols, cols), len(cols)).T.astype(out.dtype)
     return out
 
@@ -1245,9 +1286,9 @@ def _assemble_projection_system(prob):
     descending, u).  system is the CSR form of ``_solve_linear_system``:
     every equation other than 0 = 0 in generator and equation order,
     repeats included, as the echelon depends only on their span, with
-    int64 row starts, int32 columns and coefficients in the narrowest
-    unsigned dtype that holds p - 1.  The terms are summed one chunk of
-    equations, about _CHUNK terms, at a time; no equation is packed.
+    int64 row starts, int32 columns and coefficients in the backend's
+    ``dtype``.  The terms are summed one chunk of equations, about
+    _CHUNK terms, at a time; no equation is packed.
     """
     p, d, m = prob["p"], prob["d"], prob["m"]
     k = d - m
@@ -1260,7 +1301,7 @@ def _assemble_projection_system(prob):
     # pinned unknowns land in column nunk + 1, past the right-hand side
     col = np.where(keep, index, nunk + 1)
     step = max(1, _CHUNK // max(m, k, 1))
-    dtype = np.min_scalar_type(p - 1)
+    dtype = field(p).dtype
     sizes = [np.zeros(0, dtype=np.int64)]
     cols, vals = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=dtype)]
     for a, c, dd in prob["blocks"]:

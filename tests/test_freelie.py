@@ -468,4 +468,5 @@ def test_bracket_packed_antisymmetry(pi, a, b):
         v2 = np.array([b & 3, (b >> 2) & 3, (b >> 4) & 3, (b >> 6) & 3]) % p
         w1 = bracket_packed(p, n, r, v1, r, v2)
         w2 = bracket_packed(p, n, r, v2, r, v1)
-        assert np.array_equal(w1, (-w2) % p)
+        # negated in int64: rows are unsigned, where -w2 would wrap
+        assert np.array_equal(w1, (-w2.astype(np.int64)) % p)

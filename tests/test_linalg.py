@@ -1210,3 +1210,143 @@ def test_gf2_echelon_matches_odd_p_kernel(nrows, width, dense):
     rows += [rows[0] ^ rows[1], 0, rows[2]]  # rank-deficient
     a, piv = _echp(F.to_array(rows, width), 2)
     assert F.echelon(rows, width) == (F.from_array(a[:len(piv)]), piv)
+
+
+# ---------------------------------------------------------------------------
+# odd-p rows in the narrowest unsigned dtype
+
+_NARROW_PRIMES = [3, 251, 257, 65521, _P_CAP]
+
+
+@pytest.mark.parametrize("p", _NARROW_PRIMES)
+def test_odd_p_rows_are_stored_in_the_narrowest_unsigned_dtype(p):
+    # uint8 below 257, uint16 up to 65521, uint32 above; entries below p
+    F, want = field(p), np.min_scalar_type(p - 1)
+    rng = np.random.default_rng(p % 1000)
+    arr = rng.integers(0, p, size=(5, 9))
+    arr[0] = p - 1
+    block = F.from_array(arr)
+    ech, piv = F.echelon(block, 9)
+    texts = F.write_rows(block, 9)
+    made = {
+        "zero": F.zero(9), "unit": F.unit(9, 4),
+        "stack": F.stack(list(block), 9), "from_array": block,
+        "from_array negative": F.from_array(arr - p),
+        "coerce": F.coerce(arr[1].tolist()),
+        "from_triples": F.from_triples(2, 9, np.array([0, 1]), np.array(
+            [3, 8]), np.array([p - 1, -1])),
+        "from_terms": F.from_terms(9, [(2, p - 1), (2, p - 1), (5, -1)]),
+        "take": F.take(block, 9, [8, 0, 3]), "digits": F.digits(block, 9),
+        "add": F.add(block[0], block[1]), "sub": F.sub(block[1], block[0]),
+        "scale": F.scale(block[0], -1),
+        "concat": F.concat(block[0], block[1], 9),
+        "reduce": F.reduce(ech, piv, [block[0], F.zero(9)])[0],
+        "matmul": F.matmul(block, F.from_array(rng.integers(0, p, (9, 4)))),
+        "tensor_times": F.tensor_times(block, rng.integers(0, p, (3, 3)),
+                                       3, 2),
+        "echelon": ech,
+        "echelon_csr": F.echelon_csr(_csr(arr), np.arange(5), 9)[0],
+        "read_rows": F.read_rows(texts, 9),
+        "parse_row": F.parse_row(texts[0], 9),
+    }
+    for name, got in made.items():
+        assert got.dtype == want and int(got.max(initial=0)) < p, name
+    assert F.dtype == want and F.to_array(block, 9).dtype == np.int64
+
+
+def _reference_rref(a, p):
+    """Python-int Gauss-Jordan: (canonical nonzero rows, pivots)."""
+    a = [[int(x) % p for x in row] for row in a]
+    piv = []
+    for c in range(len(a[0])):
+        r = len(piv)
+        i = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if i is None:
+            continue
+        a[r], a[i] = a[i], a[r]
+        inv = pow(a[r][c], -1, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for j, row in enumerate(a):
+            if j != r and row[c]:
+                a[j] = [(x - row[c] * y) % p for x, y in zip(row, a[r])]
+        piv.append(c)
+    return a[:len(piv)], piv
+
+
+@pytest.mark.parametrize("p", [251, 65521])
+def test_odd_p_arithmetic_on_rows_of_p_minus_1_matches_int64(p):
+    # uint8 (p = 251) and uint16 (p = 65521) arithmetic on these rows
+    # would wrap; every kernel must widen before it computes
+    F = field(p)
+    a = np.full((4, 6), p - 1, dtype=np.int64)
+    a[np.arange(4), np.arange(1, 5)] = np.arange(4)  # rank 4
+    x, y = a[0], a[1]
+    rows = F.from_array(a)
+    u, v = rows[0], rows[1]
+    assert np.array_equal(F.add(u, v), (x + y) % p)
+    assert np.array_equal(F.sub(u, v), (x - y) % p)
+    assert np.array_equal(F.scale(u, p - 1), x * (p - 1) % p)
+    assert np.array_equal(F.concat(u, v, 6), np.outer(x, y).ravel() % p)
+    ech, piv = _reference_rref(a, p)
+    got, got_piv = F.echelon(rows, 6)
+    assert got.tolist() == ech and got_piv == piv
+    w = np.full(6, p - 1, dtype=np.int64)
+    want = (w - w[piv] @ np.array(ech, dtype=np.int64)) % p
+    assert np.array_equal(F.reduce(got, piv, [F.from_array(w)])[0], want)
+    b = np.full((6, 3), p - 1, dtype=np.int64)
+    assert np.array_equal(F.matmul(rows, F.from_array(b)),
+                          _exact_product(a, b, p))
+    g = np.full((3, 3), p - 1, dtype=np.int64)
+    t = np.full((2, 9), p - 1, dtype=np.int64)
+    t[1, ::2] = 1
+    assert np.array_equal(F.tensor_times(F.from_array(t), g, 3, 2),
+                          _exact_product(t, np.kron(g, g), p))
+
+
+@pytest.mark.parametrize("p", [131, 251, 32771, 65521])
+def test_solve_at_wide_primes_matches_a_python_int_solve(p):
+    # the kernel and particular solution negate echelon entries; negating
+    # unsigned uint8 (p > 127) or uint16 (p > 32767) entries wraps
+    rng = np.random.default_rng(p)
+    for t in range(24):
+        aug, nunk = _random_system(rng, p, ("consistent", "rank-deficient",
+                                            "inconsistent")[t % 3])
+        ech, piv = _reference_rref(aug, p) if len(aug) else ([], [])
+        got = _solve_linear_system(p, _csr(aug), nunk)
+        if nunk in piv:
+            assert got is None
+            continue
+        free = [j for j in range(nunk) if j not in piv]
+        part = [0] * nunk
+        kernel = [[int(j == f) for j in range(nunk)] for f in free]
+        for row, c in zip(ech, piv):
+            part[c] = row[nunk]
+            for vec, f in zip(kernel, free):
+                vec[c] = -row[f] % p
+        assert got[0].tolist() == part
+        assert [v.tolist() for v in got[1]] == kernel
+
+
+def test_odd_p_echelon_updates_touched_rows_a_chunk_at_a_time(monkeypatch):
+    # with a small chunk, the rows a pivot touches span many chunks (two
+    # rows each at the first column); the result is the same
+    rng = np.random.default_rng(5)
+    a = rng.integers(0, 5, size=(40, 30)).astype(np.uint8)
+    a[:, 7] = (a[:, 2] + 2 * a[:, 5]) % 5  # a non-pivot column
+    whole, piv = _echp(a.copy(), 5)
+    monkeypatch.setattr(linalg, "_CHUNK", 64)
+    block = a.copy()
+    parts, piv_parts = _echp(block, 5)
+    assert parts is block and parts.dtype == np.uint8  # in place, narrow
+    assert piv_parts == piv and 7 not in piv
+    assert np.array_equal(parts, whole)
+    assert [list(r) for r in parts[:len(piv)]] == _reference_rref(a, 5)[0]
+
+
+def test_odd_p_family_stores_every_block_narrow():
+    from liepowers.decompose import construct_B_family
+    res = construct_B_family(3, 3, 2, 4)
+    for q, data in res.degrees.items():
+        for block in (data.basis.packed_rows(), data.projection.packed_rows(),
+                      data.complement.packed_rows()):
+            assert all(row.dtype == np.uint8 for row in block), q
