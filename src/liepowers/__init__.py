@@ -21,7 +21,6 @@ from .combinat import (
 )
 from .linalg import (
     Mat,
-    SpanBuilder,
     Subspace,
     affine_projection_family,
     format_subspace,
@@ -30,12 +29,10 @@ from .linalg import (
     solve_equivariant_projection,
 )
 from .freelie import (
-    Tensor,
     bracket_products,
     dynkin_matrix,
     filtration_subspace,
     lazard_pieces,
-    lie_element,
     lie_power,
     lyndon_words,
     pbw_monomial_vector,
@@ -81,19 +78,16 @@ __all__ = [
     "witt_dim",
     "young_character",
     "Mat",
-    "SpanBuilder",
     "Subspace",
     "affine_projection_family",
     "format_subspace",
     "is_direct_sum",
     "parse_subspace",
     "solve_equivariant_projection",
-    "Tensor",
     "bracket_products",
     "dynkin_matrix",
     "filtration_subspace",
     "lazard_pieces",
-    "lie_element",
     "lie_power",
     "lyndon_words",
     "pbw_monomial_vector",

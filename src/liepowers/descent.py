@@ -59,14 +59,11 @@ from .linalg import (
     _solve_linear_system,
     _weight_blocks,
     field,
-    index_to_word,
-    word_to_index,
 )
 
 __all__ = [
     "DescentElement",
     "xnu_as_permutation_sum",
-    "apply_place_permutation",
     "x_action_matrix",
     "element_action_matrix",
     "class_projector",
@@ -109,17 +106,6 @@ def xnu_as_permutation_sum(nu):
 
     rec(tuple(range(1, r + 1)), nu, [])
     return tuple(out)
-
-
-def apply_place_permutation(p, n, r, vec, sigma):
-    """Place permutation on a packed tensor: position i of the image word
-    holds letter sigma(i) of the source word."""
-    F = field(p)
-    terms = []
-    for i, c in F.terms(vec):
-        w = index_to_word(i, n, r)
-        terms.append((word_to_index(tuple(w[s - 1] for s in sigma), n), c))
-    return F.from_terms(n ** r, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,11 @@
 """Free Lie algebra machinery inside tensor powers.
 
 Words are tuples over the alphabet 1..n and index the monomial basis of
-T^r(V) through ``word_to_index``.  A bracketed Lyndon word is built
-directly as a packed row of GF(p), one packed bracket per step of its
-standard factorization, and memoized per (p, n, word); bracketed Lyndon
-words are triangular with unit diagonal against the lex order, so they
-stay independent mod any prime.  ``lyndon_expansion`` gives the same
-elements over the integers, as word dicts, for the ``Tensor`` API.
+T^r(V) big-endian in base n.  A bracketed Lyndon word is built directly
+as a packed row of GF(p), one packed bracket per step of its standard
+factorization, and memoized per (p, n, word); bracketed Lyndon words are
+triangular with unit diagonal against the lex order, so they stay
+independent mod any prime.
 """
 
 from __future__ import annotations
@@ -17,23 +16,17 @@ from itertools import combinations_with_replacement, product
 from .combinat import partitions, witt_dim
 from .linalg import (
     Mat,
-    SpanBuilder,
     Subspace,
     _digit_table,
     field,
-    index_to_word,
     substitute,
-    word_to_index,
 )
 from .modrep import TensorAction, module_closure
 
 __all__ = [
-    "Tensor",
     "lyndon_words",
     "standard_factorization",
-    "lyndon_expansion",
     "lyndon_packed",
-    "lie_element",
     "lie_power",
     "pbw_monomials",
     "pbw_monomial_vector",
@@ -44,107 +37,11 @@ __all__ = [
     "concat_packed",
     "concat_all",
     "bracket_packed",
-    "pack_tensor",
-    "unpack_tensor",
     "dynkin_matrix",
     "subalgebra_generated",
     "bracket_products",
     "lazard_pieces",
 ]
-
-
-class Tensor:
-    """Sparse element of T^r(V_n) over GF(p): a dict word -> coefficient,
-    zero coefficients dropped."""
-
-    __slots__ = ("p", "n", "r", "coeffs")
-
-    def __init__(self, p, n, r, coeffs=None):
-        field(p)
-        self.p = p
-        self.n = n
-        self.r = r
-        self.coeffs = {}
-        if coeffs:
-            for w, c in coeffs.items():
-                if len(w) != r:
-                    raise ValueError(f"word {w} has wrong length for degree {r}")
-                c %= p
-                if c:
-                    self.coeffs[tuple(w)] = c
-
-    @classmethod
-    def from_word(cls, p, n, word):
-        return cls(p, n, len(word), {tuple(word): 1})
-
-    @classmethod
-    def letter(cls, p, n, a):
-        return cls.from_word(p, n, (a,))
-
-    def __add__(self, other):
-        self._compat(other, same_degree=True)
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            out[w] = (out.get(w, 0) + c) % self.p
-        return Tensor(self.p, self.n, self.r, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        return Tensor(self.p, self.n, self.r,
-                      {w: c * v for w, v in self.coeffs.items()})
-
-    def __mul__(self, other):
-        """Concatenation product."""
-        self._compat(other)
-        out = {}
-        for w1, c1 in self.coeffs.items():
-            for w2, c2 in other.coeffs.items():
-                w = w1 + w2
-                out[w] = (out.get(w, 0) + c1 * c2) % self.p
-        return Tensor(self.p, self.n, self.r + other.r, out)
-
-    def bracket(self, other):
-        return self * other - other * self
-
-    def _compat(self, other, same_degree=False):
-        if (self.p, self.n) != (other.p, other.n):
-            raise ValueError("mixed ground data")
-        if same_degree and self.r != other.r:
-            raise ValueError("degree mismatch")
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def to_packed(self):
-        return pack_tensor(self.p, self.n, self.r, self.coeffs)
-
-    @classmethod
-    def from_packed(cls, p, n, r, vec):
-        return cls(p, n, r, unpack_tensor(p, n, r, vec))
-
-    def __eq__(self, other):
-        return isinstance(other, Tensor) and \
-            (self.p, self.n, self.r) == (other.p, other.n, other.r) and \
-            self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.p, self.n, self.r, tuple(sorted(self.coeffs.items()))))
-
-    def __repr__(self):
-        terms = " + ".join(f"{c}*{''.join(map(str, w))}"
-                           for w, c in sorted(self.coeffs.items()))
-        return f"Tensor({terms or '0'})"
-
-
-def pack_tensor(p, n, r, coeffs):
-    return field(p).from_terms(
-        n ** r, [(word_to_index(w, n), c) for w, c in coeffs.items()])
-
-
-def unpack_tensor(p, n, r, vec):
-    return {index_to_word(i, n, r): c for i, c in field(p).terms(vec)}
 
 
 # ---------------------------------------------------------------------------
@@ -183,38 +80,10 @@ def standard_factorization(w):
 
 
 @lru_cache(maxsize=None)
-def lyndon_expansion(n, w):
-    """Integer expansion of the bracketed Lyndon word w (a tuple) in the
-    word basis.
-
-    Bracketing follows the standard factorization recursively; the result
-    is cached per (n, w) and shared by every modulus.
-    """
-    if len(w) == 1:
-        return {w: 1}
-    u, v = standard_factorization(w)
-    out = {}
-    for wa, ca in lyndon_expansion(n, u).items():
-        for wb, cb in lyndon_expansion(n, v).items():
-            c = ca * cb
-            k1 = wa + wb
-            k2 = wb + wa
-            out[k1] = out.get(k1, 0) + c
-            out[k2] = out.get(k2, 0) - c
-    return {k: c for k, c in out.items() if c}
-
-
-def lie_element(p, n, w):
-    """The bracketed Lyndon word as a Tensor mod p."""
-    return Tensor(p, n, len(w), lyndon_expansion(n, w))
-
-
-@lru_cache(maxsize=None)
 def lyndon_packed(p, n, w):
     """Packed row of the bracketed Lyndon word w in T^|w|(V_n) over GF(p):
     a letter is a unit row, and w = uv (its standard factorization) is
-    the packed bracket of u and v.  It equals the reduction mod p of
-    ``lyndon_expansion(n, w)``.  The row is shared by every caller."""
+    the packed bracket of u and v.  The row is shared by every caller."""
     if len(w) == 1:
         return field(p).unit(n, w[0] - 1)
     u, v = standard_factorization(w)
@@ -394,45 +263,23 @@ def subalgebra_generated(p, n, generators, max_degree):
     """Graded Lie subalgebra generated by packed homogeneous elements.
 
     ``generators`` maps degree -> list of packed vectors.  Returns degree
-    -> Subspace for every degree up to max_degree where the closure is
-    nonzero.  Elements are bracketed pairwise until the spans stop
-    growing.  No package code calls it: it is the tests' oracle for
+    -> Subspace for every degree up to max_degree where the subalgebra is
+    nonzero.  Degree d is spanned by the generators of degree d and the
+    brackets [L_i, L_j] with i + j = d, built degree by degree.  No
+    package code calls it: it is the tests' oracle for
     ``decompose._lower_pieces``, and ``bench/tracer.py`` wraps it by name.
     """
     spans = {}
-    elements = []
-
-    def push(deg, vec):
-        sb = spans.get(deg)
-        if sb is None:
-            sb = spans[deg] = SpanBuilder(p, n ** deg)
-        if sb.add(vec):
-            elements.append((deg, vec))
-            return True
-        return False
-
-    queue = []
-    for deg in sorted(generators):
-        if deg > max_degree:
-            continue
-        for v in generators[deg]:
-            if push(deg, v):
-                queue.append(len(elements) - 1)
-    qi = 0
-    while qi < len(queue):
-        idx = queue[qi]
-        qi += 1
-        deg1, v1 = elements[idx]
-        # each unordered pair is bracketed once, when its later element is
-        # dequeued; [x, x] vanishes identically so the diagonal is skipped
-        for jdx in range(idx):
-            deg2, v2 = elements[jdx]
-            if deg1 + deg2 > max_degree:
-                continue
-            w = bracket_packed(p, n, deg1, v1, deg2, v2)
-            if push(deg1 + deg2, w):
-                queue.append(len(elements) - 1)
-    return {deg: sb.subspace() for deg, sb in spans.items() if sb.dim}
+    for d in range(1, max_degree + 1):
+        rows = list(generators.get(d, []))
+        for i in range(1, d // 2 + 1):
+            if i in spans and d - i in spans:
+                rows += bracket_products(p, n, i, spans[i].packed_rows(),
+                                         d - i, spans[d - i].packed_rows())
+        span = Subspace.from_packed(p, n ** d, rows)
+        if span.dim:
+            spans[d] = span
+    return spans
 
 
 def bracket_products(p, n, deg_x, x_rows, deg_b, b_rows):

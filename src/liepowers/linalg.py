@@ -35,10 +35,9 @@ reader ``parse_row``) are the one seam between rows and payload text:
 the reader takes a block only as the writer gives it back, byte for byte
 (lower-case fixed-width hex at p = 2, canonical decimals joined by
 single spaces at odd p).
-``Mat``, ``Subspace``, ``SpanBuilder`` and the equivariant solver each
-have one body written against it; so do ``Mat.apply`` (a one-row
-product), ``Mat.spread`` (digits written into a zero array) and
-``SpanBuilder``'s growth (the backend's reduction).  ``field(p)`` is also
+``Mat``, ``Subspace`` and the equivariant solver each have one body
+written against it; so do ``Mat.apply`` (a one-row product) and
+``Mat.spread`` (digits written into a zero array).  ``field(p)`` is also
 the one check that p is a usable modulus.
 
 The equivariant solver's linear system is sparse, and it is held in CSR
@@ -55,13 +54,13 @@ is dropped as it does; ``_GF2.echelon`` sorts its rows and feeds the
 same kernel.  At odd p, ``echelon_csr`` fills one dense block of narrow
 rows and eliminates it in place.
 
-Word indexing lives here as well: a word over 1..n of length r has the
-big-endian base-n index of ``word_to_index``.  The weight table of
-T^r(V_n) is cached per (n, r) beside it: ``_digit_table`` (the letters of
-every word), ``_weight_index`` (the weight space of every index) and
-``_weight_blocks`` (the indices of each weight space).  Every module
-that grades by letter content reads them.  ``_word_texts`` caches the
-text of every word, which the subspace text format writes and reads.
+The weight table of T^r(V_n) lives here as well, cached per (n, r),
+where a word over 1..n of length r has its big-endian base-n index:
+``_digit_table`` (the letters of every word), ``_weight_index`` (the
+weight space of every index) and ``_weight_blocks`` (the indices of each
+weight space).  Every module that grades by letter content reads them.
+``_word_texts`` caches the text of every word, which the subspace text
+format writes and reads.
 ``substitute`` is the one letter substitution: the algebra map of T(V)
 that replaces each letter by a given tensor.
 """
@@ -78,20 +77,16 @@ __all__ = [
     "field",
     "Mat",
     "Subspace",
-    "SpanBuilder",
     "rref",
     "direct_sum",
     "is_direct_sum",
     "substitute",
     "solve_equivariant_projection",
     "affine_projection_family",
-    "word_to_index",
-    "index_to_word",
     "word_weight",
     "format_subspace",
     "parse_subspace",
     "parse_terms",
-    "format_terms",
 ]
 
 
@@ -718,7 +713,7 @@ class _GFp:
                 raw = ("\n".join(texts[lo:lo + step]) + "\n").encode("ascii")
             except (TypeError, UnicodeEncodeError):
                 break
-            block = np.empty(out[lo:lo + step].shape, dtype=np.int64)
+            block = np.empty(out[lo:lo + step].shape, dtype=np.int32)
             if not self._guess_rows(raw, block) or (
                     self._text_bytes(block) != raw):
                 break
@@ -728,14 +723,14 @@ class _GFp:
         return self.stack(_read_each(self.parse_row, texts, n), n)
 
     def _guess_rows(self, raw, block):
-        """Fill the m x n block from the ASCII bytes raw, taking each
-        non-digit byte as the end of one entry and the up to
-        len(str(p - 1)) digits before it as its decimal.  False unless
-        there are m * n such ends and every entry is below p.  On text the
-        writer writes this reads the block it wrote; on other text it may
-        read anything, which the writer then does not give back."""
+        """Fill the m x n int32 block from the ASCII bytes raw, taking
+        each non-digit byte as the end of one entry and the up to
+        len(str(p - 1)) digits before it, 8 at most, as its decimal.  False
+        unless there are m * n such ends and every entry is below p.  On
+        text the writer writes this reads the block it wrote; on other
+        text it may read anything, which the writer then does not give back."""
         digit = np.frombuffer(raw, dtype=np.uint8) - np.uint8(ord("0"))
-        stop = np.flatnonzero(digit >= 10)
+        stop = np.flatnonzero(digit >= 10).astype(np.int32)
         vals = block.reshape(-1)
         if stop.size != vals.size:
             return False
@@ -745,7 +740,7 @@ class _GFp:
             # before the first entry, wrap round to the final row end
             d = digit.take(stop - 1 - k, mode="wrap")
             more &= d < 10
-            vals[more] += d[more].astype(np.int64) * 10 ** k
+            vals[more] += d[more].astype(np.int32) * 10 ** k
         return not (vals >= self.p).any()
 
     def parse_row(self, text, n):
@@ -843,16 +838,6 @@ class Mat:
         return cls.from_packed(p, [F.unit(n, i) for i in range(n)], n)
 
     # -- access
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.row(i)[j]
-
-    def row(self, i):
-        return self._f.to_array([self._d[i]], self.ncols)[0].tolist()
-
-    def to_lists(self):
-        return self.to_array().tolist()
 
     def to_array(self):
         """Entries as a 2-d int64 array."""
@@ -987,10 +972,6 @@ class Subspace:
     def pivots(self):
         return list(self._pivots)
 
-    def basis_rows(self):
-        """Canonical basis as plain coefficient lists."""
-        return self._f.to_array(self._rows, self.ambient).tolist()
-
     def packed_rows(self):
         return list(self._rows)
 
@@ -1005,10 +986,14 @@ class Subspace:
         F = self._f
         return all(map(F.is_zero, F.reduce(self._rows, self._pivots, other._rows)))
 
+    def add(self, rows):
+        """The span of this subspace and the given packed rows."""
+        return Subspace.from_packed(self.p, self.ambient,
+                                    list(self._rows) + list(rows))
+
     def sum(self, other):
         self._check_compat(other)
-        return Subspace.from_packed(self.p, self.ambient,
-                                    list(self._rows) + list(other._rows))
+        return self.add(other._rows)
 
     def intersect(self, other):
         """Zassenhaus: echelonize [A|A ; B|0]; zero-left rows carry the
@@ -1043,43 +1028,9 @@ class Subspace:
         return f"Subspace(p={self.p}, ambient={self.ambient}, dim={self.dim})"
 
 
-class SpanBuilder:
-    """Incremental span with cheap membership, for closure loops."""
-
-    def __init__(self, p, ambient):
-        self._f = field(p)
-        self.p = p
-        self.ambient = ambient
-        # rows in insertion order, each with first entry 1 at its pivot and
-        # 0 at the pivots of the rows before it: all that reduce needs
-        self._rows = []
-        self._pivots = []
-
-    @property
-    def dim(self):
-        return len(self._pivots)
-
-    def _reduced(self, vec):
-        F = self._f
-        return F.reduce(self._rows, self._pivots, [F.coerce(vec)])[0]
-
-    def add(self, vec):
-        """Insert a vector; True if the span grew."""
-        F = self._f
-        row = self._reduced(vec)
-        lead = next(F.terms(row), None)
-        if lead is None:
-            return False
-        c, a = lead
-        self._rows.append(F.scale(row, pow(a, -1, self.p)))
-        self._pivots.append(c)
-        return True
-
-    def contains(self, vec):
-        return self._f.is_zero(self._reduced(vec))
-
-    def subspace(self):
-        return Subspace.from_packed(self.p, self.ambient, self._rows)
+# bench/tracer.py wraps ``SpanBuilder.add`` by name: the name stays, as
+# Subspace, whose ``add`` grows a span, until the tracer's GROUPS drop it
+SpanBuilder = Subspace
 
 
 def direct_sum(p, ambient, parts):
@@ -1182,7 +1133,7 @@ def _canonical_solution(p, part, kernel, index):
     return F.take(part, n, back)[0], list(F.take(ech, n, back))[::-1]
 
 
-def _projection_problem(action, image, domain, labels=None):
+def _projection_problem(action, image, domain, labels):
     """Shared setup for the equivariant projection solver.
 
     Returns None if the image is not an invariant subspace (then no
@@ -1199,9 +1150,9 @@ def _projection_problem(action, image, domain, labels=None):
     and the unit rows at the free columns.  That basis has the inverse
     [[I, -R], [0, I]] in closed form, so neither is formed.  ``graded``
     (k x m) holds the grade of X[u, v], or -1 where u and v differ in
-    grade.  With labels (one int or string per domain coordinate) and
-    every image row homogeneous, the grade of a coordinate is the rank of
-    its label among the labels; else every coordinate has grade 0.
+    grade: the grade of a coordinate is the rank of its label among the
+    labels (one int or string per domain coordinate).  An image row that
+    crosses labels raises ValueError.
     """
     p = domain.p
     d = domain.dim
@@ -1217,6 +1168,10 @@ def _projection_problem(action, image, domain, labels=None):
     piv = np.array(im.pivots, dtype=np.intp)
     free = _complement(d, piv)
     R = im.basis_matrix().columns(free)
+    lab = np.unique(labels, return_inverse=True)[1].ravel()
+    nz = im.basis_matrix().to_array() != 0
+    if (nz & (lab != lab[piv][:, None])).any():
+        raise ValueError("an image row crosses labels")
 
     blocks = []
     for g in gmats:
@@ -1227,14 +1182,6 @@ def _projection_problem(action, image, domain, labels=None):
         C = G[:, piv]
         D = (G[:, free] - (Mat.from_array(p, C) @ R).to_array()) % p
         blocks.append((A.to_array(), C, D))
-
-    # the graded ansatz exists only if each image row has one label
-    lab = np.zeros(d, dtype=np.intp)
-    if labels is not None:
-        given = np.unique(labels, return_inverse=True)[1].ravel()
-        nz = im.basis_matrix().to_array() != 0
-        if (~nz | (given == given[piv][:, None])).all():
-            lab = given
     graded = np.where(lab[free][:, None] == lab[piv], lab[free][:, None], -1)
 
     return {"p": p, "d": d, "m": im.dim, "image": im, "free": free, "R": R,
@@ -1350,7 +1297,7 @@ def _projection_from_x(prob, xvals, index):
 def _projection_solution(action, image, domain, labels):
     """The projection problem, its index of unknowns and its solution
     (particular, kernel), or None when it is infeasible."""
-    prob = _projection_problem(action, image, domain, labels=labels)
+    prob = _projection_problem(action, image, domain, labels)
     if prob is None:
         return None
     index, nunk, system = _assemble_projection_system(prob)
@@ -1359,20 +1306,16 @@ def _projection_solution(action, image, domain, labels):
         prob, index, _canonical_solution(prob["p"], *sol, index))
 
 
-def solve_equivariant_projection(action, image, domain, labels=None):
+def solve_equivariant_projection(action, image, domain, labels):
     """Find an idempotent projection of the domain onto the image that
-    commutes with every generator.
+    commutes with every generator and keeps the grading.
 
-    The answer is a Mat in domain coordinates, or None when the linear
-    system is infeasible (no equivariant projection exists).  Precondition
-    violations (image outside domain, non-invariant domain) raise
+    ``labels`` assigns a grade (an int or a string) to each domain basis
+    row, and every image row must be homogeneous.  The answer is a Mat in
+    domain coordinates, or None when the linear system is infeasible (no
+    such projection exists).  Precondition violations (image outside
+    domain, non-invariant domain, an image row that crosses labels) raise
     ValueError instead.
-
-    ``labels`` optionally assigns a grade (an int or a string) to each
-    domain basis row.  When every image row is homogeneous, the projection
-    must then keep the grading, and None means that no such projection
-    exists; otherwise the labels are ignored.  One system is solved either
-    way.
     """
     got = _projection_solution(action, image, domain, labels)
     if got is None:
@@ -1381,7 +1324,7 @@ def solve_equivariant_projection(action, image, domain, labels=None):
     return _projection_from_x(prob, part, index)
 
 
-def affine_projection_family(action, image, domain, labels=None):
+def affine_projection_family(action, image, domain, labels):
     """The full affine family of solutions of the projection system that
     ``solve_equivariant_projection`` solves, labels included.
 
@@ -1433,25 +1376,7 @@ def substitute(p, n, d, images, r, rows):
 
 
 # ---------------------------------------------------------------------------
-# word indexing and the shared text format
-
-
-def word_to_index(word, n):
-    """Words are tuples of letters 1..n; the index is big-endian base n."""
-    idx = 0
-    for a in word:
-        if not 1 <= a <= n:
-            raise ValueError(f"letter {a} outside 1..{n}")
-        idx = idx * n + (a - 1)
-    return idx
-
-
-def index_to_word(idx, n, r):
-    out = []
-    for _ in range(r):
-        out.append(idx % n + 1)
-        idx //= n
-    return tuple(reversed(out))
+# words and the shared text format
 
 
 def word_weight(word, n):
@@ -1499,26 +1424,16 @@ def _weight_blocks(n, r):
 def _word_texts(n, r):
     """The payload text of every word of T^r(V_n), in index order, and
     the inverse dict from text to index: letters' digits run together
-    for n <= 9, letters joined by '.' for n > 9 (as ``format_terms``)."""
+    for n <= 9, letters joined by '.' for n > 9."""
     sep = "." if n > 9 else ""
     texts = [sep.join(map(str, w)) for w in (_digit_table(n, r) + 1).tolist()]
     return texts, {t: i for i, t in enumerate(texts)}
 
 
-def format_terms(pairs, n, r):
-    """Render [(word, coeff), ...] as 'c w c w ...'.  A word is its
-    letters' digits run together, or, when n > 9 and a letter may have
-    two digits, its letters joined by '.'."""
-    sep = "." if n > 9 else ""
-    bits = []
-    for word, c in pairs:
-        bits.append(str(c))
-        bits.append(sep.join(str(a) for a in word))
-    return " ".join(bits)
-
-
 def parse_terms(line, n, r):
-    """Inverse of format_terms for words over 1..n of length r."""
+    """The (index, coefficient) pairs of a term line 'c w c w ...' over
+    words of length r in 1..n, each word written as in
+    ``format_subspace``; a word's index is big-endian base n."""
     toks = line.split()
     if len(toks) % 2:
         raise ValueError(f"dangling token in term line: {line!r}")
@@ -1530,11 +1445,13 @@ def parse_terms(line, n, r):
         if len(letters) != r:
             raise ValueError(f"word {w!r} has length {len(letters)}, "
                              f"expected {r}")
-        word = tuple(int(ch) for ch in letters)
-        for a in word:
+        idx = 0
+        # every letter is read before any is range-checked
+        for a in [int(ch) for ch in letters]:
             if not 1 <= a <= n:
                 raise ValueError(f"letter {a} outside alphabet 1..{n}")
-        out.append((word, c))
+            idx = idx * n + a - 1
+        out.append((idx, c))
     return out
 
 
@@ -1607,4 +1524,4 @@ def _row_terms(line, n, r, index):
             return [(index[w], int(c)) for c, w in zip(toks[::2], toks[1::2])]
         except (KeyError, ValueError):
             pass
-    return [(word_to_index(word, n), c) for word, c in parse_terms(line, n, r)]
+    return parse_terms(line, n, r)

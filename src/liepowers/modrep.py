@@ -5,15 +5,14 @@ permutation, one elementary transvection, and (for p > 2) a primitive
 scalar in the first coordinate.  Generation is proved once per (n, p)
 by deriving every elementary transvection from the list (see
 ``_generates_gl``), at any n and p, without enumerating the group.
-``generated_group_order`` enumerates a generated group by a breadth-first
-closure; it is the independent check the tests compare against.
 
 The induced action on T^r(V) substitutes each letter of a word by the
 image row of the generator.  ``TensorAction.times`` multiplies a stack of
 rows by an induced generator, on either side, through r per-axis
 contractions with the n x n generator, so the n^r x n^r matrix is never
 formed; the equivariant solver and the certificate check read the action
-only through it, and ``apply`` is its one-row case.
+only through it, and ``apply`` is its one-row case.  ``module_closure``
+grows a span by applying every generator to its whole basis at once.
 """
 
 from functools import lru_cache
@@ -22,7 +21,6 @@ import numpy as np
 
 from .linalg import (
     Mat,
-    SpanBuilder,
     field,
     rref,
     substitute,
@@ -30,15 +28,10 @@ from .linalg import (
 
 __all__ = [
     "primitive_root",
-    "group_order_formula",
-    "generated_group_order",
     "gl_generators",
     "TensorAction",
     "module_closure",
 ]
-
-# enumerating beyond this is pointless for a sanity check and slow in Python
-_CLOSURE_LIMIT = 10 ** 7
 
 
 def primitive_root(p):
@@ -61,42 +54,6 @@ def primitive_root(p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in fac):
             return g
     raise ArithmeticError("no primitive root found; p is not prime")
-
-
-def group_order_formula(n, p):
-    """|GL(n, F_p)| = prod_{i<n} (p^n - p^i)."""
-    pn = p ** n
-    out = 1
-    for i in range(n):
-        out *= pn - p ** i
-    return out
-
-
-def generated_group_order(gens, limit=_CLOSURE_LIMIT):
-    """Size of the group generated by the given invertible matrices.
-
-    Breadth-first closure one level at a time: the new elements of a level
-    are stacked as an (m, n, n) array and multiplied by every generator at
-    once, and each matrix is keyed by its n^2 entries read as base-p
-    digits.  Raises ArithmeticError if the closure exceeds ``limit``
-    elements.
-    """
-    p, n = gens[0].p, gens[0].nrows
-    garrs = np.stack([g.to_array() for g in gens])
-    wide = p ** (n * n) > np.iinfo(np.int64).max  # then key by Python ints
-    digits = np.array([p ** i for i in range(n * n)], object if wide else np.int64)
-    frontier = np.eye(n, dtype=np.int64)[None]
-    seen = set((frontier.reshape(1, -1) @ digits).tolist())
-    while len(frontier):
-        prods = (frontier[:, None] @ garrs % p).reshape(-1, n, n)
-        keys = prods.reshape(len(prods), -1) @ digits
-        level = dict(zip(keys.tolist(), range(len(prods))))
-        fresh = [i for key, i in level.items() if key not in seen]
-        seen.update(level)
-        if len(seen) > limit:
-            raise ArithmeticError("generated group exceeds %d elements" % limit)
-        frontier = prods[fresh]
-    return len(seen)
 
 
 def _raw_generators(n, p):
@@ -259,17 +216,14 @@ class TensorAction:
 
 
 def module_closure(seed, action):
-    """Smallest action-invariant subspace containing the seed."""
-    sb = SpanBuilder(seed.p, seed.ambient)
-    queue = []
-    for v in seed.packed_rows():
-        if sb.add(v):
-            queue.append(v)
-    while queue:
-        v = queue.pop()
-        for gi in range(len(action.generators)):
-            w = action.apply(gi, v)
-            if sb.add(w):
-                queue.append(w)
-    return sb.subspace()
-
+    """Smallest action-invariant subspace containing the seed: each round
+    adds the images of the whole basis under every generator, until the
+    dimension stops growing."""
+    span = seed
+    while True:
+        basis = span.basis_matrix()
+        grown = span.add([row for gi in range(len(action.generators))
+                          for row in action.times(gi, basis).packed_rows()])
+        if grown.dim == span.dim:
+            return span
+        span = grown

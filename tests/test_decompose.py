@@ -667,10 +667,10 @@ def test_solve_reads_generators_as_matrices(monkeypatch):
     apply = TensorAction.apply
     solved, calls = [], []
 
-    def traced_solve(action, image, domain, labels=None):
+    def traced_solve(action, image, domain, labels):
         solved.append(action.r)
         try:
-            return solve(action, image, domain, labels=labels)
+            return solve(action, image, domain, labels)
         finally:
             solved.append(None)
 

@@ -19,7 +19,6 @@ from liepowers.descent import (
     DescentElement,
     _assemble,
     _newton_lift,
-    apply_place_permutation,
     class_projector,
     element_action_matrix,
     gr_action_check,
@@ -31,14 +30,13 @@ from liepowers.descent import (
     xnu_as_permutation_sum,
 )
 from liepowers.freelie import (
-    Tensor,
     concat_packed,
     filtration_subspace,
-    lie_element,
     lie_power,
     pbw_monomial_vector,
 )
-from liepowers.linalg import Mat, rref, word_to_index
+from liepowers.linalg import Mat, rref
+from oracles import Tensor, apply_place_permutation, lie_element
 
 
 # a prime above every structure constant and character value these tests

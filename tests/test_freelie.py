@@ -11,7 +11,6 @@ from liepowers.combinat import (
     witt_dim,
 )
 from liepowers.freelie import (
-    Tensor,
     _rename,
     bracket_packed,
     bracket_products,
@@ -20,12 +19,9 @@ from liepowers.freelie import (
     dynkin_matrix,
     filtration_subspace,
     lazard_pieces,
-    lie_element,
     lie_power,
-    lyndon_expansion,
     lyndon_packed,
     lyndon_words,
-    pack_tensor,
     pbw_monomial_vector,
     pbw_monomials,
     standard_factorization,
@@ -40,10 +36,10 @@ from liepowers.linalg import (
     field,
     _weight_blocks,
     _weight_index,
-    index_to_word,
-    word_to_index,
     word_weight,
 )
+from oracles import (Tensor, index_to_word, lie_element, lyndon_expansion,
+                     pack_tensor, word_to_index)
 
 
 def test_lyndon_words_small():
@@ -318,8 +314,7 @@ def test_dynkin_image_inside_lie_power():
     p, n, r = 3, 2, 4
     d = dynkin_matrix(p, n, r)
     lp = lie_power(p, n, r)
-    for i in range(n ** r):
-        row = d.row(i)
+    for row in d.to_array().tolist():
         assert lp.contains(row)
 
 
@@ -327,7 +322,7 @@ def test_dynkin_fixes_lie_power_up_to_r():
     # on L^r the left-normed bracketing multiplies by r
     for p, n, r in ((5, 2, 3), (3, 2, 4), (2, 2, 3)):
         d = dynkin_matrix(p, n, r)
-        for v in lie_power(p, n, r).basis_rows():
+        for v in lie_power(p, n, r).basis_matrix().to_array().tolist():
             got = d.apply(list(v))
             want = [(r * a) % p for a in v]
             assert list(got) == want
@@ -335,11 +330,25 @@ def test_dynkin_fixes_lie_power_up_to_r():
 
 def test_subalgebra_generated_free_case():
     # the letters generate the whole free Lie algebra
-    for p, n in ((2, 2), (3, 2)):
+    for p, n in product((2, 3), (2, 3)):
         gens = {1: [Tensor.letter(p, n, a).to_packed() for a in range(1, n + 1)]}
         got = subalgebra_generated(p, n, gens, 6)
+        assert sorted(got) == list(range(1, 7))
         for r in range(1, 7):
             assert got[r] == lie_power(p, n, r)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_subalgebra_generated_brackets_a_degree_with_itself(p):
+    # generators only in degree 2 reach degree 4 through [L_2, L_2] alone,
+    # and no odd degree
+    n = 3
+    gens = lie_power(p, n, 2).packed_rows()
+    got = subalgebra_generated(p, n, {2: gens}, 5)
+    assert sorted(got) == [2, 4]
+    assert got[4] == Subspace.from_packed(
+        p, n ** 4, bracket_products(p, n, 2, gens, 2, gens))
+    assert got[4].dim == 3
 
 
 def test_subalgebra_generated_single_element():

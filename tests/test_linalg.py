@@ -11,10 +11,9 @@ from hypothesis import given, settings, strategies as st
 import liepowers
 from liepowers import linalg
 from liepowers.descent import DescentElement
-from liepowers.freelie import Tensor, concat_packed
+from liepowers.freelie import concat_packed
 from liepowers.linalg import (
     Mat,
-    SpanBuilder,
     Subspace,
     _assemble_projection_system,
     _canonical_solution,
@@ -32,17 +31,15 @@ from liepowers.linalg import (
     direct_sum,
     field,
     format_subspace,
-    format_terms,
-    index_to_word,
     is_direct_sum,
     parse_subspace,
     rref,
     solve_equivariant_projection,
     substitute,
-    word_to_index,
     word_weight,
 )
 from liepowers.modrep import TensorAction, gl_generators
+from oracles import Tensor, format_terms, index_to_word, word_to_index
 
 
 def test_check_prime():
@@ -58,12 +55,12 @@ def test_rref_keeps_shape_and_rank():
     m = Mat.from_rows(2, [[1, 1], [1, 1]])
     r, rank = rref(m)
     assert rank == 1
-    assert r.to_lists() == [[1, 1], [0, 0]]
+    assert r.to_array().tolist() == [[1, 1], [0, 0]]
 
     m = Mat.from_rows(5, [[2, 4], [1, 2], [0, 3]])
     r, rank = rref(m)
     assert rank == 2
-    assert r.to_lists() == [[1, 0], [0, 1], [0, 0]]
+    assert r.to_array().tolist() == [[1, 0], [0, 1], [0, 0]]
 
 
 def test_rref_is_canonical_mod3():
@@ -73,7 +70,7 @@ def test_rref_is_canonical_mod3():
     ra, ka = rref(a)
     rb, kb = rref(b)
     assert ka == kb == 2
-    assert ra.to_lists()[:2] == rb.to_lists()[:2]
+    assert ra.to_array().tolist()[:2] == rb.to_array().tolist()[:2]
 
 
 def test_matmul_and_identity():
@@ -93,7 +90,7 @@ def test_matmul_matches_numpy_reference():
         ma = Mat.from_rows(p, a.tolist())
         mb = Mat.from_rows(p, b.tolist())
         want = (a @ b) % p
-        assert (ma @ mb).to_lists() == want.tolist()
+        assert (ma @ mb).to_array().tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -120,7 +117,7 @@ def test_field_backend_parity(p, m, k, n):
         want = Mat.from_array(p, dense[None, :]) @ mb
         assert F.key(mb.apply(F.from_array(dense[None, :])[0])) == \
             F.key(want.packed_rows()[0])
-        assert mb.apply(dense.tolist()) == want.to_lists()[0]
+        assert mb.apply(dense.tolist()) == want.to_array().tolist()[0]
 
 
 @pytest.mark.parametrize("p", [2, 3, 11])
@@ -249,7 +246,7 @@ def test_field_rejects_primes_past_the_exact_bound():
     p = _P_CAP
     a = Mat.from_rows(p, [[p - 1, p - 1], [0, 1]])
     b = Mat.from_rows(p, [[p - 1, 0], [p - 1, 1]])
-    assert (a @ b).to_lists() == [[2, p - 1], [p - 1, 1]]
+    assert (a @ b).to_array().tolist() == [[2, p - 1], [p - 1, 1]]
 
 
 def test_exact_product_729_mod3():
@@ -538,25 +535,6 @@ def test_canonical_form_stable_under_shuffle(rows, seed):
     assert s1 == s2
 
 
-def test_span_builder_agrees_with_batch():
-    rng = np.random.default_rng(3)
-    for p in (2, 3, 7, 11):
-        for rank in (4, 6):
-            # more vectors than the ambient dimension, in a span of at
-            # most rank dimensions, so that later ones are often redundant
-            vecs = (rng.integers(0, p, size=(9, rank))
-                    @ rng.integers(0, p, size=(rank, 6)) % p)
-            sb = SpanBuilder(p, 6)
-            grew = [sb.add(v) for v in vecs.tolist()]
-            batch = Subspace.from_vectors(p, 6, vecs)
-            assert sb.subspace() == batch
-            assert sum(grew) == sb.dim == batch.dim
-            probes = np.vstack([vecs, rng.integers(0, p, size=(20, 6)),
-                                rng.integers(0, p, size=(20, 9)) @ vecs % p])
-            for v in probes.tolist():
-                assert sb.contains(v) == batch.contains(v), (p, rank, v)
-
-
 def test_direct_sum_check():
     a = Subspace.from_vectors(2, 4, [[1, 0, 0, 0]])
     b = Subspace.from_vectors(2, 4, [[0, 1, 1, 0]])
@@ -629,8 +607,8 @@ def test_equivariant_projection_infeasible_swap_gf2():
     act = TensorAction([swap], 1)
     dom = Subspace.from_vectors(2, 2, [[1, 0], [0, 1]])
     img = Subspace.from_vectors(2, 2, [[1, 1]])
-    assert solve_equivariant_projection(act, img, dom) is None
-    assert affine_projection_family(act, img, dom) is None
+    assert solve_equivariant_projection(act, img, dom, [0, 0]) is None
+    assert affine_projection_family(act, img, dom, [0, 0]) is None
 
 
 def test_equivariant_projection_swap_gf3():
@@ -639,9 +617,9 @@ def test_equivariant_projection_swap_gf3():
     act = TensorAction([swap], 1)
     dom = Subspace.from_vectors(3, 2, [[1, 0], [0, 1]])
     img = Subspace.from_vectors(3, 2, [[1, 1]])
-    pi = solve_equivariant_projection(act, img, dom)
+    pi = solve_equivariant_projection(act, img, dom, [0, 0])
     assert pi is not None
-    assert pi.to_lists() == [[2, 2], [2, 2]]
+    assert pi.to_array().tolist() == [[2, 2], [2, 2]]
     assert (pi @ pi) == pi
     assert (pi @ swap) == (swap @ pi)
     # kernel of pi is the complementary line span{(1,2)}
@@ -654,10 +632,10 @@ def test_equivariant_projection_respects_preconditions():
     dom = Subspace.from_vectors(3, 2, [[1, 1]])
     img = Subspace.from_vectors(3, 2, [[1, 0]])
     with pytest.raises(ValueError):
-        solve_equivariant_projection(act, img, dom)  # image outside domain
+        solve_equivariant_projection(act, img, dom, [0])  # outside domain
     bad_dom = Subspace.from_vectors(3, 2, [[1, 0]])  # not swap-invariant
     with pytest.raises(ValueError):
-        solve_equivariant_projection(act, Subspace.zero(3, 2), bad_dom)
+        solve_equivariant_projection(act, Subspace.zero(3, 2), bad_dom, [0])
 
 
 def test_equivariant_projection_block_diagonal_action():
@@ -667,7 +645,7 @@ def test_equivariant_projection_block_diagonal_action():
     act = TensorAction([g], 1)
     dom = Subspace.from_vectors(5, 3, np.eye(3, dtype=int).tolist())
     img = Subspace.from_vectors(5, 3, [[0, 0, 1]])
-    pi = solve_equivariant_projection(act, img, dom)
+    pi = solve_equivariant_projection(act, img, dom, [0, 0, 0])
     assert pi is not None
     assert (pi @ pi) == pi
     assert (pi @ g) == (g @ pi)
@@ -686,7 +664,19 @@ def test_projection_with_weight_labels():
     img = Subspace.from_vectors(3, 2, [[1, 0]])
     pi = solve_equivariant_projection(act, img, dom, labels=["a", "b"])
     assert pi is not None
-    assert pi.to_lists() == [[1, 0], [0, 0]]
+    assert pi.to_array().tolist() == [[1, 0], [0, 0]]
+
+
+def test_image_row_crossing_labels_raises():
+    # span{(1,1)} has no grade under the labels "a" and "b": the solver
+    # refuses it rather than solving an ungraded system
+    swap = Mat.from_rows(3, [[0, 1], [1, 0]])
+    act = TensorAction([swap], 1)
+    dom = Subspace.from_vectors(3, 2, [[1, 0], [0, 1]])
+    img = Subspace.from_vectors(3, 2, [[1, 1]])
+    for solve in (solve_equivariant_projection, affine_projection_family):
+        with pytest.raises(ValueError, match="crosses labels"):
+            solve(act, img, dom, labels=["a", "b"])
 
 
 def test_graded_system_is_solved_alone():
@@ -697,13 +687,13 @@ def test_graded_system_is_solved_alone():
     act = TensorAction([g], 1)
     dom = Subspace.from_vectors(3, 2, [[1, 0], [0, 1]])
     img = Subspace.from_vectors(3, 2, [[1, 0]])
-    assert solve_equivariant_projection(act, img, dom).to_lists() == \
-        [[1, 0], [2, 0]]
+    assert solve_equivariant_projection(
+        act, img, dom, [0, 0]).to_array().tolist() == [[1, 0], [2, 0]]
     assert solve_equivariant_projection(act, img, dom,
                                         labels=["a", "b"]) is None
     # the affine family solves the same system, labels included
-    base, dirs = affine_projection_family(act, img, dom)
-    assert base.to_lists() == [[1, 0], [2, 0]] and dirs == []
+    base, dirs = affine_projection_family(act, img, dom, [0, 0])
+    assert base.to_array().tolist() == [[1, 0], [2, 0]] and dirs == []
     assert affine_projection_family(act, img, dom, labels=["a", "b"]) is None
 
 
@@ -714,7 +704,7 @@ def test_affine_family_spans_all_solutions():
     act = TensorAction([ident], 1)
     dom = Subspace.from_vectors(2, 3, np.eye(3, dtype=int).tolist())
     img = Subspace.from_vectors(2, 3, [[1, 0, 0]])
-    base, dirs = affine_projection_family(act, img, dom)
+    base, dirs = affine_projection_family(act, img, dom, [0, 0, 0])
     assert (base @ base) == base
     assert len(dirs) == 2
     seen = set()
@@ -723,7 +713,7 @@ def test_affine_family_spans_all_solutions():
         for b, d in zip(bits, dirs):
             if b:
                 m = m + d
-        seen.add(tuple(tuple(r) for r in m.to_lists()))
+        seen.add(tuple(tuple(r) for r in m.to_array().tolist()))
         # all family members are projections onto the same image here
         assert (m @ m) == m
     assert len(seen) == 4
@@ -997,40 +987,40 @@ def test_projection_system_matches_dict_loop_reference(p):
         m = (0, d, int(rng.integers(0, d + 1)))[t % 3]  # k = 0 and m = 0 too
         action, image, domain, labels = _random_projection_case(
             rng, p, d, m, split=t % 4 != 3)
-        for lab in (None, labels):
-            prob = _projection_problem(action, image, domain, labels=lab)
-            allowed = None if lab is None else _reference_ansatz(prob, lab)
-            if allowed is None:  # ungraded: every coordinate has grade 0
-                assert not prob["graded"].any()
-            attempts = [(np.zeros_like(prob["graded"]), None)]
-            if allowed is not None:
-                attempts.append((prob["graded"], allowed))
-                graded += 1
-            for mask, ref in attempts:
-                index, nunk, system = _assemble_projection_system(
-                    dict(prob, graded=mask))
-                rows, rhs = _csr_equations(p, system, nunk)
-                unk, ref_rows, ref_rhs = _reference_system(prob, ref)
-                assert nunk == len(unk)
-                # the reference numbers the unknowns row by row; the
-                # assembly numbers them in elimination order
-                order = _elimination_order(unk, ref)
-                assert {(int(u), int(v)): int(index[u, v])
-                        for u, v in zip(*np.nonzero(index >= 0))} == \
-                    {uv: e for e, uv in enumerate(order)}
-                renumbered = F.take(ref_rows, nunk,
-                                    [unk[uv] for uv in order])
-                assert [(F.key(r), b) for r, b in zip(rows, rhs)] == \
-                    [(F.key(r), b) for r, b in zip(renumbered, ref_rhs)]
-                got = _solve_linear_system(p, system, nunk)
-                want = _reference_solve(p, ref_rows, ref_rhs, nunk)
-                assert (got is None) == (want is None)
-                if got is not None:
-                    got = _canonical_solution(p, *got, index)
-                    assert F.key(got[0]) == F.key(want[0])
-                    assert list(map(F.key, got[1])) == \
-                        list(map(F.key, want[1]))
-                    families += bool(rows) and bool(got[1])
+        # one label for every coordinate: the ungraded system
+        ungraded = _projection_problem(action, image, domain, [0] * d)
+        assert not ungraded["graded"].any()
+        allowed = _reference_ansatz(ungraded, labels)
+        attempts = [(ungraded, None)]
+        if allowed is None:
+            with pytest.raises(ValueError, match="crosses labels"):
+                _projection_problem(action, image, domain, labels)
+        else:
+            attempts.append((_projection_problem(action, image, domain,
+                                                 labels), allowed))
+            graded += 1
+        for prob, ref in attempts:
+            index, nunk, system = _assemble_projection_system(prob)
+            rows, rhs = _csr_equations(p, system, nunk)
+            unk, ref_rows, ref_rhs = _reference_system(prob, ref)
+            assert nunk == len(unk)
+            # the reference numbers the unknowns row by row; the
+            # assembly numbers them in elimination order
+            order = _elimination_order(unk, ref)
+            assert {(int(u), int(v)): int(index[u, v])
+                    for u, v in zip(*np.nonzero(index >= 0))} == \
+                {uv: e for e, uv in enumerate(order)}
+            renumbered = F.take(ref_rows, nunk, [unk[uv] for uv in order])
+            assert [(F.key(r), b) for r, b in zip(rows, rhs)] == \
+                [(F.key(r), b) for r, b in zip(renumbered, ref_rhs)]
+            got = _solve_linear_system(p, system, nunk)
+            want = _reference_solve(p, ref_rows, ref_rhs, nunk)
+            assert (got is None) == (want is None)
+            if got is not None:
+                got = _canonical_solution(p, *got, index)
+                assert F.key(got[0]) == F.key(want[0])
+                assert list(map(F.key, got[1])) == list(map(F.key, want[1]))
+                families += bool(rows) and bool(got[1])
     assert graded >= 10 and families >= 5
 
 
@@ -1045,7 +1035,7 @@ def test_projection_from_x_matches_adapted_basis(p):
         m = (0, d, int(rng.integers(0, d + 1)))[t % 3]
         action, image, domain, labels = _random_projection_case(
             rng, p, d, m, split=t % 2 == 0)
-        prob = _projection_problem(action, image, domain)
+        prob = _projection_problem(action, image, domain, [0] * d)
         index = _assemble_projection_system(prob)[0]
         nunk = int(np.count_nonzero(index >= 0))
         T = Mat.from_packed(p, prob["image"].packed_rows() +
@@ -1120,7 +1110,7 @@ def test_projection_system_chunks_agree(monkeypatch):
     rng = np.random.default_rng(7)
     action, image, domain, labels = _random_projection_case(rng, 3, 5, 2,
                                                             split=False)
-    prob = _projection_problem(action, image, domain)
+    prob = _projection_problem(action, image, domain, [0] * 5)
     whole = _assemble_projection_system(prob)
     monkeypatch.setattr(linalg, "_CHUNK", 1)  # one equation per block
     parts = _assemble_projection_system(prob)
