@@ -59,7 +59,7 @@ from .linalg import Mat, Subspace, field, format_subspace, parse_subspace
 _MAX_R = 30
 # filtration lifts the descent idempotents of degree r, then splits T^r(V)
 # by them one weight space at a time.  On a 2-vCPU VM lifting takes 0.3 s at
-# r = 7 and 2-3.5 s at r = 8, and filtration --p 3 --n 3 --r 7 takes 3.5 s
+# r = 7 and 2-3.5 s at r = 8, and filtration --p 3 --n 3 --r 7 takes 2.5 s
 _MAX_FILTRATION_R = 7
 
 

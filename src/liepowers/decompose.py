@@ -59,7 +59,7 @@ import pickle
 import signal
 from contextlib import contextmanager
 from functools import lru_cache, partial
-from itertools import combinations_with_replacement, product as iter_product
+from itertools import product as iter_product
 
 import numpy as np
 
@@ -355,12 +355,14 @@ def _complement_from(space, proj):
     return Subspace.from_packed(space.p, space.ambient, amb.packed_rows())
 
 
-def _multisets_with_slot_sum(elems, total):
-    """Non-decreasing index tuples into elems with slot counts summing
-    to total; elems is a list of (slots, vector) with slots >= 1."""
-    return [multi for size in range(1, total + 1)
-            for multi in combinations_with_replacement(range(len(elems)), size)
-            if sum(elems[j][0] for j in multi) == total]
+def _multisets_with_sum(sizes, total, start=0):
+    """Non-decreasing index tuples from start on into sizes (each >= 1)
+    whose sizes add up to total, built on the budget left after each
+    index."""
+    if total == 0:
+        return [()]
+    return [(i,) + rest for i in range(start, len(sizes)) if sizes[i] <= total
+            for rest in _multisets_with_sum(sizes, total - sizes[i], i)]
 
 
 @lru_cache(maxsize=None)
@@ -381,7 +383,8 @@ def _canonical_data(q, k, n, p, family):
     non-decreasing order and hit with the class idempotent of the
     matching p-class, computed with the degree-d basis as the alphabet
     and then substituted into T^q(V).  Raises ComplementSearchExhausted
-    when any rank check fails.
+    when any rank check fails, and ValueError when a lower degree is
+    missing from family.
     """
     N = n ** q
     m, q1 = _p_part(q, p)
@@ -405,8 +408,8 @@ def _canonical_data(q, k, n, p, family):
     for d in range(k, q, k):
         if q % d:
             continue
-        data = family.get(d)
-        if data is None or data.basis.dim == 0:
+        data = _family_degree(family, d, q)
+        if data.basis.dim == 0:
             continue
         j, d1 = _p_part(d, p)
         step = q1 // d1
@@ -419,26 +422,22 @@ def _canonical_data(q, k, n, p, family):
                 elems.append((ell, row))
         ds.append((d, step, b, brows, elems))
 
-    # slot budgets: c_d slots of width d per divisor, multiples of step
-    sigmas = [sigma for sigma in iter_product(
-        *(range(0, q // d + 1, step) for d, step, *_ in ds))
-        if sum(c * d for c, (d, *_) in zip(sigma, ds)) == q]
-
+    # slot budgets: each use of divisor d adds step slots of width d
     star_rows = []
-    for sigma in sigmas:
+    for budget in _multisets_with_sum([d * step for d, step, *_ in ds], q):
         per_d = []
-        for (d, step, b, brows, elems), c_d in zip(ds, sigma):
-            if c_d == 0:
-                continue
+        for i in sorted(set(budget)):
+            d, step, b, brows, elems = ds[i]
+            c_d = step * budget.count(i)
             prods = Mat.from_packed(p, [
                 concat_all(p, b, [elems[j] for j in multi])
-                for multi in _multisets_with_slot_sum(elems, c_d)], b ** c_d)
+                for multi in _multisets_with_sum([ell for ell, _ in elems],
+                                                 c_d)], b ** c_d)
             starred = (prods @ _star_matrix(p, b, c_d, step)).packed_rows()
             per_d.append([(c_d * d, row) for row in substitute(
                 p, n, d, brows, c_d, starred)])
-        if per_d:
-            star_rows.extend(concat_all(p, n, combo)
-                             for combo in iter_product(*per_d))
+        star_rows.extend(concat_all(p, n, combo)
+                         for combo in iter_product(*per_d))
 
     star = Subspace.from_packed(p, N, star_rows)
     if star.dim != len(star_rows):

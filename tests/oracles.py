@@ -2,11 +2,13 @@
 
 No ``liepowers`` command reaches these: word indexing one letter at a
 time, tensors as word dicts, bracketed Lyndon words expanded over the
-integers, place permutations word by word, and GL(n, p) enumerated by
-breadth-first closure.
+integers, place permutations word by word, GL(n, p) enumerated by
+breadth-first closure, and the star span's slot multisets found by
+filtering every candidate.
 """
 
 from functools import lru_cache
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 
@@ -218,3 +220,24 @@ def generated_group_order(gens, limit=_CLOSURE_LIMIT):
             raise ArithmeticError("generated group exceeds %d elements" % limit)
         frontier = prods[fresh]
     return len(seen)
+
+
+# ---------------------------------------------------------------------------
+# slot multisets by filtering
+
+
+def multisets_by_filter(sizes, total):
+    """Non-decreasing index tuples into sizes (each >= 1) whose sizes add
+    up to total: every multiset of at most total indices, filtered."""
+    return [multi for size in range(total + 1)
+            for multi in combinations_with_replacement(range(len(sizes)), size)
+            if sum(sizes[j] for j in multi) == total]
+
+
+def slot_budgets_by_filter(divisors, q):
+    """Slot counts (c_d) with each c_d a multiple of step and the sum of
+    c_d * d equal to q, for divisors a list of (d, step): every tuple of
+    counts up to q // d, filtered."""
+    return [sigma for sigma in product(
+        *(range(0, q // d + 1, step) for d, step in divisors))
+        if sum(c * d for c, (d, _) in zip(sigma, divisors)) == q]

@@ -1,9 +1,11 @@
+import hashlib
 import os
 import pickle
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import liepowers.decompose as decompose_module
 from liepowers.combinat import higher_lie_dim, p_equivalence_classes
@@ -26,6 +28,7 @@ from liepowers.linalg import (Mat, Subspace, _invert, _weight_blocks,
                               _weight_index, is_direct_sum,
                               solve_equivariant_projection)
 from liepowers.modrep import TensorAction, gl_generators
+from oracles import multisets_by_filter, slot_budgets_by_filter
 
 
 def _build_degree(q, k, n, p, family):
@@ -387,6 +390,57 @@ def test_canonical_complement_public():
 def test_canonical_complement_needs_lower_degrees():
     with pytest.raises(ValueError, match="degree 3"):
         _build_degree(6, 3, 2, 2, {})
+
+
+def test_canonical_data_needs_lower_degrees():
+    # a missing divisor degree must not leave a smaller star span
+    with pytest.raises(ValueError, match="degree 3 is needed for degree 6"):
+        decompose_module._canonical_data(6, 3, 2, 2, {})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 4), max_size=6), st.integers(0, 9))
+def test_multisets_with_sum_matches_the_filter(sizes, total):
+    got = decompose_module._multisets_with_sum(sizes, total)
+    assert sorted(got) == sorted(multisets_by_filter(sizes, total))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3)), max_size=6),
+       st.integers(0, 9))
+def test_multisets_with_sum_gives_the_slot_budgets(divisors, q):
+    # one use of divisor d adds step slots of width d
+    budgets = decompose_module._multisets_with_sum(
+        [d * step for d, step in divisors], q)
+    got = [tuple(step * budget.count(i) for i, (_, step)
+                 in enumerate(divisors)) for budget in budgets]
+    assert sorted(got) == sorted(slot_budgets_by_filter(divisors, q))
+
+
+def test_multisets_with_sum_at_the_horizon():
+    # the Lie factors of n = 3, q = 12 over B_3: 8 of length 1, 28 of
+    # length 2 and 1008 of length 4 fill a budget of 4 slots
+    start = time.perf_counter()
+    got = decompose_module._multisets_with_sum([1] * 8 + [2] * 28
+                                               + [4] * 1008, 4)
+    assert len(got) == len(set(got)) == 2752
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("n,p,k,q,dim,digest", [
+    (2, 2, 3, 12, 108,
+     "0ee088c80f4409a9eb28a70a412049d8e2bbb366b09b01af9aead2beeab84a62"),
+    (3, 2, 3, 9, 168,
+     "c18a3271da9301cd1d3e6a08527870363eba4f0a74c2b5dc2b4f72ad38762441"),
+])
+def test_star_span_is_pinned(n, p, k, q, dim, digest):
+    # the dimension and digest of the canonical rows that filtering every
+    # candidate multiset gave; the order products are listed in is free
+    family = construct_B_family(n, p, k, q - k).degrees
+    star = decompose_module._canonical_data(q, k, n, p, family)["star"]
+    text = ",".join("%x" % row for row in star.packed_rows())
+    assert star.dim == dim
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_truncation_companion():
