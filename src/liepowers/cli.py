@@ -122,6 +122,8 @@ def _subspace_from_payload(payloads, key, p, n, r):
 def cmd_dims(args):
     _check_caps(args, _MAX_R)
     p, n, r = args.p, args.n, args.r
+    if n < 1:
+        raise ValueError("n must be positive")
     rows = []
     total = 0
     for lam in sorted(partitions(r)):
@@ -200,9 +202,8 @@ def cmd_decompose(args):
     result = construct_B_family(n, p, k, max_degree)
     # construct_B_family raises at the first failed check, so every check
     # certify_decomposition would make here has already passed: the
-    # construction runs _projection_flaw at every degree and _splits at
-    # every s >= 2, and _splits implies B_q lies in L^q; at s = 1, B is
-    # L^q itself, which is its own splitting.
+    # construction runs _projection_flaw and _splits at every degree, and
+    # _splits implies B_q lies in L^q.
     # "stage" (always 1) and "max_search" (always 64) are fixed fields of
     # this report format, kept so existing reports stay byte-identical
     splitting = set(_splitting_degrees(k, p, max_degree))
@@ -300,7 +301,7 @@ def _result_from_payload(payload):
             raise ValueError("projection payload size mismatch at degree "
                              "%d" % q)
         zero = Subspace.zero(p, n ** q)
-        degrees[q] = DegreeData(q, q // k, basis, zero, zero, [], proj)
+        degrees[q] = DegreeData(q, basis, zero, zero, [], proj)
     return DecompositionResult(p, n, k, max_degree, degrees)
 
 

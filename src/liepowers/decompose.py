@@ -10,17 +10,22 @@ is the direct sum of the free-Lie-algebra pieces generated by the lower
 B's plus the new B_{sk}, and each B_{sk} is certified a direct summand
 of T^{sk}(V) by an explicit idempotent equivariant projection.
 
-The complement W_{sk} (the new part of B_{sk} beyond the bracket pieces
-carried up from lower degrees) is found by one weight-preserving
-equivariant-projection solve inside L^{sk}(V).  The
-direct-summand certificate for B_{sk} inside the full tensor power is
+Every degree q = sk, s = 1 included, takes one path (``_build_degree``),
+which picks B_q's projection in one place: Dynkin's bracketing map
+scaled by 1/k at q = k, where B_k = L^k; the zero projection when the
+lower Lie pieces fill L^q; otherwise the star-route certificate, whose
+complement W_{sk} (the new part of B_{sk} beyond the bracket pieces
+carried up from lower degrees) comes from one weight-preserving
+equivariant-projection solve inside L^{sk}(V).  That certificate is
 the projection onto B_{sk} along the star span plus ker E: E lifts the
 idempotent of the p-class of the one-part cycle type to an operator on
 T^q, and the star span is spanned by class-symmetrised products of
-lower-degree basis elements.  No solve at tensor-power scale is needed.
-The theorems predict that every check on this route passes, so any
-failure raises ComplementSearchExhausted naming the degree and the
-reason.
+lower-degree basis elements.  The star span must meet L^q exactly in
+the lower Lie pieces, which lie in L^q, so this is checked by
+dimensions: it holds them, and dim star + dim L^q - dim(star + L^q)
+is theirs.  No solve at tensor-power scale is needed.
+The theorems predict that every check passes, so any failure raises
+ComplementSearchExhausted naming the degree and the reason.
 
 The route runs one weight space T^q_alpha (the words of one letter
 content) at a time.  E keeps letter content, and B, the star span and
@@ -298,13 +303,11 @@ def prop35_check(n, r, p, J):
 class DegreeData:
     """Everything retained for one constructed degree q = s k."""
 
-    __slots__ = ("degree", "s", "basis", "elim", "complement", "lower",
+    __slots__ = ("degree", "basis", "elim", "complement", "lower",
                  "projection")
 
-    def __init__(self, degree, s, basis, elim, complement, lower,
-                 projection):
+    def __init__(self, degree, basis, elim, complement, lower, projection):
         self.degree = degree
-        self.s = s
         self.basis = basis            # B_q, a Subspace of T^q(V)
         self.elim = elim              # bracket pieces carried from below
         self.complement = complement  # the new equivariant complement W_q
@@ -577,24 +580,12 @@ def _canonical_worker(q, k, n, p, family):
             os.waitpid(pid, 0)
 
 
-def _split_off(q, k, n, p, action, lie, lower_sum, elim, family):
-    """Find W complementing the settled part of L^q and certify
-    B = elim + W as a direct summand of T^q by the projection along the
-    star span plus ker E, or, when the lower Lie pieces fill L^q, by the
-    zero projection onto B = W = 0.  Returns (basis, W, projection); any
-    failure raises ComplementSearchExhausted naming q and the reason."""
-    N = n ** q
-    known, want = direct_sum(p, N, [lower_sum, elim])
-    if known.dim != want:
-        raise ArithmeticError(
-            "bracket pieces overlap the lower Lie pieces at degree %d" % q)
-    if lower_sum.dim == lie.dim:
-        # the lower pieces fill L^q, so B_q is 0 and so is its projection
-        basis, proj = Subspace.zero(p, N), Mat.zeros(p, N, N)
-        flaw = _projection_flaw(proj, basis, action)
-        if flaw is not None:
-            raise ComplementSearchExhausted(q, flaw)
-        return basis, basis, proj
+def _split_off(q, k, n, p, action, lie, lower_sum, elim, known, family):
+    """Find W complementing the settled part ``known`` = lower_sum + elim
+    of L^q, and the projection onto B = elim + W along the star span plus
+    ker E.  Returns (basis, W, projection) for ``_build_degree`` to check;
+    any failure on the way raises ComplementSearchExhausted naming q and
+    the reason."""
     # the canonical data need only the family below q, and the solve only
     # the action, the settled part and L^q, so the two run side by side
     with _canonical_worker(q, k, n, p, family) as canonical:
@@ -602,12 +593,15 @@ def _split_off(q, k, n, p, action, lie, lower_sum, elim, family):
             action, known, lie, labels=_weight_index(n, q)[lie.pivots])
         canon = canonical()
     star = canon["star"]
+    merged = star.sum(lie)
     # the star span must meet the Lie power exactly in the lower Lie
-    # pieces, and must stack with it to the full class summand
-    if star.intersect(lie) != lower_sum:
+    # pieces: lower_sum lies in L^q (``_settled_part``), so that holds when
+    # the star span holds lower_sum and the two meet in its dimension
+    if not star.contains_space(lower_sum) or \
+            star.dim + lie.dim - merged.dim != lower_sum.dim:
         raise ComplementSearchExhausted(
             q, "star span meets the Lie power incorrectly")
-    merged = star.sum(lie)
+    # and must stack with it to the full class summand
     if merged.dim != canon["expect"]:
         raise ComplementSearchExhausted(
             q, "star span plus Lie power has dimension %d, expected %d"
@@ -619,7 +613,7 @@ def _split_off(q, k, n, p, action, lie, lower_sum, elim, family):
             "power onto the settled part exists")
     wnew = _complement_from(lie, sol)
 
-    basis, want = direct_sum(p, N, [elim, wnew])
+    basis, want = direct_sum(p, n ** q, [elim, wnew])
     if basis.dim != want:
         raise ComplementSearchExhausted(
             q, "complement meets the bracket pieces")
@@ -630,9 +624,6 @@ def _split_off(q, k, n, p, action, lie, lower_sum, elim, family):
         raise ComplementSearchExhausted(
             q, "class projector is not injective on the star-extended Lie "
             "power")
-    flaw = _projection_flaw(proj, basis, action)
-    if flaw is not None:
-        raise ComplementSearchExhausted(q, flaw)
     return basis, wnew, proj
 
 
@@ -724,8 +715,6 @@ def _settled_part(q, k, n, p, family):
     pieces = []
     for total in range(1, s - 1):
         i = s - total
-        if i < 2:
-            continue
         # the partitions of total, each read with its parts ascending
         for tau in (lam[::-1] for lam in partitions(total)):
             if any(i + sum(tau[:u]) <= tau[u] for u in range(len(tau))):
@@ -767,17 +756,40 @@ def _settled_part(q, k, n, p, family):
 
 
 def _build_degree(q, k, n, p, action, lie, family):
-    """DegreeData for q = s k with s >= 2, from the family below q: the
-    settled part of L^q, the certified split, and the check that L^q is
-    the direct sum of the lower Lie pieces and the new basis."""
+    """DegreeData for q = s k from the family below q: the settled part
+    of L^q, one projection onto the new basis B_q, its certificate check,
+    and the check that L^q is the direct sum of the lower Lie pieces and
+    B_q.
+
+    The projection is Dynkin's bracketing map scaled by 1/k at q = k,
+    where B_k = L^k; the zero projection onto B_q = 0 when the lower Lie
+    pieces fill L^q; and otherwise the star-route certificate of
+    ``_split_off``.  A flawed projection raises ComplementSearchExhausted.
+    """
+    N = n ** q
     lower, lower_sum, elim = _settled_part(q, k, n, p, family)
-    basis, wnew, proj = _split_off(q, k, n, p, action, lie, lower_sum,
-                                   elim, family)
+    known, want = direct_sum(p, N, [lower_sum, elim])
+    if known.dim != want:
+        raise ArithmeticError(
+            "bracket pieces overlap the lower Lie pieces at degree %d" % q)
+    if q == k:
+        # bracketing maps L^k to itself as k times the identity
+        basis = wnew = lie
+        proj = dynkin_matrix(p, n, q).scale(pow(k % p, p - 2, p))
+    elif lower_sum.dim == lie.dim:
+        basis = wnew = Subspace.zero(p, N)
+        proj = Mat.zeros(p, N, N)
+    else:
+        basis, wnew, proj = _split_off(q, k, n, p, action, lie, lower_sum,
+                                       elim, known, family)
+    flaw = _projection_flaw(proj, basis, action)
+    if flaw is not None:
+        raise ComplementSearchExhausted(q, flaw)
     if not _splits(lower, basis, lie):
         raise ArithmeticError(
             "degree-%d Lie power fails to split into the lower pieces "
             "plus the new basis" % q)
-    return DegreeData(q, q // k, basis, elim, wnew, lower, proj)
+    return DegreeData(q, basis, elim, wnew, lower, proj)
 
 
 def construct_B_family(n, p, k, max_degree):
@@ -791,21 +803,9 @@ def construct_B_family(n, p, k, max_degree):
     _check_family_args(n, p, k, max_degree)
     gens = gl_generators(n, p)
     degrees = {}
-    for s in range(1, max_degree // k + 1):
-        q = s * k
-        action = TensorAction(gens, q)
-        lie = lie_power(p, n, q)
-        if s == 1:
-            inv_k = pow(q % p, p - 2, p)
-            proj = dynkin_matrix(p, n, q).scale(inv_k)
-            flaw = _projection_flaw(proj, lie, action)
-            if flaw is not None:
-                raise ArithmeticError(
-                    "degree-%d bracketing projection: %s" % (q, flaw))
-            degrees[q] = DegreeData(q, s, lie, Subspace.zero(p, n ** q),
-                                    lie, [], proj)
-            continue
-        degrees[q] = _build_degree(q, k, n, p, action, lie, degrees)
+    for q in range(k, max_degree + 1, k):
+        degrees[q] = _build_degree(q, k, n, p, TensorAction(gens, q),
+                                   lie_power(p, n, q), degrees)
     return DecompositionResult(p, n, k, max_degree, degrees)
 
 

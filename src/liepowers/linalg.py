@@ -21,9 +21,9 @@ There is one echelon kernel per field.
 
 A backend holds only what depends on that storage: ``zero``, ``unit``,
 ``coerce``, ``stack``, ``from_array``, ``from_triples``, ``digits``,
-``to_array``, ``take``, ``terms`` and ``from_terms`` turn rows into and
-out of dense arrays and (index, coefficient) terms, and ``dtype`` is
-that of ``digits``, the narrowest unsigned dtype that holds p - 1;
+``take``, ``terms`` and ``from_terms`` turn rows into and out of dense
+arrays and (index, coefficient) terms, and ``dtype`` is that of
+``digits``, the narrowest unsigned dtype that holds p - 1;
 ``is_zero``, ``key``, ``add``, ``sub``, ``scale``, ``concat``, ``join``
 and ``split`` act on single rows, and ``same`` compares two blocks in
 one call; ``echelon``, ``reduce`` and ``matmul`` are its one echelon,
@@ -390,9 +390,6 @@ class _GF2:
         return np.unpackbits(self._bytes(rows, n), axis=1, count=n,
                              bitorder="little")
 
-    def to_array(self, rows, n):
-        return self.digits(rows, n).astype(np.int64)
-
     def take(self, rows, n, cols):
         """The given columns of the rows, in order, as new rows."""
         cols = np.array(cols, dtype=np.intp)
@@ -569,10 +566,6 @@ class _GFp:
 
     coerce = from_array
     digits = stack
-
-    def to_array(self, rows, n):
-        """The rows as an int64 array, for callers that compute on it."""
-        return np.array(rows, dtype=np.int64).reshape(len(rows), n)
 
     def terms(self, row):
         for i in np.nonzero(row)[0]:
@@ -841,7 +834,7 @@ class Mat:
 
     def to_array(self):
         """Entries as a 2-d int64 array."""
-        return self._f.to_array(self._d, self.ncols)
+        return self._f.digits(self._d, self.ncols).astype(np.int64)
 
     def packed_rows(self):
         return list(self._d)
@@ -899,7 +892,7 @@ class Mat:
         F = self._f
         out = F.matmul(F.stack([F.coerce(vec)], self.nrows), self._d)[0]
         if isinstance(vec, list):
-            return F.to_array([out], self.ncols)[0].tolist()
+            return F.digits([out], self.ncols)[0].tolist()
         return out
 
     def __eq__(self, other):
@@ -1286,7 +1279,7 @@ def _projection_from_x(prob, xvals, index):
     p = prob["p"]
     keep = index >= 0
     x = np.zeros(index.shape, dtype=np.int64)
-    x[keep] = field(p).to_array([xvals], np.count_nonzero(keep))[0]
+    x[keep] = field(p).digits([xvals], np.count_nonzero(keep))[0]
     y = np.zeros((prob["d"], prob["m"]), dtype=np.int64)
     y[prob["free"]] = x
     y[prob["image"].pivots] = np.eye(prob["m"], dtype=np.int64) - \
@@ -1455,7 +1448,7 @@ def parse_terms(line, n, r):
     return out
 
 
-def format_subspace(space, n, r, comment=None):
+def format_subspace(space, n, r):
     """Serialize a subspace of the word space T^r(V_n).
 
     Header 'p n r', then one line per canonical basis vector listing
@@ -1467,11 +1460,7 @@ def format_subspace(space, n, r, comment=None):
     """
     if space.ambient != n ** r:
         raise ValueError("ambient does not match n^r")
-    lines = []
-    if comment:
-        for ln in comment.splitlines():
-            lines.append(f"# {ln}")
-    lines.append(f"{space.p} {n} {r}")
+    lines = [f"{space.p} {n} {r}"]
     texts = _word_texts(n, r)[0]
     digits = space._f.digits(space.packed_rows(), space.ambient)
     flat = np.flatnonzero(digits)

@@ -192,7 +192,7 @@ class TensorAction:
         F = self._f
         row = self.times(gi, Mat.from_packed(self.p, [F.coerce(vec)],
                                              self.dim)).packed_rows()[0]
-        return F.to_array([row], self.dim)[0].tolist() \
+        return F.digits([row], self.dim)[0].tolist() \
             if isinstance(vec, list) else row
 
     def induced_matrix(self, gi):

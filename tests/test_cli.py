@@ -45,6 +45,12 @@ def test_dims_cap_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_dims_rejects_nonpositive_n(n, capsys):
+    assert main(["dims", "--p", "2", "--n", n, "--r", "2"]) == 2
+    assert "n must be positive" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["pclasses", "--p", "4", "--r", "4"],
     ["dims", "--p", "4", "--n", "2", "--r", "2"],
@@ -585,6 +591,17 @@ def test_decompose_stage_one_failure_exit_1(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "invariant failed: degree 6: projector lifting failed: forced" \
         in err
+
+
+def test_decompose_bracketing_flaw_exit_1(monkeypatch, capsys):
+    # degree k is checked by the same call, and fails the same way, as
+    # every other degree
+    monkeypatch.setattr(decompose_module, "_projection_flaw",
+                        lambda proj, basis, action: "forced flaw")
+    assert main(["decompose", "--p", "2", "--n", "2", "--k", "3",
+                 "--max-degree", "6"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "invariant failed: degree 3: forced flaw"]
 
 
 def test_decompose_worker_death_exit_1(monkeypatch, capsys):

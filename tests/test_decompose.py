@@ -274,12 +274,117 @@ def test_worker_is_killed_when_the_parent_leaves(monkeypatch):
 
 
 def test_projection_flaw_reaches_the_failure(monkeypatch):
-    res = construct_B_family(2, 2, 3, 3)
+    # the star-route certificate, the bracketing projection at q = k and
+    # the zero projection all meet the one check
+    families = {k: construct_B_family(2, 2, k, k).degrees for k in (1, 3)}
     monkeypatch.setattr(decompose_module, "_projection_flaw",
                         lambda proj, basis, action: "forced flaw")
-    with pytest.raises(ComplementSearchExhausted,
-                       match="^degree 6: forced flaw$"):
-        _build_degree(6, 3, 2, 2, res.degrees)
+    for k, q in [(3, 6), (3, 3), (1, 2)]:
+        with pytest.raises(ComplementSearchExhausted,
+                           match="^degree %d: forced flaw$" % q):
+            _build_degree(q, k, 2, 2, families[k])
+
+
+def _star_route_rejects(monkeypatch, q, reason, canon=None, solve=None):
+    """Build degree q of n = 2, p = 2, k = 3 with the canonical data
+    passed through canon and the solve replaced by solve, and check that
+    the star route rejects it for reason."""
+    res = construct_B_family(2, 2, 3, q - 3)
+    if canon is not None:
+        real = decompose_module._canonical_data
+        monkeypatch.setattr(decompose_module, "_canonical_data",
+                            lambda *args: canon(real(*args)))
+    if solve is not None:
+        monkeypatch.setattr(decompose_module, "solve_equivariant_projection",
+                            solve)
+    with pytest.raises(ComplementSearchExhausted) as exc:
+        _build_degree(q, 3, 2, 2, res.degrees)
+    assert str(exc.value) == "degree %d: %s" % (q, reason)
+    _assert_no_child_process()
+
+
+def _with_star(canon, rows):
+    return {**canon, "star": Subspace.from_packed(2, canon["star"].ambient,
+                                                  rows)}
+
+
+def _lie_row_off(star):
+    """A row of L^6 outside the star span."""
+    return next(r for r in lie_power(2, 2, 6).packed_rows()
+                if not star.contains_space(
+                    Subspace.from_packed(2, star.ambient, [r])))
+
+
+def test_star_span_with_an_extra_lie_row_is_rejected(monkeypatch):
+    # a Lie row outside the lower pieces makes the star span meet L^6 in
+    # more than them
+    def extra(canon):
+        star = canon["star"]
+        return _with_star(canon, star.packed_rows() + [_lie_row_off(star)])
+
+    _star_route_rejects(monkeypatch, 6,
+                        "star span meets the Lie power incorrectly", extra)
+
+
+def test_star_span_missing_a_lower_piece_is_rejected(monkeypatch):
+    # a star row that the lower pieces need, traded for a Lie row outside
+    # the star span: the star span meets L^6 in the right dimension, but
+    # not in the lower pieces
+    lower_sum = decompose_module._settled_part(
+        6, 3, 2, 2, construct_B_family(2, 2, 3, 3).degrees)[1]
+    assert lower_sum.dim
+
+    def traded(canon):
+        star = canon["star"]
+        rows = star.packed_rows()
+        for i in range(len(rows)):
+            kept = rows[:i] + rows[i + 1:]
+            if not Subspace.from_packed(2, star.ambient,
+                                        kept).contains_space(lower_sum):
+                return _with_star(canon, kept + [_lie_row_off(star)])
+        raise AssertionError("every star row is spare")
+
+    _star_route_rejects(monkeypatch, 6,
+                        "star span meets the Lie power incorrectly", traded)
+
+
+def test_star_span_short_of_the_class_summand_is_rejected(monkeypatch):
+    res = construct_B_family(2, 2, 3, 3)
+    expect = decompose_module._canonical_data(6, 3, 2, 2,
+                                              res.degrees)["expect"]
+    _star_route_rejects(
+        monkeypatch, 6, "star span plus Lie power has dimension %d, "
+        "expected %d" % (expect, expect + 1),
+        lambda canon: {**canon, "expect": canon["expect"] + 1})
+
+
+def test_missing_equivariant_projection_is_rejected(monkeypatch):
+    _star_route_rejects(
+        monkeypatch, 6, "no weight-preserving equivariant projection of "
+        "the Lie power onto the settled part exists",
+        solve=lambda *args, **kwargs: None)
+
+
+def test_complement_meeting_the_bracket_pieces_is_rejected(monkeypatch):
+    # at degree 9 the bracket pieces [W_6, B_3] are nonzero; the zero
+    # projection of L^9 leaves all of L^9 as the complement
+    def zero(action, known, lie, labels):
+        assert known.dim and lie.dim > known.dim
+        return Mat.zeros(2, lie.dim, lie.dim)
+
+    _star_route_rejects(monkeypatch, 9,
+                        "complement meets the bracket pieces", solve=zero)
+
+
+def test_class_projector_rank_off_by_one_is_rejected(monkeypatch):
+    def bumped(canon):
+        alpha = next(iter(canon["rank"]))
+        return {**canon, "rank": {**canon["rank"],
+                                  alpha: canon["rank"][alpha] + 1}}
+
+    _star_route_rejects(
+        monkeypatch, 6, "class projector is not injective on the "
+        "star-extended Lie power", bumped)
 
 
 def test_family_rejects_zero_modulus():
