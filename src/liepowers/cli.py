@@ -39,6 +39,7 @@ from .combinat import (
 from .decompose import (
     _check_dense_dim,
     _check_family_args,
+    _proper_divisors,
     _splitting_degrees,
     DecompositionResult,
     DegreeData,
@@ -196,6 +197,42 @@ def cmd_filtration(args):
                      "pbw_basis_check"), 0 if ok else 1
 
 
+# "stage" (always 1) and "max_search" (always 64) are fixed fields of the
+# decompose report, kept so existing reports stay byte-identical
+_MAX_SEARCH = 64
+
+
+def _result_row(n, k, q, b_dims, elim_dim, complement_dim):
+    """The results row of degree q in a decompose report, given the
+    dimension of every basis and the split of B_q between the bracket
+    pieces and the new complement.  The lower piece L^{s/c}(B_ck) is
+    freely generated, so its dimension is witt_dim(dim B_ck, s / c)."""
+    s = q // k
+    return {"degree": q, "b_dim": b_dims[q], "elim_dim": elim_dim,
+            "complement_dim": complement_dim,
+            "lower_dims": [[c * k, witt_dim(b_dims[c * k], s // c)]
+                           for c in _proper_divisors(s)],
+            "lie_dim": witt_dim(n, q), "stage": 1}
+
+
+def _certificates(p, k, max_degree, degrees):
+    """The certificates and totals of a decompose report over the
+    ascending degrees: a projection and a basis certificate per degree,
+    and a splitting certificate at k, pk, p^2 k, ...  Each is "ok", as
+    decompose reports only a family every check of which passed."""
+    splitting = set(_splitting_degrees(k, p, max_degree))
+    certs = []
+    for q in degrees:
+        for kind in ("projection", "basis"):
+            certs.append({"kind": kind, "degree_or_class": q,
+                          "status": "ok", "stage": 1,
+                          "data_ref": "%s/%d" % (kind, q)})
+        if q in splitting:
+            certs.append({"kind": "splitting", "degree_or_class": q,
+                          "status": "ok", "stage": None, "data_ref": None})
+    return certs, {"checks": len(certs), "passed": len(certs)}
+
+
 def cmd_decompose(args):
     p, n, k = args.p, args.n, args.k
     max_degree = args.max_degree
@@ -204,38 +241,24 @@ def cmd_decompose(args):
     # certify_decomposition would make here has already passed: the
     # construction runs _projection_flaw and _splits at every degree, and
     # _splits implies B_q lies in L^q.
-    # "stage" (always 1) and "max_search" (always 64) are fixed fields of
-    # this report format, kept so existing reports stay byte-identical
-    splitting = set(_splitting_degrees(k, p, max_degree))
+    degrees = sorted(result.degrees)
+    b_dims = result.b_dims()
     rows = []
-    certs = []
     payloads = {}
-    for q in sorted(result.degrees):
+    for q in degrees:
         data = result.degrees[q]
-        rows.append({"degree": q,
-                     "b_dim": data.basis.dim,
-                     "elim_dim": data.elim.dim,
-                     "complement_dim": data.complement.dim,
-                     "lower_dims": [[c * k, piece.dim]
-                                    for c, piece in data.lower],
-                     "lie_dim": witt_dim(n, q),
-                     "stage": 1})
+        rows.append(_result_row(n, k, q, b_dims, data.elim.dim,
+                                data.complement.dim))
         payloads["basis/%d" % q] = _subspace_payload(data.basis, n, q)
         payloads["projection/%d" % q] = _matrix_payload(data.projection)
-        for kind in ("projection", "basis"):
-            certs.append({"kind": kind, "degree_or_class": q,
-                          "status": "ok", "stage": 1,
-                          "data_ref": "%s/%d" % (kind, q)})
-        if q in splitting:
-            certs.append({"kind": "splitting", "degree_or_class": q,
-                          "status": "ok", "stage": None, "data_ref": None})
+    certs, totals = _certificates(p, k, max_degree, degrees)
     payload = {
         "config": {"command": "decompose", "p": p, "n": n, "k": k,
-                   "max_degree": max_degree, "max_search": 64},
+                   "max_degree": max_degree, "max_search": _MAX_SEARCH},
         "results": rows,
         "certificates": certs,
         "payloads": payloads,
-        "totals": {"checks": len(certs), "passed": len(certs)},
+        "totals": totals,
     }
     return payload, ("degree", "b_dim", "elim_dim", "complement_dim",
                      "lie_dim", "stage"), 0
@@ -263,10 +286,26 @@ def _ints(obj, *keys):
     return out
 
 
+def _json_mismatch(got, want):
+    """The first key, in sorted order, at which the dicts got and want
+    differ as JSON (so true is not 1 and 1.0 is not 1), with the two
+    values as JSON text ("absent" for a missing key); None when they
+    agree."""
+    for key in sorted(set(got) | set(want)):
+        a = json.dumps(got[key]) if key in got else "absent"
+        b = json.dumps(want[key]) if key in want else "absent"
+        if a != b:
+            return "%s is %s, expected %s" % (key, a, b)
+    return None
+
+
 def _result_from_payload(payload):
     with _reading("config"):
-        p, n, k, max_degree = _ints(payload["config"], "p", "n", "k",
-                                    "max_degree")
+        p, n, k, max_degree, max_search = _ints(
+            payload["config"], "p", "n", "k", "max_degree", "max_search")
+    if max_search != _MAX_SEARCH:
+        raise ValueError("malformed config: max_search is %d, expected %d"
+                         % (max_search, _MAX_SEARCH))
     if k < 1:  # the degree range below needs a positive step
         raise ValueError("k must be positive")
     with _reading("results"):
@@ -274,14 +313,14 @@ def _result_from_payload(payload):
     entries = []
     for i, row in enumerate(rows):
         with _reading("results entry %d" % i):
-            entries.append(tuple(_ints(row, "degree", "stage")))
+            entries.extend(_ints(row, "degree"))
     # a range is lazy, so its length costs nothing however large the
     # claimed max_degree; only equal counts are listed
     want = range(k, max_degree + 1, k)
     if len(entries) != len(want):
         raise ValueError("report result count %d, expected %d"
                          % (len(entries), len(want)))
-    got = sorted(q for q, _ in entries)
+    got = sorted(entries)
     if got != list(want):
         raise ValueError("report results cover degrees %s, expected %s"
                          % (got, list(want)))
@@ -290,7 +329,7 @@ def _result_from_payload(payload):
     # its count rather than by the dimension cap
     _check_family_args(n, p, k, max_degree)
     degrees = {}
-    for q, _ in entries:
+    for q in got:
         key = "basis/%d" % q
         with _reading("payload " + key):
             basis = _subspace_from_payload(payload["payloads"], key, p, n, q)
@@ -302,7 +341,51 @@ def _result_from_payload(payload):
                              "%d" % q)
         zero = Subspace.zero(p, n ** q)
         degrees[q] = DegreeData(q, basis, zero, zero, [], proj)
-    return DecompositionResult(p, n, k, max_degree, degrees)
+    result = DecompositionResult(p, n, k, max_degree, degrees)
+    _check_summary(payload, rows, result)
+    return result
+
+
+def _check_summary(payload, rows, result):
+    """ValueError unless the results rows, certificates, totals and
+    payload keys are those decompose writes for the stored bases.  The
+    split of b_dim between elim_dim and complement_dim needs the settled
+    part, which certify does not rebuild, so only their sum is checked."""
+    n, k, b_dims = result.n, result.k, result.b_dims()
+    for i, row in enumerate(rows):
+        with _reading("results entry %d" % i):
+            elim, comp = _ints(row, "elim_dim", "complement_dim")
+            q = row["degree"]
+            if min(elim, comp) < 0 or elim + comp != b_dims[q]:
+                flaw = "elim_dim %d and complement_dim %d do not split " \
+                    "b_dim %d" % (elim, comp, b_dims[q])
+            else:
+                flaw = _json_mismatch(row, _result_row(n, k, q, b_dims,
+                                                       elim, comp))
+        if flaw:
+            raise ValueError("malformed results entry %d: %s" % (i, flaw))
+    certs, totals = _certificates(result.p, k, result.max_degree,
+                                  sorted(b_dims))
+    with _reading("certificates"):
+        got = list(payload["certificates"])
+    if len(got) != len(certs):
+        raise ValueError("malformed certificates: %d entries, expected %d"
+                         % (len(got), len(certs)))
+    for i, (cert, want) in enumerate(zip(got, certs)):
+        with _reading("certificates entry %d" % i):
+            flaw = _json_mismatch(cert, want)
+        if flaw:
+            raise ValueError("malformed certificates entry %d: %s"
+                             % (i, flaw))
+    with _reading("totals"):
+        flaw = _json_mismatch(payload["totals"], totals)
+    if flaw:
+        raise ValueError("malformed totals: %s" % flaw)
+    named = {"%s/%d" % (kind, q) for q in b_dims
+             for kind in ("basis", "projection")}
+    extra = sorted(set(payload["payloads"]) - named)
+    if extra:
+        raise ValueError("malformed payloads: no degree names %s" % extra[0])
 
 
 def cmd_certify(args):

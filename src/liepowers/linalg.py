@@ -40,10 +40,13 @@ written against it; so do ``Mat.apply`` (a one-row product) and
 ``Mat.spread`` (digits written into a zero array).  ``field(p)`` is also
 the one check that p is a usable modulus.
 
-The equivariant solver's linear system is sparse, and it is held in CSR
-form only: int64 row starts, int32 columns and coefficients in the
-backend's ``dtype`` (the narrowest unsigned dtype that holds p - 1), one
-row per equation with its right-hand side at column nunk.  The solver
+The equivariant solver keeps each generator's blocks as ``Mat``s, reads
+their entries through ``digits`` and widens only each equation's sum of
+terms to int64; no package code calls ``Mat.to_array``.  Its linear
+system is sparse, and it is held in CSR form only: int64 row starts,
+int32 columns and coefficients in the backend's ``dtype`` (the narrowest
+unsigned dtype that holds p - 1), one row per equation with its
+right-hand side at column nunk.  The solver
 orders the equations by descending lowest column, stably, as
 ``_GF2.echelon`` sorts packed rows, and hands that order to
 ``echelon_csr``.  The GF(2) kernel
@@ -833,7 +836,8 @@ class Mat:
     # -- access
 
     def to_array(self):
-        """Entries as a 2-d int64 array."""
+        """Entries as a 2-d int64 array; for tests, as no package code
+        calls it."""
         return self._f.digits(self._d, self.ncols).astype(np.int64)
 
     def packed_rows(self):
@@ -1133,11 +1137,12 @@ def _projection_problem(action, image, domain, labels):
     projection with that image can commute with the action), otherwise a
     dict of the data in echelon coordinates.  In domain coordinates the
     image is its canonical echelon basis ``image``, I at its pivot columns
-    and R at its ``free`` columns.  Per generator g, ``blocks`` holds
+    and R at its ``free`` columns.  Per generator g, ``blocks`` holds the
+    Mats
 
     * A, the action of g on the image basis (``_restrict``);
-    * C = G[:, pivots] and D = G[:, free] - C R, where G is the rows of g
-      at the free columns.
+    * C = G.columns(pivots) and D = G.columns(free) - C R, where G is the
+      packed rows of g at the free columns.
 
     Together they are g, [[A, 0], [C, D]], in the basis of the image rows
     and the unit rows at the free columns.  That basis has the inverse
@@ -1162,7 +1167,7 @@ def _projection_problem(action, image, domain, labels):
     free = _complement(d, piv)
     R = im.basis_matrix().columns(free)
     lab = np.unique(labels, return_inverse=True)[1].ravel()
-    nz = im.basis_matrix().to_array() != 0
+    nz = field(p).digits(im.packed_rows(), d) != 0
     if (nz & (lab != lab[piv][:, None])).any():
         raise ValueError("an image row crosses labels")
 
@@ -1171,10 +1176,10 @@ def _projection_problem(action, image, domain, labels):
         A = _restrict(im, lambda b: b @ g)
         if A is None:
             return None  # image not invariant: infeasible
-        G = g.to_array()[free]
-        C = G[:, piv]
-        D = (G[:, free] - (Mat.from_array(p, C) @ R).to_array()) % p
-        blocks.append((A.to_array(), C, D))
+        rows = g.packed_rows()
+        G = Mat.from_packed(p, [rows[i] for i in free], d)
+        C = G.columns(piv)
+        blocks.append((A, C, G.columns(free) - C @ R))
     graded = np.where(lab[free][:, None] == lab[piv], lab[free][:, None], -1)
 
     return {"p": p, "d": d, "m": im.dim, "image": im, "free": free, "R": R,
@@ -1227,8 +1232,10 @@ def _assemble_projection_system(prob):
     every equation other than 0 = 0 in generator and equation order,
     repeats included, as the echelon depends only on their span, with
     int64 row starts, int32 columns and coefficients in the backend's
-    ``dtype``.  The terms are summed one chunk of equations, about
-    _CHUNK terms, at a time; no equation is packed.
+    ``dtype``.  The terms are read from the blocks' narrow ``digits`` and
+    summed one chunk of equations, about _CHUNK terms, at a time, each
+    sum widened to int64 before it is reduced mod p; no equation is
+    packed.
     """
     p, d, m = prob["p"], prob["d"], prob["m"]
     k = d - m
@@ -1241,12 +1248,13 @@ def _assemble_projection_system(prob):
     # pinned unknowns land in column nunk + 1, past the right-hand side
     col = np.where(keep, index, nunk + 1)
     step = max(1, _CHUNK // max(m, k, 1))
-    dtype = field(p).dtype
+    F = field(p)
     sizes = [np.zeros(0, dtype=np.int64)]
-    cols, vals = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=dtype)]
+    cols, vals = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=F.dtype)]
     for a, c, dd in prob["blocks"]:
-        aptr, acol, aval = _csr(a.T)
-        dptr, dcol, dval = _csr(dd)
+        aptr, acol, aval = _csr(F.digits(a.packed_rows(), m).T)
+        dptr, dcol, dval = _csr(F.digits(dd.packed_rows(), k))
+        c = F.digits(c.packed_rows(), m)
         for e0 in range(0, k * m, step):
             i, j = np.divmod(np.arange(e0, min(e0 + step, k * m)), m)
             r1, t1 = _csr_gather(aptr, j)
@@ -1262,29 +1270,30 @@ def _assemble_projection_system(prob):
                 new = np.flatnonzero(np.diff(eq, prepend=-1)
                                      | np.diff(unk, prepend=-1))
                 eq, unk = eq[new], unk[new]
-                coef = np.add.reduceat(coef, new) % p
+                coef = np.add.reduceat(coef, new, dtype=np.int64) % p
                 live = (coef != 0) & (unk <= nunk)
                 eq, unk, coef = eq[live], unk[live], coef[live]
             sizes.append(np.unique(eq, return_counts=True)[1])
             cols.append(unk.astype(np.int32))
-            vals.append(coef.astype(dtype))
+            vals.append(coef.astype(F.dtype))
     ptr = np.concatenate(([0], np.cumsum(np.concatenate(sizes))))
     return index, nunk, (ptr, np.concatenate(cols), np.concatenate(vals))
 
 
 def _projection_from_x(prob, xvals, index):
     """The projection of the unknowns X (k x m): P = Y @ image, where Y is
-    X at the free columns and I - R X at the pivot columns.  In the basis
-    of ``_projection_problem`` it is [[I, 0], [X, 0]]."""
-    p = prob["p"]
+    X at the free columns and I - R X at the pivot columns: the rows of
+    those two Mats, put in domain order.  In the basis of
+    ``_projection_problem`` it is [[I, 0], [X, 0]]."""
+    p, m, F = prob["p"], prob["m"], field(prob["p"])
     keep = index >= 0
-    x = np.zeros(index.shape, dtype=np.int64)
-    x[keep] = field(p).digits([xvals], np.count_nonzero(keep))[0]
-    y = np.zeros((prob["d"], prob["m"]), dtype=np.int64)
-    y[prob["free"]] = x
-    y[prob["image"].pivots] = np.eye(prob["m"], dtype=np.int64) - \
-        (prob["R"] @ Mat.from_array(p, x)).to_array()
-    return Mat.from_array(p, y) @ prob["image"].basis_matrix()
+    x = np.zeros(index.shape, dtype=F.dtype)
+    x[keep] = F.digits([xvals], np.count_nonzero(keep))[0]
+    X = Mat.from_array(p, x)
+    rows = X.packed_rows() + (Mat.identity(p, m) - prob["R"] @ X).packed_rows()
+    at = np.argsort(np.append(prob["free"], prob["image"].pivots))
+    Y = Mat.from_packed(p, [rows[i] for i in at], m)
+    return Y @ prob["image"].basis_matrix()
 
 
 def _projection_solution(action, image, domain, labels):

@@ -166,7 +166,7 @@ class TensorAction:
         self.dim = n ** r
         self.generators = list(gens)
         self._f = field(p)
-        self._arrs = [g.to_array() for g in gens]
+        self._arrs = [self._f.digits(g.packed_rows(), n) for g in gens]
         self._mats = [None] * len(gens)
 
     def times(self, gi, mat, left=False):

@@ -7,6 +7,7 @@ import pytest
 
 import liepowers.decompose as decompose_module
 from liepowers.cli import main
+from liepowers.combinat import witt_dim
 
 
 def run(capsys, *argv):
@@ -364,6 +365,112 @@ def test_certify_rejects_malformed_report(odd_report, tmp_path, capsys,
     assert message in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def even_report(tmp_path_factory):
+    out_file = tmp_path_factory.mktemp("report") / "cert.json"
+    assert main(["decompose", "--p", "2", "--n", "2", "--k", "3",
+                 "--max-degree", "9", "--format", "json",
+                 "--out", str(out_file)]) == 0
+    return json.loads(out_file.read_text())
+
+
+def _certify_code(payload, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code = main(["certify", str(bad)])
+    return code, capsys.readouterr().err
+
+
+def _set(key, value, at=0):
+    def mutate(payload):
+        payload["results"][at][key] = value
+    return mutate
+
+
+def _bump(key, at=1):
+    def mutate(payload):
+        payload["results"][at][key] += 1
+    return mutate
+
+
+def _cert(key, value):
+    def mutate(payload):
+        payload["certificates"][0][key] = value
+    return mutate
+
+
+def _ref_to_the_top_degree(payload):
+    top = payload["results"][-1]["degree"]
+    payload["certificates"][0]["data_ref"] = "projection/%d" % top
+
+
+def _no_certificates(payload):
+    payload["certificates"] = []
+
+
+def _one_failed_check(payload):
+    payload["totals"] = {"checks": 1, "passed": 0}
+
+
+def _extra_payload(payload):
+    conf = payload["config"]
+    key = "projection/%d" % (conf["max_degree"] + conf["k"])
+    payload["payloads"][key] = payload["payloads"]["projection/%d"
+                                                   % conf["k"]]
+
+
+def _max_search_63(payload):
+    payload["config"]["max_search"] = 63
+
+
+@pytest.mark.parametrize("report", ["even_report", "odd_report"])
+@pytest.mark.parametrize("mutate,message", [
+    (_set("b_dim", 999), "malformed results entry 0: b_dim is 999"),
+    (_set("lie_dim", 7), "malformed results entry 0: lie_dim is 7"),
+    (_bump("elim_dim"), "malformed results entry 1: elim_dim"),
+    (_bump("complement_dim"), "malformed results entry 1: elim_dim"),
+    (_set("lower_dims", [99], at=1),
+     "malformed results entry 1: lower_dims is [99]"),
+    (_set("stage", 2), "malformed results entry 0: stage is 2, expected 1"),
+    (_cert("status", "fail"),
+     'malformed certificates entry 0: status is "fail", expected "ok"'),
+    (_ref_to_the_top_degree, "malformed certificates entry 0: data_ref"),
+    (_no_certificates, "malformed certificates: 0 entries"),
+    (_one_failed_check, "malformed totals: checks is 1"),
+    (_extra_payload, "malformed payloads: no degree names projection/"),
+    (_max_search_63, "malformed config: max_search is 63, expected 64"),
+], ids=["b_dim", "lie_dim", "elim_dim", "complement_dim", "lower_dims",
+        "stage", "status", "data_ref", "no-certificates", "totals",
+        "extra-payload", "max_search"])
+def test_certify_rejects_a_summary_decompose_never_writes(
+        request, report, tmp_path, capsys, mutate, message):
+    payload = copy.deepcopy(request.getfixturevalue(report))
+    mutate(payload)
+    code, err = _certify_code(payload, tmp_path, capsys)
+    assert code == 2 and message in err
+
+
+@pytest.mark.parametrize("report", ["even_report", "odd_report"])
+def test_certify_rejects_each_changed_results_field(request, report,
+                                                    tmp_path, capsys):
+    # every field of every results row, changed by one value, is refused
+    # as malformed or fails a check
+    clean = request.getfixturevalue(report)
+    assert _certify_code(clean, tmp_path, capsys)[0] == 0
+    tried = 0
+    for i, row in enumerate(clean["results"]):
+        for key, value in row.items():
+            payload = copy.deepcopy(clean)
+            if isinstance(value, int):
+                payload["results"][i][key] = value + 1
+            else:
+                payload["results"][i][key] = value[:-1] if value else [[1, 1]]
+            assert _certify_code(payload, tmp_path, capsys)[0] in (1, 2), \
+                (i, key)
+            tried += 1
+    assert tried == 7 * len(clean["results"])
+
+
 @pytest.mark.parametrize("rewrite", [
     lambda row: row.replace("1", "+1", 1),
     lambda row: row.replace("1", "01", 1),
@@ -536,6 +643,19 @@ def test_alphabet_below_one_letter_exit_2(argv, capsys):
     assert "n must be positive" in capsys.readouterr().err
 
 
+def _restate_b_dim(payload, q, dim):
+    """The results rows rewritten as decompose writes them for a basis of
+    dimension dim at degree q: its b_dim, split as complement_dim, and
+    the lower_dims of the degrees above that it generates.  A forged
+    basis then gets past the reading of the report to certify's checks."""
+    for row in payload["results"]:
+        if row["degree"] == q:
+            row.update(b_dim=dim, elim_dim=0, complement_dim=dim)
+        for pair in row["lower_dims"]:
+            if pair[0] == q:
+                pair[1] = witt_dim(dim, row["degree"] // q)
+
+
 def test_certify_records_a_cut_lower_basis(tmp_path, capsys):
     # B_3 cut to one row: the degree-6 splitting check fails and is
     # recorded with the other checks, not raised
@@ -547,6 +667,7 @@ def test_certify_records_a_cut_lower_basis(tmp_path, capsys):
     lines = payload["payloads"]["basis/3"]["lines"]
     assert len(lines) == 3  # the header and two rows
     del lines[2:]
+    _restate_b_dim(payload, 3, 1)
     out_file.write_text(json.dumps(payload))
     capsys.readouterr()
     assert main(["certify", str(out_file), "--format", "json"]) == 1
@@ -570,6 +691,7 @@ def test_certify_rejects_an_emptied_basis_between_splitting_degrees(
     del payload["payloads"]["basis/9"]["lines"][1:]
     rows = payload["payloads"]["projection/9"]["rows"]
     rows[:] = ["0" * len(row) for row in rows]
+    _restate_b_dim(payload, 9, 0)
     out_file.write_text(json.dumps(payload))
     capsys.readouterr()
     assert main(["certify", str(out_file), "--format", "json"]) == 1

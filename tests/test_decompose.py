@@ -846,6 +846,24 @@ def test_solve_reads_generators_as_matrices(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("n,p,k,top", [(2, 2, 3, 9), (2, 3, 2, 6)])
+def test_construction_copies_no_matrix_to_int64(monkeypatch, n, p, k, top):
+    # the solve and the generator action read rows through the field
+    # backend alone, so the family is the same with Mat.to_array refused
+    want = construct_B_family(n, p, k, top)
+
+    def refused(self):
+        raise AssertionError("Mat.to_array called")
+
+    monkeypatch.setattr(Mat, "to_array", refused)
+    got = construct_B_family(n, p, k, top)
+    assert got.b_dims() == want.b_dims()
+    for q, data in want.degrees.items():
+        assert got.degrees[q].basis == data.basis
+        assert got.degrees[q].complement == data.complement
+        assert got.degrees[q].projection == data.projection
+
+
 @pytest.mark.parametrize("n,p,q", [(2, 2, 6), (3, 3, 4)])
 def test_projection_onto_the_whole_lie_power_is_the_identity(n, p, q):
     # when the lower Lie pieces and the bracket pieces fill L^q there is
