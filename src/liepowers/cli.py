@@ -27,6 +27,7 @@ import json
 import sys
 import time
 from contextlib import contextmanager, nullcontext
+from itertools import zip_longest
 
 from .combinat import (
     compositions,
@@ -55,7 +56,13 @@ from .descent import (
     multiply_permutation_oracle,
 )
 from .freelie import lie_power, symmetrize_extend, truncate_subspace
-from .linalg import Mat, Subspace, field, format_subspace, parse_subspace
+from .linalg import (
+    Mat,
+    Subspace,
+    field,
+    parse_subspace,
+    subspace_lines,
+)
 
 _MAX_R = 30
 # filtration lifts the descent idempotents of degree r, then splits T^r(V)
@@ -85,8 +92,32 @@ def _matrix_payload(m):
             "rows": m.row_texts()}
 
 
-def _matrix_from_payload(payloads, key):
+# the keys of a decompose report, and of each kind of payload object
+_REPORT_KEYS = {"config", "results", "certificates", "payloads", "totals",
+                "timing_ms"}
+_PAYLOAD_KEYS = {"matrix": {"type", "p", "size", "rows"},
+                 "subspace": {"type", "lines"}}
+
+
+def _payload_object(payloads, key, kind):
+    """The payload object at key, which must be of the given kind with
+    exactly that kind's keys."""
     obj = payloads[key]
+    if not isinstance(obj, dict):
+        raise TypeError("not an object")
+    extra = sorted(set(obj) ^ _PAYLOAD_KEYS[kind])
+    if extra:
+        flaw = "%s key %s" % ("unexpected" if extra[0] in obj else "missing",
+                              extra[0])
+    else:
+        flaw = _json_mismatch({"type": obj["type"]}, {"type": kind})
+    if flaw:
+        raise ValueError("malformed payload %s: %s" % (key, flaw))
+    return obj
+
+
+def _matrix_from_payload(payloads, key):
+    obj = _payload_object(payloads, key, "matrix")
     try:
         return Mat.from_texts(*_ints(obj, "p", "size"), obj["rows"])
     except ValueError as exc:
@@ -94,23 +125,22 @@ def _matrix_from_payload(payloads, key):
 
 
 def _subspace_payload(space, n, r):
-    return {"type": "subspace",
-            "lines": format_subspace(space, n, r).splitlines()}
+    return {"type": "subspace", "lines": list(subspace_lines(space, n, r))}
 
 
 def _subspace_from_payload(payloads, key, p, n, r):
     """The subspace of a payload whose header must be 'p n r'; the header
     is checked before any row is parsed.  The lines must then be those
-    ``_subspace_payload`` writes for that subspace, byte for byte."""
-    lines = payloads[key]["lines"]
+    ``_subspace_payload`` writes for that subspace, byte for byte, which
+    are written and compared one at a time."""
+    lines = _payload_object(payloads, key, "subspace")["lines"]
     try:
         space = parse_subspace("\n".join(lines), header=(p, n, r))[0]
-        want = _subspace_payload(space, n, r)["lines"]
-        if lines != want:
-            i = next((i for i, (a, b) in enumerate(zip(lines, want))
-                      if a != b), min(len(lines), len(want)))
-            raise ValueError("line %d: not the canonical text of the "
-                             "subspace" % i)
+        for i, (got, want) in enumerate(zip_longest(
+                lines, subspace_lines(space, n, r))):
+            if got != want:
+                raise ValueError("line %d: not the canonical text of the "
+                                 "subspace" % i)
         return space
     except ValueError as exc:
         raise ValueError("payload %s: %s" % (key, exc)) from None
@@ -300,12 +330,17 @@ def _json_mismatch(got, want):
 
 
 def _result_from_payload(payload):
+    extra = sorted(set(payload) - _REPORT_KEYS)
+    if extra:
+        raise ValueError("malformed report: unexpected key %s" % extra[0])
     with _reading("config"):
-        p, n, k, max_degree, max_search = _ints(
-            payload["config"], "p", "n", "k", "max_degree", "max_search")
-    if max_search != _MAX_SEARCH:
-        raise ValueError("malformed config: max_search is %d, expected %d"
-                         % (max_search, _MAX_SEARCH))
+        p, n, k, max_degree = _ints(payload["config"], "p", "n", "k",
+                                    "max_degree")
+        flaw = _json_mismatch(payload["config"], {
+            "command": "decompose", "p": p, "n": n, "k": k,
+            "max_degree": max_degree, "max_search": _MAX_SEARCH})
+    if flaw:
+        raise ValueError("malformed config: %s" % flaw)
     if k < 1:  # the degree range below needs a positive step
         raise ValueError("k must be positive")
     with _reading("results"):
@@ -320,10 +355,10 @@ def _result_from_payload(payload):
     if len(entries) != len(want):
         raise ValueError("report result count %d, expected %d"
                          % (len(entries), len(want)))
-    got = sorted(entries)
-    if got != list(want):
-        raise ValueError("report results cover degrees %s, expected %s"
-                         % (got, list(want)))
+    got = list(want)
+    if entries != got:
+        raise ValueError("malformed results: cover degrees %s, expected %s"
+                         % (entries, got))
     # the configuration must be one decompose accepts before any payload
     # is parsed; after the count check, so a huge max_degree is named by
     # its count rather than by the dimension cap

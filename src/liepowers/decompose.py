@@ -50,7 +50,8 @@ checks and their order are those of building both in this process, and
 no option switches the worker off.
 
 A certificate P (N x N) for a basis B (r x N, canonical, pivot columns
-pi) is checked through C = P[:, pi] without any N x N x N product:
+pi) is checked through C = P[:, pi] without any N x N x N product, and
+(i) one weight space of P's rows at a time, so without any N x N one:
 
 (i) C B = P holds exactly when every row of P lies in span B;
 (ii) given (i), B C = I_r holds exactly when P is idempotent with image
@@ -501,13 +502,24 @@ def _projection_flaw(proj, basis, action):
     (iii) per generator g, B g = M B with M = (B g)[:, pi], i.e. span B
     is g-invariant, and C M = g C, i.e. P g = g P.  Given (i) and (ii),
     (iii) is equivalent to P g = g P, since B has independent rows.
-    Every product has r as one of its dimensions.
+    Every product has r as one of its dimensions.  (i) runs one weight
+    space of P's rows at a time, and C is taken from those row blocks, so
+    neither an N x N product nor a take over all N rows of P is formed;
+    nothing assumes that P is graded.
     """
+    p, N, r = proj.p, proj.ncols, basis.dim
     B = basis.basis_matrix()
-    C = proj.columns(basis.pivots)
-    if C @ B != proj:
-        return "projection rows lie outside the stored basis"
-    if B @ C != Mat.identity(proj.p, basis.dim):
+    rows = proj.packed_rows()
+    C = [None] * N
+    for idx in _weight_blocks(action.n, action.r).values():
+        Pa = Mat.from_packed(p, [rows[i] for i in idx], N)
+        Ca = Pa.columns(basis.pivots)
+        if Ca @ B != Pa:
+            return "projection rows lie outside the stored basis"
+        for i, row in zip(idx.tolist(), Ca.packed_rows()):
+            C[i] = row
+    C = Mat.from_packed(p, C, r)
+    if B @ C != Mat.identity(p, r):
         return "projection does not fix the stored basis"
     for gi in range(len(action.generators)):
         M = _restrict(basis, partial(action.times, gi))

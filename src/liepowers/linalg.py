@@ -8,8 +8,9 @@ identical, so no tolerance ever enters.
 How a row of F_p^N is stored is decided in one place, the field backend
 returned by ``field(p)``, and every other module works on rows through it:
 
-* ``p == 2``: a row is a Python int, bit ``j`` = column ``j``.  Every
-  product, of any shape, runs Four-Russians on numpy uint64 words, and
+* ``p == 2``: a row is a Python int, bit ``j`` = column ``j``.  A
+  product runs Four-Russians on numpy uint64 words, or, when its left
+  factor is sparse, one XOR of the selected rows per set bit; and
   every echelon eliminates on the big ints, whose XOR costs time only
   where rows have bits.
 * odd ``p``: a row is a numpy array of the narrowest unsigned dtype that
@@ -27,9 +28,10 @@ arrays and (index, coefficient) terms, and ``dtype`` is that of
 ``is_zero``, ``key``, ``add``, ``sub``, ``scale``, ``concat``, ``join``
 and ``split`` act on single rows, and ``same`` compares two blocks in
 one call; ``echelon``, ``reduce`` and ``matmul`` are its one echelon,
-reduction and product kernels, and ``echelon_csr`` feeds that echelon
-the rows of a sparse matrix; ``tensor_times`` multiplies rows by a
-tensor power g x ... x g of a small matrix without forming it.  Its
+reduction and product kernels, ``dot`` runs that product on digit
+arrays, and ``echelon_csr`` feeds that echelon the rows of a sparse
+matrix; ``tensor_times`` multiplies rows by a tensor power g x ... x g
+of a small matrix without forming it, on either side.  Its
 block writer ``write_rows`` and block reader ``read_rows`` (with its row
 reader ``parse_row``) are the one seam between rows and payload text:
 the reader takes a block only as the writer gives it back, byte for byte
@@ -40,22 +42,25 @@ written against it; so do ``Mat.apply`` (a one-row product) and
 ``Mat.spread`` (digits written into a zero array).  ``field(p)`` is also
 the one check that p is a usable modulus.
 
-The equivariant solver keeps each generator's blocks as ``Mat``s, reads
-their entries through ``digits`` and widens only each equation's sum of
-terms to int64; no package code calls ``Mat.to_array``.  Its linear
-system is sparse, and it is held in CSR form only: int64 row starts,
-int32 columns and coefficients in the backend's ``dtype`` (the narrowest
-unsigned dtype that holds p - 1), one row per equation with its
-right-hand side at column nunk.  The solver
-orders the equations by descending lowest column, stably, as
-``_GF2.echelon`` sorts packed rows, and hands that order to
-``echelon_csr``.  The GF(2) kernel
-``_rref2_ints`` eliminates an ordered stream: it takes rows in the order
-given and keeps only pivot rows.  So ``_GF2.echelon_csr`` packs the rows
-one chunk of ``_CHUNK`` entries at a time, and a row that reduces to 0
-is dropped as it does; ``_GF2.echelon`` sorts its rows and feeds the
-same kernel.  At odd p, ``echelon_csr`` fills one dense block of narrow
-rows and eliminates it in place.
+The equivariant solver does not solve for the graded unknowns X[u, v]
+of the projection one by one.  It spins the quotient Q = domain / image
+from a few seeds, as the MeatAxe finds module homomorphisms, carrying
+each spun row's image under X as an affine function of the seeds'
+unknowns (``_Spin``), and solves only the relations between those
+images: 1,448 unknowns instead of 51,782 at n = 3, q = 9.  The
+relations, a chunk at a time, are reduced by one product against the
+echelon kept so far, which holds at most one row per unknown, and
+``_solve_linear_system`` solves that echelon.  The particular solution
+and the kernel are mapped back to X and numbered as the graded unknowns
+always were, so ``_canonical_solution`` picks the same answer.
+``_solve_linear_system`` takes CSR arrays (int64 row starts, int32
+columns, coefficients in the backend's ``dtype``, the right-hand side at
+column nunk), as ``solve_class_indicator`` gives them too; it orders the
+rows by descending lowest column, stably, as ``_GF2.echelon`` sorts
+packed rows.  The GF(2) kernel ``_rref2_ints`` eliminates an ordered
+stream, keeping only pivot rows, and ``_GF2.echelon_csr`` packs one
+chunk of ``_CHUNK`` entries at a time; at odd p, ``echelon_csr`` fills
+one dense block of narrow rows and eliminates it in place.
 
 The weight table of T^r(V_n) lives here as well, cached per (n, r),
 where a word over 1..n of length r has its big-endian base-n index:
@@ -88,6 +93,7 @@ __all__ = [
     "affine_projection_family",
     "word_weight",
     "format_subspace",
+    "subspace_lines",
     "parse_subspace",
     "parse_terms",
 ]
@@ -148,14 +154,26 @@ def _letter_masks(n, r):
 def _mul2(arows, brows):
     """C = A*B for packed rows; bit j of arows[i] selects brows[j].
 
-    Every product, of any shape, goes through the word kernel
-    ``_mul2_words``; a row of A that is negative or wider than B's row
-    count raises ValueError.
+    A goes through the word kernel ``_mul2_words``, unless it has under a
+    quarter as many set bits as that kernel gathers table entries (one per
+    row of A and group of 8 of B's rows): then each row of C is the XOR of
+    the B rows its set bits select, one big-int XOR per bit.  A row of A
+    that is negative or wider than B's row count raises ValueError.
     """
     nb = len(brows)
     for a in arows:
         if a < 0 or a.bit_length() > nb:
             raise ValueError("row width exceeds left factor's column count")
+    if 4 * sum(a.bit_count() for a in arows) < len(arows) * -(-nb // 8):
+        out = []
+        for a in arows:
+            acc = 0
+            while a:
+                low = a & -a
+                acc ^= brows[low.bit_length() - 1]
+                a ^= low
+            out.append(acc)
+        return out
     bw = max((r.bit_length() for r in brows), default=0)
     C = _mul2_words(_rows_to_words(arows, nb), _rows_to_words(brows, bw))
     return _words_to_rows(C)
@@ -174,6 +192,15 @@ def _rows_to_words(rows, ncols):
     """Packed rows as a (rows, words) uint64 array, padded to whole words."""
     nw = max(1, (ncols + 63) // 64)
     return _GF2._bytes(rows, 64 * nw).view(np.uint64)
+
+
+def _digits_to_words(a):
+    """The rows of a 2-d 0/1 array as a (rows, words) uint64 array, bit j
+    of a row in word j // 64, padded to whole words."""
+    nw = max(1, (a.shape[1] + 63) // 64)
+    out = np.zeros((a.shape[0], 8 * nw), dtype=np.uint8)
+    out[:, :(a.shape[1] + 7) // 8] = np.packbits(a, axis=1, bitorder="little")
+    return out.view(np.uint64)
 
 
 def _words_to_rows(words):
@@ -333,6 +360,7 @@ def _matmulp(a, b, p, dtype):
 
 
 _HEX_DIGITS = re.compile(r"[0-9a-fA-F]*\Z")
+_LOWER_HEX = re.compile(r"[0-9a-f]*\Z")
 _DECIMAL_ROW = re.compile(r"(?:0|[1-9][0-9]*)(?: (?:0|[1-9][0-9]*))*\Z")
 
 
@@ -363,7 +391,11 @@ class _GF2:
 
     def coerce(self, vec):
         """A packed row from a packed row or a plain 0/1 sequence."""
-        return vec if isinstance(vec, int) else self.from_array([vec])[0]
+        if isinstance(vec, int):
+            return vec
+        bits = np.asarray(vec).astype(np.uint8) & 1  # the cast keeps parity
+        return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(),
+                              "little")
 
     def stack(self, rows, n):
         return list(rows)
@@ -476,12 +508,32 @@ class _GF2:
         """a @ b for blocks of rows, always through the word kernel."""
         return _mul2(a, b)
 
-    def tensor_times(self, rows, g, n, r):
-        """Each row times g tensor ... tensor g (r factors), for an n x n
-        array g, without forming that matrix.  Per tensor axis, the n
-        slices of a row (the columns with letter j there, cut out by a
-        mask and shifted onto letter 0) are summed into the output
-        slices, one XOR per nonzero entry of g."""
+    def dot(self, a, b):
+        """a @ b for 2-d digit arrays, through the word kernel, as a digit
+        array."""
+        out = _mul2_words(_digits_to_words(a), _digits_to_words(b))
+        return np.unpackbits(out.view(np.uint8), axis=1, count=b.shape[1],
+                             bitorder="little")
+
+    def tensor_times(self, rows, g, n, r, width=None):
+        """Each row times G = g tensor ... tensor g (r factors), for an
+        n x n array g, without forming G.  Per tensor axis, the n slices
+        of a row (the columns with letter j there, cut out by a mask and
+        shifted onto letter 0) are summed into the output slices, one XOR
+        per nonzero entry of g.  Given the rows' width, G times the n^r
+        rows instead: the tensor axes are those of the row index, whose
+        slices are summed as rows, one XOR of rows per entry."""
+        if width is not None:
+            x = np.empty(len(rows), dtype=object)
+            x[:] = list(rows)
+            for axis in range(r):
+                src = x.reshape(n ** axis, n, -1)
+                out = np.zeros(src.shape, dtype=object)
+                for i in range(n):
+                    for j in np.flatnonzero(g[i] & 1):
+                        out[:, i] ^= src[:, j]
+                x = out.reshape(-1)
+            return list(x)
         masks = _letter_masks(n, r)
         cols = [np.flatnonzero(g[:, i] & 1).tolist() for i in range(n)]
         out = []
@@ -505,13 +557,15 @@ class _GF2:
     def read_rows(self, texts, n):
         """The rows that ``write_rows`` writes as texts, read one by one
         with ``parse_row``.  Once every row parses, the first row that
-        the writer would not write (upper-case hex) is refused too."""
+        the writer would not write is refused too: at the width that
+        parse_row checks, that is a row with an upper-case hex digit, so
+        each text is matched against lower-case hex and none is written
+        back."""
         rows = _read_each(self.parse_row, texts, n)
-        back = self.write_rows(rows, n)
-        if back != texts:
-            i = next(i for i, (a, b) in enumerate(zip(back, texts)) if a != b)
-            raise ValueError("row %d: not the canonical text of its entries"
-                             % i)
+        for i, text in enumerate(texts):
+            if not _LOWER_HEX.match(text):
+                raise ValueError("row %d: not the canonical text of its "
+                                 "entries" % i)
         return rows
 
     def parse_row(self, text, n):
@@ -633,18 +687,25 @@ class _GFp:
     def matmul(self, a, b):
         return _matmulp(a, b, self.p, self.dtype)
 
-    def tensor_times(self, rows, g, n, r):
-        """Each row times g tensor ... tensor g (r factors), for an n x n
-        array g reduced mod p, without forming that matrix.  Per tensor
-        axis, each output slice is an int64 sum of input slices scaled by
+    dot = matmul  # a block is its digit array
+
+    def tensor_times(self, rows, g, n, r, width=None):
+        """Each row times G = g tensor ... tensor g (r factors), for an
+        n x n array g reduced mod p, without forming G.  Per tensor axis,
+        each output slice is an int64 sum of input slices scaled by
         entries of g, reduced and stored narrow once per axis, and reduced
-        after every lim terms where n terms could overflow int64."""
+        after every lim terms where n terms could overflow int64.  Given
+        the rows' width, G times the n^r rows instead: the tensor axes
+        are those of the row index, a reshape of the block, and each is
+        summed with g^T."""
         p = self.p
-        x = self.stack(rows, n ** r)
-        m = len(x)
+        if width is None:
+            x, m, tail = self.stack(rows, n ** r), len(rows), 1
+        else:
+            x, m, tail, g = self.stack(rows, width), 1, width, g.T
         lim = (np.iinfo(np.int64).max - p + 1) // (p - 1) ** 2  # >= 1023
         for axis in range(r):
-            src = x.reshape(m * n ** axis, n, n ** (r - axis - 1))
+            src = x.reshape(m * n ** axis, n, n ** (r - axis - 1) * tail)
             out = np.zeros(src.shape, dtype=np.int64)
             for i in range(n):
                 for t, j in enumerate(np.flatnonzero(g[:, i])):
@@ -653,7 +714,7 @@ class _GFp:
                     out[:, i] += np.multiply(src[:, j], int(g[j, i]),
                                              dtype=np.int64)
             x = self._narrow(out)
-        return x.reshape(m, n ** r)
+        return x.reshape(m, n ** r) if width is None else x.reshape(n ** r, tail)
 
     def write_rows(self, block, n):
         """Each row as its entries' decimals joined by single spaces,
@@ -703,7 +764,9 @@ class _GFp:
         its message.
         """
         out = np.empty((len(texts), n), dtype=self.dtype)
-        step = max(1, _CHUNK // max(n, 1))
+        # a chunk's text, digit, end and int32 arrays take about 10 bytes
+        # per entry: _CHUNK bytes in all
+        step = max(1, _CHUNK // (10 * max(n, 1)))
         for lo in range(0, len(texts), step):
             try:
                 raw = ("\n".join(texts[lo:lo + step]) + "\n").encode("ascii")
@@ -1146,11 +1209,12 @@ def _projection_problem(action, image, domain, labels):
 
     Together they are g, [[A, 0], [C, D]], in the basis of the image rows
     and the unit rows at the free columns.  That basis has the inverse
-    [[I, -R], [0, I]] in closed form, so neither is formed.  ``graded``
-    (k x m) holds the grade of X[u, v], or -1 where u and v differ in
-    grade: the grade of a coordinate is the rank of its label among the
-    labels (one int or string per domain coordinate).  An image row that
-    crosses labels raises ValueError.
+    [[I, -R], [0, I]] in closed form, so neither is formed.  D is the
+    action on the quotient Q = domain / image in the basis of the unit
+    rows at the free columns.  ``labels`` holds the grade of each free
+    column and of each image row: the rank of its label among the labels
+    (one int or string per domain coordinate).  An image row that crosses
+    labels raises ValueError.
     """
     p = domain.p
     d = domain.dim
@@ -1180,10 +1244,9 @@ def _projection_problem(action, image, domain, labels):
         G = Mat.from_packed(p, [rows[i] for i in free], d)
         C = G.columns(piv)
         blocks.append((A, C, G.columns(free) - C @ R))
-    graded = np.where(lab[free][:, None] == lab[piv], lab[free][:, None], -1)
 
     return {"p": p, "d": d, "m": im.dim, "image": im, "free": free, "R": R,
-            "blocks": blocks, "graded": graded}
+            "blocks": blocks, "labels": (lab[free], lab[piv])}
 
 
 def _invert(mat):
@@ -1219,65 +1282,257 @@ def _csr_take(csr, rows):
     return owner, cols[at], vals[at]
 
 
-def _assemble_projection_system(prob):
-    """Equations X*A - D*X = C per generator over the unknowns X[u, v],
-    v an image row, u a free column (the blocks of ``_projection_problem``);
-    equation (i, j) has coefficient A[v, j] at X[i, v] and -D[i, u] at
-    X[u, j], and right-hand side C[i, j].
+def _unknown_index(prob):
+    """index[u, v] numbers X[u, v], for u a free column and v an image row
+    of one grade, and is -1 where their grades differ (such X[u, v] are
+    0): in elimination order (grade block size descending, grade, v
+    descending, u), which ``_canonical_solution`` reads back in
+    reference order."""
+    lf, li = prob["labels"]
+    same = lf[:, None] == li
+    u, v = np.nonzero(same)
+    w = lf[u]
+    index = np.full(same.shape, -1, dtype=np.intp)
+    index[u, v] = np.argsort(np.lexsort((u, -v, w, -np.bincount(w)[w])))
+    return index
 
-    Unknowns where ``prob["graded"]`` is -1 are pinned to zero.  Returns
-    (index, nunk, system): index[u, v] numbers X[u, v] (-1 when pinned)
-    in elimination order (grade block size descending, grade, v
-    descending, u).  system is the CSR form of ``_solve_linear_system``:
-    every equation other than 0 = 0 in generator and equation order,
-    repeats included, as the echelon depends only on their span, with
-    int64 row starts, int32 columns and coefficients in the backend's
-    ``dtype``.  The terms are read from the blocks' narrow ``digits`` and
-    summed one chunk of equations, about _CHUNK terms, at a time, each
-    sum widened to int64 before it is reduced mod p; no equation is
-    packed.
+
+def _minus(p, a, b):
+    """(a - b) mod p of digit arrays, in a's dtype: a XOR at p = 2, else
+    through the narrowest unsigned dtype that holds a + p - b."""
+    if p == 2:
+        return a ^ b
+    out = a.astype(np.min_scalar_type(2 * p - 1))
+    out += p
+    out -= b
+    out %= p
+    return out.astype(a.dtype)
+
+
+class _Spin:
+    """The quotient Q of ``_projection_problem`` spun from seeds, each spun
+    row b of Q carrying xi(b) = b X as an affine function of the seeds'
+    unknowns (see the module docstring).
+
+    X is graded: X[u, v] = 0 unless free column u and image row v have
+    one grade, so xi maps Q_t, the span of the free columns of grade t,
+    into the image rows of grade t.  P commutes with g exactly when
+    xi(b D) = xi(b) A - b C for every b; split by grade, the part of b D
+    at grade t has as xi the part of xi(b) A - b C at the image rows of
+    grade t.  Seeds are unit rows of Q, grade by grade, fewest image rows
+    first and then by descending grade, each unless the span already
+    holds it; for the weight index of ``decompose``, where letter
+    permutations map weight spaces onto weight spaces of the same sizes,
+    each orbit is seeded at its non-increasing weight.  A seed of grade t
+    brings m_t unknowns and is spun one layer at a time: each part of an
+    image that is new to the span of its grade is added with its xi and
+    joins the next layer.  So xi(b) depends on its own seed's unknowns
+    alone and is held as an m_t x (m_s + 1) digit array: those unknowns,
+    then the constant term.
+
+    ``vecs[t]`` holds the spun rows of Q_t, ``xis[t]`` their (seed, xi),
+    and ``images[t]`` per row and generator g the xi of its image at the
+    image rows ``reach[t, g]`` that g reaches from grade t; ``taken``
+    holds (t, i, g, t2) when the part at grade t2 of row i of Q_t times g
+    was spun; ``seeds`` holds each seed's first unknown and count.
     """
-    p, d, m = prob["p"], prob["d"], prob["m"]
-    k = d - m
-    graded = prob["graded"]
-    keep = graded >= 0
-    nunk = int(np.count_nonzero(keep))
-    index = np.full((k, m), -1, dtype=np.intp)
-    (u, v), w = np.nonzero(keep), graded[keep]
-    index[keep] = np.argsort(np.lexsort((u, -v, w, -np.bincount(w)[w])))
-    # pinned unknowns land in column nunk + 1, past the right-hand side
-    col = np.where(keep, index, nunk + 1)
-    step = max(1, _CHUNK // max(m, k, 1))
-    F = field(p)
-    sizes = [np.zeros(0, dtype=np.int64)]
-    cols, vals = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=F.dtype)]
-    for a, c, dd in prob["blocks"]:
-        aptr, acol, aval = _csr(F.digits(a.packed_rows(), m).T)
-        dptr, dcol, dval = _csr(F.digits(dd.packed_rows(), k))
-        c = F.digits(c.packed_rows(), m)
-        for e0 in range(0, k * m, step):
-            i, j = np.divmod(np.arange(e0, min(e0 + step, k * m)), m)
-            r1, t1 = _csr_gather(aptr, j)
-            r2, t2 = _csr_gather(dptr, i)
-            eq = np.concatenate((r1, r2, np.arange(len(i))))
-            unk = np.concatenate((col[i[r1], acol[t1]], col[dcol[t2], j[r2]],
-                                  np.full(len(i), nunk)))
-            coef = np.concatenate((aval[t1], p - dval[t2], c[i, j]))
-            # sort by (equation, column), then sum the terms on one column
-            order = np.argsort(eq * (nunk + 2) + unk)
-            eq, unk, coef = eq[order], unk[order], coef[order]
-            if len(eq):
-                new = np.flatnonzero(np.diff(eq, prepend=-1)
-                                     | np.diff(unk, prepend=-1))
-                eq, unk = eq[new], unk[new]
-                coef = np.add.reduceat(coef, new, dtype=np.int64) % p
-                live = (coef != 0) & (unk <= nunk)
-                eq, unk, coef = eq[live], unk[live], coef[live]
-            sizes.append(np.unique(eq, return_counts=True)[1])
-            cols.append(unk.astype(np.int32))
-            vals.append(coef.astype(F.dtype))
-    ptr = np.concatenate(([0], np.cumsum(np.concatenate(sizes))))
-    return index, nunk, (ptr, np.concatenate(cols), np.concatenate(vals))
+
+    def __init__(self, prob):
+        p, m, k = prob["p"], prob["m"], prob["d"] - prob["m"]
+        F = self.F = field(p)
+        self.p, self.k = p, k
+        self.lf, self.li = lf, li = prob["labels"]
+        self.grades = sorted(set(lf.tolist()) | set(li.tolist()))
+        self.cols = {t: np.flatnonzero(lf == t) for t in self.grades}
+        self.rows = {t: np.flatnonzero(li == t) for t in self.grades}
+        self.local = np.zeros(m, dtype=np.intp)  # of an image row in its grade
+        for t in self.grades:
+            self.local[self.rows[t]] = np.arange(len(self.rows[t]))
+        # per generator, A and [D | C]: one product gives b D and b C
+        self.blocks, self.reach = [], {}
+        for g, (a, c, d) in enumerate(prob["blocks"]):
+            A, C = F.digits(a.packed_rows(), m), F.digits(c.packed_rows(), m)
+            self.blocks.append(np.concatenate(
+                (F.digits(d.packed_rows(), k), C), axis=1))
+            for t in self.grades:
+                At = A[self.rows[t]]
+                sup = np.flatnonzero(At.any(axis=0) | C[self.cols[t]].any(
+                    axis=0))
+                self.reach[t, g] = sup, np.ascontiguousarray(At[:, sup].T)
+        self.vecs = {t: [] for t in self.grades}
+        self.xis = {t: [] for t in self.grades}
+        self.images = {t: [] for t in self.grades}
+        self.taken = set()
+        self.seeds = []
+        self.nunk = 0
+        span = {t: Subspace.zero(p, len(self.cols[t])) for t in self.grades}
+        for t in sorted(self.grades, key=lambda t: (len(self.rows[t]), -t)):
+            for u in range(len(self.cols[t])):
+                seed = np.zeros(len(self.cols[t]), dtype=F.dtype)
+                seed[u] = 1
+                if not span[t].contains(seed):
+                    mt = len(self.rows[t])
+                    self.seeds.append((self.nunk, mt))
+                    self.nunk += mt
+                    self._spin(span, t, seed, np.eye(mt, mt + 1,
+                                                     dtype=F.dtype))
+
+    def _spin(self, span, t, seed, xi):
+        """Add the seed, then spin it one layer at a time."""
+        F, p, k, s = self.F, self.p, self.k, len(self.seeds) - 1
+        grown = []
+
+        def add(t, vec, xi):
+            span[t] = span[t].add([F.coerce(vec)])
+            self.vecs[t].append(vec)
+            self.xis[t].append((s, xi))
+            self.images[t].append([])
+            grown.append((t, len(self.vecs[t]) - 1))
+
+        add(t, seed, xi)
+        while grown:
+            layer, grown = grown, []
+            grades = sorted({t for t, _ in layer})
+            src = np.concatenate([self.cols[t] for t in grades])
+            first = dict(zip(grades, np.cumsum(
+                [0] + [len(self.cols[t]) for t in grades]).tolist()))
+            full = np.zeros((len(layer), len(src)), dtype=F.dtype)
+            for j, (t, i) in enumerate(layer):
+                full[j, first[t]:first[t] + len(self.cols[t])] = \
+                    self.vecs[t][i]
+            for g, DC in enumerate(self.blocks):
+                img = F.dot(full, DC[src])
+                outs = {}
+                for t in grades:
+                    at = [j for j, (u, _) in enumerate(layer) if u == t]
+                    sup, Ats = self.reach[t, g]
+                    Xi = np.array([self.xis[t][layer[j][1]][1] for j in at])
+                    n, mt, z = Xi.shape
+                    out = F.dot(Ats, Xi.transpose(1, 0, 2).reshape(mt, n * z))
+                    out = out.reshape(len(sup), n, z).transpose(1, 0, 2).copy()
+                    out[:, :, -1] = _minus(p, out[:, :, -1],
+                                           img[at][:, k + sup])
+                    for j, o in zip(at, out):
+                        self.images[t][layer[j][1]].append(o)
+                        outs[j] = sup, o
+                for j, row in enumerate(img[:, :k]):
+                    for t2 in sorted(set(self.lf[row != 0].tolist())):
+                        part = row[self.cols[t2]]
+                        if not span[t2].contains(part):
+                            self.taken.add(layer[j] + (g, t2))
+                            add(t2, part, self.at(t2, *outs[j]))
+
+    def at(self, t, sup, out):
+        """The rows of grade t of a xi image out at the image rows sup, as
+        an m_t-row array (0 at the rows of grade t outside sup)."""
+        sel = self.li[sup] == t
+        got = np.zeros((len(self.rows[t]),) + out.shape[1:], dtype=out.dtype)
+        got[self.local[sup[sel]]] = out[sel]
+        return got
+
+
+def _spin_solution(prob, index):
+    """The solutions of the projection equations of ``_projection_problem``
+    as (particular, kernel) in the numbering ``index`` of
+    ``_unknown_index``, or None when there is none.
+
+    Over the spin's unknowns and a last constant column, X at grade t is
+    B_t^-1 Xi_t, with B_t the spun rows of Q_t and Xi_t their xi.  Each
+    spun row b of grade t and generator g give, at every grade t2 that g
+    reaches, the relations (b D)_t2 X_t2 = (xi(b) A - b C)_t2, one per
+    image row of grade t2; a part the spin took as new gives 0 = 0 and is
+    skipped.  The relations go into one echelon a chunk at a time, and
+    the solution of that echelon is mapped to X through the X_t.
+    """
+    sp = _Spin(prob)
+    F, p, k, Z = sp.F, sp.p, sp.k, sp.nunk + 1
+    X = {}
+    for t in sp.grades:
+        if sp.vecs[t]:
+            xi = np.zeros((len(sp.vecs[t]), len(sp.rows[t]), Z), dtype=F.dtype)
+            for i, (s, part) in enumerate(sp.xis[t]):
+                first, count = sp.seeds[s]
+                xi[i, :, first:first + count] = part[:, :-1]
+                xi[i, :, -1] = part[:, -1]
+            inv = _invert(Mat.from_array(p, np.array(sp.vecs[t])))
+            X[t] = F.matmul(inv._d, F.from_array(xi.reshape(len(xi), -1)))
+    imgs, sources = {}, {}  # sources[t2]: the (t, g) that reach grade t2
+    for t in X:
+        for g, DC in enumerate(sp.blocks):
+            img = imgs[t, g] = F.dot(np.array(sp.vecs[t]), DC[sp.cols[t], :k])
+            for t2 in set(sp.li[sp.reach[t, g][0]].tolist()) | set(
+                    sp.lf[img.any(axis=0)].tolist()):
+                sources.setdefault(t2, []).append((t, g))
+    seed_of = {t: np.array([s for s, _ in sp.xis[t]]) for t in X}
+    ech, piv = F.echelon([], Z)
+    # a chunk of relations holds the bytes of _CHUNK int64 entries
+    step = max(1, 8 * _CHUNK // (Z * F.dtype.itemsize))
+    pending = []
+    for t2 in sorted(sources):
+        rows = np.arange(len(sp.rows[t2]))
+        if not len(rows):
+            continue
+        srcs = [(t, g, np.array([i for i in range(len(sp.vecs[t]))
+                                 if (t, i, g, t2) not in sp.taken],
+                                dtype=np.intp)) for t, g in sources[t2]]
+        if t2 in X:  # one product for every source: its tables are shared
+            YX = F.matmul(F.from_array(np.concatenate(
+                [imgs[t, g][at][:, sp.cols[t2]] for t, g, at in srcs])),
+                X[t2])
+        done = 0
+        for t, g, at in srcs:
+            if t2 in X:
+                rel = F.digits(YX[done:done + len(at)], len(rows) * Z)
+                rel = rel.reshape(len(at), len(rows), Z)
+            else:
+                rel = np.zeros((len(at), len(rows), Z), dtype=F.dtype)
+            done += len(at)
+            sup = sp.reach[t, g][0]
+            for s in sorted(set(seed_of[t][at].tolist())):
+                mine = np.flatnonzero(seed_of[t][at] == s)
+                out = np.array([sp.images[t][i][g] for i in at[mine]])
+                first, count = sp.seeds[s]
+                where = np.ix_(mine, rows, np.append(
+                    np.arange(first, first + count), Z - 1))
+                rel[where] = _minus(p, rel[where], sp.at(
+                    t2, sup, out.transpose(1, 0, 2)).transpose(1, 0, 2))
+            rel = rel.reshape(-1, Z)
+            pending.append(rel[rel.any(axis=1)])
+            if sum(map(len, pending)) >= step:
+                ech, piv = _absorb(F, p, ech, piv, np.concatenate(pending))
+                pending = []
+    if pending:
+        ech, piv = _absorb(F, p, ech, piv, np.concatenate(pending))
+    aug = F.digits(ech, Z).astype(np.int64)
+    aug[:, -1] = -aug[:, -1] % p  # the right-hand side of coefficients . z
+    sol = _solve_linear_system(p, _csr(aug), sp.nunk)
+    if sol is None:
+        return None
+    part, kernel = sol
+    W = np.zeros((1 + len(kernel), Z), dtype=F.dtype)
+    W[:, :-1] = F.digits([part] + list(kernel), sp.nunk)
+    W[0, -1] = 1
+    out = np.zeros((len(W), int(np.count_nonzero(index >= 0))),
+                   dtype=F.dtype)
+    for t, Xt in X.items():
+        mt = len(sp.rows[t])
+        vals = F.dot(F.digits(Xt, mt * Z).reshape(-1, Z), W.T)
+        out[:, index[np.ix_(sp.cols[t], sp.rows[t])].ravel()] = vals.T
+    part, *kernel = F.from_array(out)
+    return part, kernel
+
+
+def _absorb(F, p, ech, piv, block):
+    """The canonical echelon (rows, pivots) of the rows ech and of the
+    digit rows block, which one product first reduces by ech."""
+    n = block.shape[1]
+    if piv:
+        block = _minus(p, block, F.digits(
+            F.matmul(F.from_array(block[:, piv]), ech), n))
+        block = block[block.any(axis=1)]
+    if not len(block):
+        return ech, piv
+    return F.echelon(list(ech) + list(F.from_array(block)), n)
 
 
 def _projection_from_x(prob, xvals, index):
@@ -1298,12 +1553,13 @@ def _projection_from_x(prob, xvals, index):
 
 def _projection_solution(action, image, domain, labels):
     """The projection problem, its index of unknowns and its solution
-    (particular, kernel), or None when it is infeasible."""
+    (particular, kernel) in reference order, or None when it is
+    infeasible."""
     prob = _projection_problem(action, image, domain, labels)
     if prob is None:
         return None
-    index, nunk, system = _assemble_projection_system(prob)
-    sol = _solve_linear_system(prob["p"], system, nunk)
+    index = _unknown_index(prob)
+    sol = _spin_solution(prob, index)
     return None if sol is None else (
         prob, index, _canonical_solution(prob["p"], *sol, index))
 
@@ -1464,21 +1720,25 @@ def format_subspace(space, n, r):
     coefficient/word pairs.  A word is written as its letters' digits
     run together ('2 121'), or, when n > 9, as its letters joined by '.'
     ('2 1.10.3'); the header's n decides which.  '#' starts a comment.
-    Terms are read from the basis's digit array, and word texts from a
-    table cached per (n, r).
+    The lines are those of ``subspace_lines``.
     """
+    return "\n".join(subspace_lines(space, n, r)) + "\n"
+
+
+def subspace_lines(space, n, r):
+    """The lines of ``format_subspace`` one at a time: the header, then a
+    term line per basis row, read from that row's digits, with word
+    texts from a table cached per (n, r)."""
     if space.ambient != n ** r:
         raise ValueError("ambient does not match n^r")
-    lines = [f"{space.p} {n} {r}"]
+    yield f"{space.p} {n} {r}"
     texts = _word_texts(n, r)[0]
-    digits = space._f.digits(space.packed_rows(), space.ambient)
-    flat = np.flatnonzero(digits)
-    at, cols = np.divmod(flat, space.ambient)
-    terms = [f"{c} {texts[j]}"
-             for c, j in zip(digits.ravel()[flat].tolist(), cols.tolist())]
-    ends = np.cumsum(np.bincount(at, minlength=len(digits))).tolist()
-    lines += [" ".join(terms[a:b]) for a, b in zip([0] + ends, ends)]
-    return "\n".join(lines) + "\n"
+    F = space._f
+    for row in space.packed_rows():
+        digits = F.digits([row], space.ambient)[0]
+        cols = np.flatnonzero(digits)
+        yield " ".join(f"{c} {texts[j]}"
+                       for c, j in zip(digits[cols].tolist(), cols.tolist()))
 
 
 def parse_subspace(text, header=None):

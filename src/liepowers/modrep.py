@@ -174,17 +174,18 @@ class TensorAction:
         the induced matrix of generator gi; G is never formed.
 
         Row convention: a row times G contracts each tensor axis of the
-        row with g in turn (see the field backends' ``tensor_times``).
-        G @ mat is (mat^T @ G^T)^T, and G^T is the induced matrix of g^T.
+        row with g in turn; G @ mat contracts each tensor axis of the row
+        index of mat instead, a reshape of its n^r rows (see the field
+        backends' ``tensor_times``), so nothing is transposed.
         """
         if mat.p != self.p or (mat.nrows if left else mat.ncols) != self.dim:
             raise ValueError("shape/modulus mismatch")
         g = self._arrs[gi]
         if left:
-            mat, g = mat.transpose(), g.T
-        out = Mat.from_packed(self.p, self._f.tensor_times(
+            return Mat.from_packed(self.p, self._f.tensor_times(
+                mat.packed_rows(), g, self.n, self.r, mat.ncols), mat.ncols)
+        return Mat.from_packed(self.p, self._f.tensor_times(
             mat.packed_rows(), g, self.n, self.r), self.dim)
-        return out.transpose() if left else out
 
     def apply(self, gi, vec):
         """Image of a degree-r tensor under generator gi: a packed row for

@@ -3,8 +3,9 @@
 No ``liepowers`` command reaches these: word indexing one letter at a
 time, tensors as word dicts, bracketed Lyndon words expanded over the
 integers, place permutations word by word, GL(n, p) enumerated by
-breadth-first closure, and the star span's slot multisets found by
-filtering every candidate.
+breadth-first closure, the star span's slot multisets found by
+filtering every candidate, and the equivariant projection equations in
+Kronecker form.
 """
 
 from functools import lru_cache
@@ -13,7 +14,7 @@ from itertools import combinations_with_replacement, product
 import numpy as np
 
 from liepowers.freelie import standard_factorization
-from liepowers.linalg import field
+from liepowers.linalg import _csr, _csr_gather, field
 
 # ---------------------------------------------------------------------------
 # words
@@ -241,3 +242,72 @@ def slot_budgets_by_filter(divisors, q):
     return [sigma for sigma in product(
         *(range(0, q // d + 1, step) for d, step in divisors))
         if sum(c * d for c, (d, _) in zip(sigma, divisors)) == q]
+
+
+# ---------------------------------------------------------------------------
+# the equivariant projection equations
+
+
+def kronecker_projection_system(prob):
+    """The spin solve's reference: the equations X*A - D*X = C per
+    generator over every unknown X[u, v] of one grade, v an image row, u
+    a free column (the blocks of ``_projection_problem``); equation (i, j)
+    has coefficient A[v, j] at X[i, v] and -D[i, u] at X[u, j], and
+    right-hand side C[i, j].  This Kronecker form was the package's solve
+    before the spin.
+
+    Unknowns whose free column and image row differ in grade (the
+    ``labels`` of ``_projection_problem``) are pinned to zero.  Returns
+    (index, nunk, system): index[u, v] numbers X[u, v] (-1 when pinned)
+    in elimination order (grade block size descending, grade, v
+    descending, u).  system is the CSR form of ``_solve_linear_system``:
+    every equation other than 0 = 0 in generator and equation order,
+    repeats included, as the echelon depends only on their span, with
+    int64 row starts, int32 columns and coefficients in the backend's
+    ``dtype``.  The terms are read from the blocks' narrow ``digits`` and
+    summed one chunk of equations, about 2^18 terms, at a time, each
+    sum widened to int64 before it is reduced mod p; no equation is
+    packed.
+    """
+    p, d, m = prob["p"], prob["d"], prob["m"]
+    k = d - m
+    lf, li = prob["labels"]
+    graded = np.where(lf[:, None] == li, lf[:, None], -1)
+    keep = graded >= 0
+    nunk = int(np.count_nonzero(keep))
+    index = np.full((k, m), -1, dtype=np.intp)
+    (u, v), w = np.nonzero(keep), graded[keep]
+    index[keep] = np.argsort(np.lexsort((u, -v, w, -np.bincount(w)[w])))
+    # pinned unknowns land in column nunk + 1, past the right-hand side
+    col = np.where(keep, index, nunk + 1)
+    step = max(1, (1 << 18) // max(m, k, 1))
+    F = field(p)
+    sizes = [np.zeros(0, dtype=np.int64)]
+    cols, vals = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=F.dtype)]
+    for a, c, dd in prob["blocks"]:
+        aptr, acol, aval = _csr(F.digits(a.packed_rows(), m).T)
+        dptr, dcol, dval = _csr(F.digits(dd.packed_rows(), k))
+        c = F.digits(c.packed_rows(), m)
+        for e0 in range(0, k * m, step):
+            i, j = np.divmod(np.arange(e0, min(e0 + step, k * m)), m)
+            r1, t1 = _csr_gather(aptr, j)
+            r2, t2 = _csr_gather(dptr, i)
+            eq = np.concatenate((r1, r2, np.arange(len(i))))
+            unk = np.concatenate((col[i[r1], acol[t1]], col[dcol[t2], j[r2]],
+                                  np.full(len(i), nunk)))
+            coef = np.concatenate((aval[t1], p - dval[t2], c[i, j]))
+            # sort by (equation, column), then sum the terms on one column
+            order = np.argsort(eq * (nunk + 2) + unk)
+            eq, unk, coef = eq[order], unk[order], coef[order]
+            if len(eq):
+                new = np.flatnonzero(np.diff(eq, prepend=-1)
+                                     | np.diff(unk, prepend=-1))
+                eq, unk = eq[new], unk[new]
+                coef = np.add.reduceat(coef, new, dtype=np.int64) % p
+                live = (coef != 0) & (unk <= nunk)
+                eq, unk, coef = eq[live], unk[live], coef[live]
+            sizes.append(np.unique(eq, return_counts=True)[1])
+            cols.append(unk.astype(np.int32))
+            vals.append(coef.astype(F.dtype))
+    ptr = np.concatenate(([0], np.cumsum(np.concatenate(sizes))))
+    return index, nunk, (ptr, np.concatenate(cols), np.concatenate(vals))

@@ -423,6 +423,27 @@ def _max_search_63(payload):
     payload["config"]["max_search"] = 63
 
 
+def _reversed_results(payload):
+    payload["results"].reverse()
+
+
+def _config_key(payload):
+    payload["config"]["extra"] = 1
+
+
+def _report_key(payload):
+    payload["extra"] = 1
+
+
+def _projection_typed_subspace(payload):
+    payload["payloads"]["projection/%d" % payload["config"]["k"]]["type"] = \
+        "subspace"
+
+
+def _payload_key(payload):
+    payload["payloads"]["basis/%d" % payload["config"]["k"]]["extra"] = 1
+
+
 @pytest.mark.parametrize("report", ["even_report", "odd_report"])
 @pytest.mark.parametrize("mutate,message", [
     (_set("b_dim", 999), "malformed results entry 0: b_dim is 999"),
@@ -439,12 +460,20 @@ def _max_search_63(payload):
     (_one_failed_check, "malformed totals: checks is 1"),
     (_extra_payload, "malformed payloads: no degree names projection/"),
     (_max_search_63, "malformed config: max_search is 63, expected 64"),
+    (_reversed_results, "malformed results: cover degrees"),
+    (_config_key, "malformed config: extra is 1, expected absent"),
+    (_report_key, "malformed report: unexpected key extra"),
+    (_projection_typed_subspace,
+     'projection/%k: type is "subspace", expected "matrix"'),
+    (_payload_key, "malformed payload basis/%k: unexpected key extra"),
 ], ids=["b_dim", "lie_dim", "elim_dim", "complement_dim", "lower_dims",
         "stage", "status", "data_ref", "no-certificates", "totals",
-        "extra-payload", "max_search"])
+        "extra-payload", "max_search", "reversed-results", "config-key",
+        "report-key", "projection-typed-subspace", "payload-key"])
 def test_certify_rejects_a_summary_decompose_never_writes(
         request, report, tmp_path, capsys, mutate, message):
     payload = copy.deepcopy(request.getfixturevalue(report))
+    message = message.replace("%k", str(payload["config"]["k"]))
     mutate(payload)
     code, err = _certify_code(payload, tmp_path, capsys)
     assert code == 2 and message in err

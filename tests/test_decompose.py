@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import os
 import pickle
 import time
@@ -25,7 +26,7 @@ from liepowers.freelie import (filtration_subspace, lie_power,
 from liepowers.descent import (_assemble, element_action_matrix,
                                lift_idempotents)
 from liepowers.linalg import (Mat, Subspace, _invert, _weight_blocks,
-                              _weight_index, is_direct_sum,
+                              _weight_index, is_direct_sum, rref,
                               solve_equivariant_projection)
 from liepowers.modrep import TensorAction, gl_generators
 from oracles import multisets_by_filter, slot_budgets_by_filter
@@ -665,6 +666,83 @@ def test_projection_flaw_makes_no_full_size_products(monkeypatch):
     assert _projection_flaw(data.projection, data.basis, action) is None
     assert shapes and (N, N, N) not in shapes
     assert all(data.basis.dim in shape for shape in shapes)
+
+
+def _unblocked_flaw(proj, basis, action):
+    """The certificate check on whole matrices, as it ran before it was
+    cut into weight blocks: C = P[:, pi] from all N rows, C B against P,
+    B C against I and C M against g C with g's induced matrix."""
+    B = basis.basis_matrix()
+    C = proj.columns(basis.pivots)
+    if C @ B != proj:
+        return "projection rows lie outside the stored basis"
+    if B @ C != Mat.identity(proj.p, basis.dim):
+        return "projection does not fix the stored basis"
+    for gi in range(len(action.generators)):
+        img = B @ action.induced_matrix(gi)
+        M = img.columns(basis.pivots)
+        if M @ B != img:
+            return "stored basis is not invariant under generator %d" % gi
+        if C @ M != action.induced_matrix(gi) @ C:
+            return "projection fails to commute with generator %d" % gi
+    return None
+
+
+@pytest.mark.parametrize("n,p,k,top", [(2, 2, 3, 6), (2, 3, 2, 4),
+                                       (3, 2, 3, 3)])
+def test_a_flipped_entry_in_any_weight_block_fails(n, p, k, top):
+    # one entry changed in the rows of one weight space, for every weight
+    # space: the blockwise check fails, with the message of the check on
+    # whole matrices
+    res = construct_B_family(n, p, k, top)
+    rng = np.random.default_rng(31 * p + top)
+    data = res.degrees[top]
+    action = TensorAction(gl_generators(n, p), top)
+    P = data.projection.to_array()
+    for idx in _weight_blocks(n, top).values():
+        flip = P.copy()
+        i, j = rng.choice(idx), rng.integers(0, n ** top)
+        flip[i, j] = (flip[i, j] + rng.integers(1, p)) % p
+        flip = Mat.from_array(p, flip)
+        got = _projection_flaw(flip, data.basis, action)
+        assert got is not None
+        assert got == _unblocked_flaw(flip, data.basis, action)
+
+
+def test_an_ungraded_projection_still_certifies():
+    # P' = P + (I - P) Y P, with Y the sum of h^-1 Z h over GL(2, 2) for a
+    # random Z, is an equivariant projection onto the same basis (rows act
+    # on the right), and it is not graded: the blockwise check assumes no
+    # grading
+    res = construct_B_family(2, 2, 3, 6)
+    data = res.degrees[6]
+    P = data.projection.to_array()
+    N = len(P)
+    action = TensorAction(gl_generators(2, 2), 6)
+    group = [Mat.from_array(2, np.array(bits).reshape(2, 2))
+             for bits in itertools.product((0, 1), repeat=4)
+             if rref(Mat.from_array(2, np.array(bits).reshape(2, 2)))[1] == 2]
+    assert len(group) == 6
+    lifts = [(TensorAction([_invert(h)], 6).induced_matrix(0).to_array(),
+              TensorAction([h], 6).induced_matrix(0).to_array())
+             for h in group]
+    weight = _weight_index(2, 6)
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        Z = rng.integers(0, 2, size=(N, N))
+        Y = sum(hinv @ Z @ h for hinv, h in lifts) % 2
+        moved = (P + (np.eye(N, dtype=np.int64) - P) @ Y @ P) % 2
+        rows, cols = np.nonzero(moved)
+        if (weight[rows] != weight[cols]).any():
+            break
+    else:
+        raise AssertionError("no ungraded projection found")
+    moved = Mat.from_array(2, moved)
+    assert moved != data.projection
+    assert _projection_flaw(moved, data.basis, action) is None
+    assert _dense_flaw(moved, data.basis, action) is None
+    res.degrees[6].projection = moved
+    assert certify_decomposition(res)["ok"]
 
 
 def _dense_certificate(p, N, basis, star, kernel):

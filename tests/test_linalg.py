@@ -15,7 +15,6 @@ from liepowers.freelie import concat_packed
 from liepowers.linalg import (
     Mat,
     Subspace,
-    _assemble_projection_system,
     _canonical_solution,
     _csr,
     _echp,
@@ -26,6 +25,8 @@ from liepowers.linalg import (
     _projection_problem,
     _rows_to_words,
     _solve_linear_system,
+    _spin_solution,
+    _unknown_index,
     _words_to_rows,
     affine_projection_family,
     direct_sum,
@@ -39,7 +40,13 @@ from liepowers.linalg import (
     word_weight,
 )
 from liepowers.modrep import TensorAction, gl_generators
-from oracles import Tensor, format_terms, index_to_word, word_to_index
+from oracles import (
+    Tensor,
+    format_terms,
+    index_to_word,
+    kronecker_projection_system,
+    word_to_index,
+)
 
 
 def test_check_prime():
@@ -214,6 +221,22 @@ def test_every_gf2_product_runs_the_word_kernel(monkeypatch):
         got = (Mat.from_array(2, a) @ Mat.from_array(2, b)).to_array()
         assert np.array_equal(got, (a @ b) % 2)
     assert calls == [(m, k) for m, k, _ in shapes]
+
+
+def test_sparse_gf2_product_takes_one_xor_per_set_bit(monkeypatch):
+    # a left factor with few set bits skips the word kernel, and gives the
+    # product all the same
+    rng = np.random.default_rng(8)
+    a = np.zeros((40, 300), dtype=int)
+    a[np.arange(40), rng.integers(0, 300, size=40)] = 1
+    b = rng.integers(0, 2, size=(300, 90))
+    calls = []
+    monkeypatch.setattr(linalg, "_mul2_words",
+                        lambda A, B: calls.append(1) or _mul2_words(A, B))
+    got = (Mat.from_array(2, a) @ Mat.from_array(2, b)).to_array()
+    assert np.array_equal(got, (a @ b) % 2) and not calls
+    dense = (Mat.from_array(2, b.T) @ Mat.from_array(2, b)).to_array()
+    assert np.array_equal(dense, (b.T @ b) % 2) and calls
 
 
 def test_mul2_rejects_rows_outside_the_left_factor():
@@ -834,7 +857,7 @@ def test_gf2_row_text_takes_only_ascii_hex_digits():
 
 
 # ---------------------------------------------------------------------------
-# the vectorised projection system against the dict loops it replaced
+# the spin solve against the Kronecker system and the dict loops
 
 
 def _reference_system(prob, allowed):
@@ -889,7 +912,7 @@ def _reference_solve(p, rows, rhs, nunk):
 
 def _csr_equations(p, system, nunk):
     """(packed rows over the unknowns, right-hand sides) of a CSR system
-    of ``_assemble_projection_system``, after checking its form: int64
+    of ``kronecker_projection_system``, after checking its form: int64
     row starts, int32 columns and coefficients in the narrowest unsigned
     dtype holding p - 1; each row nonempty, its columns ascending up to
     the right-hand side at nunk, and no coefficient 0."""
@@ -981,6 +1004,8 @@ def _random_projection_case(rng, p, d, m, split):
 # at 251 and 65521 a sum of narrow coefficients would wrap in their dtype
 @pytest.mark.parametrize("p", [2, 3, 5, 251, 65521])
 def test_projection_system_matches_dict_loop_reference(p):
+    # the Kronecker system against the dict loops, and the spin solve's
+    # canonical (particular, kernel) against the solve of both
     rng = np.random.default_rng(100 + p)
     F = field(p)
     graded = families = 0
@@ -991,7 +1016,7 @@ def test_projection_system_matches_dict_loop_reference(p):
             rng, p, d, m, split=t % 4 != 3)
         # one label for every coordinate: the ungraded system
         ungraded = _projection_problem(action, image, domain, [0] * d)
-        assert not ungraded["graded"].any()
+        assert not any(lab.any() for lab in ungraded["labels"])
         allowed = _reference_ansatz(ungraded, labels)
         attempts = [(ungraded, None)]
         if allowed is None:
@@ -1002,7 +1027,8 @@ def test_projection_system_matches_dict_loop_reference(p):
                                                  labels), allowed))
             graded += 1
         for prob, ref in attempts:
-            index, nunk, system = _assemble_projection_system(prob)
+            index, nunk, system = kronecker_projection_system(prob)
+            assert np.array_equal(index, _unknown_index(prob))
             rows, rhs = _csr_equations(p, system, nunk)
             unk, ref_rows, ref_rhs = _reference_system(prob, ref)
             assert nunk == len(unk)
@@ -1015,14 +1041,16 @@ def test_projection_system_matches_dict_loop_reference(p):
             renumbered = F.take(ref_rows, nunk, [unk[uv] for uv in order])
             assert [(F.key(r), b) for r, b in zip(rows, rhs)] == \
                 [(F.key(r), b) for r, b in zip(renumbered, ref_rhs)]
-            got = _solve_linear_system(p, system, nunk)
             want = _reference_solve(p, ref_rows, ref_rhs, nunk)
-            assert (got is None) == (want is None)
-            if got is not None:
-                got = _canonical_solution(p, *got, index)
-                assert F.key(got[0]) == F.key(want[0])
-                assert list(map(F.key, got[1])) == list(map(F.key, want[1]))
-                families += bool(rows) and bool(got[1])
+            for got in (_solve_linear_system(p, system, nunk),
+                        _spin_solution(prob, index)):
+                assert (got is None) == (want is None)
+                if got is not None:
+                    got = _canonical_solution(p, *got, index)
+                    assert F.key(got[0]) == F.key(want[0])
+                    assert list(map(F.key, got[1])) == \
+                        list(map(F.key, want[1]))
+            families += bool(rows) and want is not None and bool(want[1])
     assert graded >= 10 and families >= 5
 
 
@@ -1038,7 +1066,7 @@ def test_projection_from_x_matches_adapted_basis(p):
         action, image, domain, labels = _random_projection_case(
             rng, p, d, m, split=t % 2 == 0)
         prob = _projection_problem(action, image, domain, [0] * d)
-        index = _assemble_projection_system(prob)[0]
+        index = _unknown_index(prob)
         nunk = int(np.count_nonzero(index >= 0))
         T = Mat.from_packed(p, prob["image"].packed_rows() +
                             [F.unit(d, int(j)) for j in prob["free"]], d)
@@ -1109,53 +1137,67 @@ def test_canonical_solution_matches_the_reference_order(p):
 
 
 def test_projection_system_chunks_agree(monkeypatch):
+    # the spin's relations reach their echelon a chunk at a time; one
+    # relation per chunk gives the same solution
     rng = np.random.default_rng(7)
     action, image, domain, labels = _random_projection_case(rng, 3, 5, 2,
-                                                            split=False)
+                                                            split=True)
     prob = _projection_problem(action, image, domain, [0] * 5)
-    whole = _assemble_projection_system(prob)
-    monkeypatch.setattr(linalg, "_CHUNK", 1)  # one equation per block
-    parts = _assemble_projection_system(prob)
-    assert np.array_equal(whole[0], parts[0]) and whole[1] == parts[1]
-    assert len(whole[2][0]) > 2  # more than one equation
-    for a, b in zip(whole[2], parts[2]):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
+    index = _unknown_index(prob)
+    whole = _spin_solution(prob, index)
+    assert whole is not None
+    blocks = []
+    absorb = linalg._absorb
+
+    def seen(F, p, ech, piv, block):
+        blocks.append(len(block))
+        return absorb(F, p, ech, piv, block)
+
+    monkeypatch.setattr(linalg, "_absorb", seen)
+    monkeypatch.setattr(linalg, "_CHUNK", 1)
+    parts = _spin_solution(prob, index)
+    assert len(blocks) > 1  # more than one chunk of relations
+    F = field(3)
+    assert F.key(whole[0]) == F.key(parts[0])
+    assert list(map(F.key, whole[1])) == list(map(F.key, parts[1]))
 
 
 def test_solve_packs_one_chunk_of_equations_at_a_time(monkeypatch):
-    # the flagship family's projection systems reach the solver as CSR
-    # arrays, the GF(2) echelon packs no more equations at once than one
-    # chunk of _CHUNK entries, and no list of them all is eliminated
+    # the family's spin relations reach their echelon a chunk at a time,
+    # the solve gets that echelon, at most nunk + 1 rows, as CSR arrays,
+    # and the GF(2) echelon packs no more equations at once than one
+    # chunk of _CHUNK entries
     from liepowers.decompose import construct_B_family
     F = field(2)
-    packed, systems, lists = [], [], []
+    packed, systems, blocks = [], [], []
     from_triples, solve = type(F).from_triples, linalg._solve_linear_system
-    rref2 = linalg._rref2_ints
+    absorb = linalg._absorb
 
     def counted(self, nrows, ncols, *triples):
         packed.append((nrows, ncols))
         return from_triples(self, nrows, ncols, *triples)
 
     def seen(p, system, nunk):
-        systems.append(system)
+        systems.append((system, nunk))
         return solve(p, system, nunk)
 
-    def eliminated(vecs):
-        if isinstance(vecs, list):
-            lists.append(len(vecs))
-        return rref2(vecs)
+    def absorbed(F, p, ech, piv, block):
+        blocks.append(len(block))
+        return absorb(F, p, ech, piv, block)
 
     monkeypatch.setattr(type(F), "from_triples", counted)
     monkeypatch.setattr(linalg, "_solve_linear_system", seen)
-    monkeypatch.setattr(linalg, "_rref2_ints", eliminated)
-    monkeypatch.setattr(linalg, "_CHUNK", 1 << 10)  # 7 equations at q = 9
+    monkeypatch.setattr(linalg, "_absorb", absorbed)
+    monkeypatch.setattr(linalg, "_CHUNK", 1 << 10)
     construct_B_family(2, 2, 3, 9)
-    assert all(isinstance(a, np.ndarray) for sys_ in systems for a in sys_)
-    neq = max(len(ptr) - 1 for ptr, _, _ in systems)
-    assert len(packed) > 10 and all(
-        nrows <= max(1, (1 << 10) // ncols) for nrows, ncols in packed)
-    assert sum(nrows for nrows, _ in packed) >= neq
-    assert max(lists) < neq
+    assert systems and all(isinstance(a, np.ndarray)
+                           for system, _ in systems for a in system)
+    assert all(len(system[0]) - 1 <= nunk + 1 for system, nunk in systems)
+    assert len(blocks) > 1 and sum(blocks) > max(
+        len(system[0]) - 1 for system, _ in systems)
+    assert all(nrows <= max(1, (1 << 10) // ncols) for nrows, ncols in packed)
+    assert sum(nrows for nrows, _ in packed) >= sum(
+        len(system[0]) - 1 for system, _ in systems)
 
 
 def test_solve_streams_equations_in_the_gf2_echelon_order(monkeypatch):
