@@ -154,17 +154,23 @@ def _letter_masks(n, r):
 def _mul2(arows, brows):
     """C = A*B for packed rows; bit j of arows[i] selects brows[j].
 
-    A goes through the word kernel ``_mul2_words``, unless it has under a
-    quarter as many set bits as that kernel gathers table entries (one per
-    row of A and group of 8 of B's rows): then each row of C is the XOR of
-    the B rows its set bits select, one big-int XOR per bit.  A row of A
-    that is negative or wider than B's row count raises ValueError.
+    A goes through the word kernel ``_mul2_words``, unless it is sparse
+    enough that each row of C is cheaper as the XOR of the B rows its set
+    bits select, one big-int XOR per bit.  Timed on a 2-core x86 VM, a
+    set bit costs about 150 + 3 u + w word operations that way, for rows
+    of A of u words and of B of w words (three big-int operations on the
+    row of A find and clear it), and each table entry the kernel gathers
+    (one per row of A and group of 8 of B's rows) about 25 + w.  A row
+    of A that is negative or wider than B's row count raises ValueError.
     """
     nb = len(brows)
     for a in arows:
         if a < 0 or a.bit_length() > nb:
             raise ValueError("row width exceeds left factor's column count")
-    if 4 * sum(a.bit_count() for a in arows) < len(arows) * -(-nb // 8):
+    bw = max((r.bit_length() for r in brows), default=0)
+    w = (bw + 63) // 64
+    if sum(a.bit_count() for a in arows) * (150 + 3 * -(-nb // 64) + w) < \
+            len(arows) * -(-nb // 8) * (25 + w):
         out = []
         for a in arows:
             acc = 0
@@ -174,7 +180,6 @@ def _mul2(arows, brows):
                 a ^= low
             out.append(acc)
         return out
-    bw = max((r.bit_length() for r in brows), default=0)
     C = _mul2_words(_rows_to_words(arows, nb), _rows_to_words(brows, bw))
     return _words_to_rows(C)
 
